@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .expm import DEFAULT_TOL, ConvergenceError, as_hermitian, real_expm_action
+from .expm import ConvergenceError, as_hermitian, real_expm_action
 from .graphs import LabeledGraph, adjacency_matrix, laplacian
 from .states import as_probability_vector, delta_distribution
 
@@ -186,12 +186,6 @@ def dtrw_transition_profile(g: LabeledGraph, source: int, steps: int) -> np.ndar
     return dtrw_evolve(g, delta_distribution(g.n, source), steps)
 
 
-def ctrw_evolve(
-    g: LabeledGraph,
-    p0,
-    t: float,
-    tol: float = DEFAULT_TOL,
-    backend: str = "auto",
-) -> np.ndarray:
+def ctrw_evolve(g: LabeledGraph, p0, t: float) -> np.ndarray:
     """Continuous-time diffusion ``exp(-L t) p0`` on an undirected graph."""
-    return real_expm_action(as_hermitian(laplacian(g)), p0, t, tol=tol, backend=backend)
+    return real_expm_action(as_hermitian(laplacian(g)), p0, t)

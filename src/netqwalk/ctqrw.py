@@ -114,8 +114,6 @@ def random_chiral_phases(g: LabeledGraph, rng) -> HamiltonianSpec:
 
 
 def _edge_weight_map(g: LabeledGraph) -> dict[tuple[int, int], float]:
-    if g.weights is None:
-        return {(int(j), int(k)): 1.0 for j, k in g.edges}
     return {
         (int(j), int(k)): float(w) for (j, k), w in zip(g.edges, g.weights)
     }
@@ -194,16 +192,10 @@ def _check_drift(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def evolve(
-    hamiltonian: SparseHermitian,
-    psi0,
-    t: float,
-    tol: float = 1e-10,
-    backend: str = "auto",
-) -> np.ndarray:
+def evolve(hamiltonian: SparseHermitian, psi0, t: float) -> np.ndarray:
     """State after Schrodinger evolution of ``psi0`` for time ``t``."""
     psi0 = as_amplitude_vector(psi0, hamiltonian.n)
-    psi = expm_action(hamiltonian, psi0, t, tol=tol, backend=backend)
+    psi = expm_action(hamiltonian, psi0, t)
     return _check_drift(psi)
 
 
@@ -256,9 +248,6 @@ def evolve_with_collapses(
     psi0,
     t_final: float,
     schedule=None,
-    tol: float = 1e-10,
-    backend: str = "auto",
-    collapse_norm: str = "l2",
 ) -> np.ndarray:
     """Evolve to ``t_final`` with collapses at the scheduled times.
 
@@ -274,15 +263,9 @@ def evolve_with_collapses(
     psi = as_amplitude_vector(psi0, hamiltonian.n)
     t_prev = 0.0
     for t_c in schedule.times:
-        psi = expm_action(hamiltonian, psi, t_c - t_prev, tol=tol, backend=backend)
-        if collapse_norm == "l2":
-            psi = _check_drift(psi)
-        psi = collapse(psi, norm=collapse_norm)
+        psi = collapse(_check_drift(expm_action(hamiltonian, psi, t_c - t_prev)))
         t_prev = t_c
-    psi = expm_action(hamiltonian, psi, t_final - t_prev, tol=tol, backend=backend)
-    if collapse_norm == "l2":
-        psi = _check_drift(psi)
-    return psi
+    return _check_drift(expm_action(hamiltonian, psi, t_final - t_prev))
 
 
 def transition_probability(
@@ -290,8 +273,6 @@ def transition_probability(
     source: int,
     destination: int,
     t: float,
-    tol: float = 1e-10,
-    backend: str = "auto",
 ) -> float:
     """Probability of finding at ``source`` a walker started at ``destination``.
 
@@ -301,7 +282,7 @@ def transition_probability(
     n = hamiltonian.n
     unit = np.zeros(n, dtype=np.complex128)
     unit[destination] = 1.0
-    u = expm_action(hamiltonian, unit, t, tol=tol, backend=backend)
+    u = expm_action(hamiltonian, unit, t)
     p = float(np.abs(u[source]) ** 2)
     return min(max(p, 0.0), 1.0)
 
@@ -311,8 +292,6 @@ def transition_rate(
     source: int,
     destination: int,
     t: float,
-    tol: float = 1e-10,
-    backend: str = "auto",
 ) -> float:
     """Time derivative of :func:`transition_probability` at ``t``.
 
@@ -323,7 +302,7 @@ def transition_rate(
     n = hamiltonian.n
     unit = np.zeros(n, dtype=np.complex128)
     unit[destination] = 1.0
-    u = expm_action(hamiltonian, unit, t, tol=tol, backend=backend)
+    u = expm_action(hamiltonian, unit, t)
     m = u[source]
     m_dot = -1j * (hamiltonian.matrix @ u)[source]
     return float(2.0 * np.real(np.conj(m) * m_dot))

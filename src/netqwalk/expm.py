@@ -185,9 +185,19 @@ def _krylov_action(
     )
 
 
-def _check_tol(tol: float) -> None:
-    if not (0.0 < tol <= 1e-4):
-        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
+def _action(
+    op: SparseHermitian, v: np.ndarray, unit: complex, t: float, tol: float, backend: str
+) -> np.ndarray:
+    """``exp(unit * t * H) v`` on the named backend; ``"auto"`` picks it by size."""
+    if t == 0.0 or op.matrix.nnz == 0:
+        return v.copy()
+    if backend == "auto":
+        backend = "dense" if op.n <= DENSE_LIMIT else "lanczos"
+    if backend == "dense":
+        return _dense_apply(op, v, unit * t)
+    if backend == "lanczos":
+        return _krylov_action(op, v, unit, t, tol)
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def expm_action(
@@ -214,7 +224,8 @@ def expm_action(
         "auto" uses the cached dense eigendecomposition up to
         ``DENSE_LIMIT`` nodes and the Lanczos action beyond.
     """
-    _check_tol(tol)
+    if not (0.0 < tol <= 1e-4):
+        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     op = as_hermitian(hamiltonian)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.shape[0] != op.n:
@@ -223,48 +234,23 @@ def expm_action(
         raise ValueError("state vector has non-finite entries")
     if np.linalg.norm(v) == 0.0:
         raise ValueError("state vector must be nonzero")
-    if t == 0.0 or op.matrix.nnz == 0:
-        return v.copy()
-    if backend == "auto":
-        backend = "dense" if op.n <= DENSE_LIMIT else "lanczos"
-    if backend == "dense":
-        return _dense_apply(op, v, -1j * t)
-    if backend == "lanczos":
-        return _krylov_action(op, v, -1j, t, tol)
-    raise ValueError(f"unknown backend {backend!r}")
+    return _action(op, v, -1j, t, tol, backend)
 
 
-def real_expm_action(
-    generator,
-    p,
-    t: float,
-    tol: float = DEFAULT_TOL,
-    backend: str = "auto",
-) -> np.ndarray:
+def real_expm_action(generator, p, t: float) -> np.ndarray:
     """Apply the diffusion kernel: return ``exp(-L t) p``.
 
     ``generator`` must be real symmetric with zero row sums (a graph
     Laplacian) and ``p`` a probability vector.  The result is clipped of
     sub-1e-12 negative round-off and keeps unit sum to ~1e-10.
     """
-    _check_tol(tol)
     op = as_hermitian(generator)
     if not op.is_real:
         raise HermiticityError("diffusion generator must be a real symmetric matrix")
     if t < 0:
         raise ValueError("diffusion time must be >= 0")
-    p = as_probability_vector(p, n=op.n)
-    if t == 0.0 or op.matrix.nnz == 0:
-        return p.copy()
-    if backend == "auto":
-        backend = "dense" if op.n <= DENSE_LIMIT else "lanczos"
-    if backend == "dense":
-        out = _dense_apply(op, p.astype(np.complex128), -t)
-    elif backend == "lanczos":
-        out = _krylov_action(op, p.astype(np.complex128), -1.0, t, tol)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    out = np.ascontiguousarray(out.real)
+    p = as_probability_vector(p, n=op.n).astype(np.complex128)
+    out = np.ascontiguousarray(_action(op, p, -1.0, t, DEFAULT_TOL, "auto").real)
     if out.min() < -1e-6:
         raise ConvergenceError(
             f"diffusion produced a negative probability {out.min():g}"

@@ -15,6 +15,7 @@ connect adjacent layers in the forward direction.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,6 +164,53 @@ def graph_from_edges(
     return LabeledGraph(tuple(labels), edges, directed=directed, weights=merged)
 
 
+def table_rows(text: str, widths, form: str, table: str, sep: str | None = "\t"):
+    """Yield ``(line number, fields)`` for each data row of a headerless table.
+
+    Lines starting with ``#`` and blank lines are skipped.  Fields are split
+    on ``sep`` (any whitespace when ``None``) and whitespace-trimmed.  Rows
+    are yielded as they are read, so the caller makes the only pass.
+
+    Raises
+    ------
+    GraphFormatError
+        On a row whose field count is not in ``widths`` or that has an
+        empty field (naming its line and the expected ``form``), or when
+        ``table`` has no data rows.
+    """
+    empty = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        fields = [f.strip() for f in line.split(sep)]
+        if len(fields) not in widths or "" in fields:
+            raise GraphFormatError(
+                f"line {lineno}: expected {form!r} with nonempty fields, got {raw!r}"
+            )
+        empty = False
+        yield lineno, fields
+    if empty:
+        raise GraphFormatError(f"empty {table}: no data rows found")
+
+
+def parse_nonnegative(field: str, lineno: int, what: str, upper: float) -> float:
+    """``float(field)`` checked to be finite and in ``[0, upper]``, else a
+    :class:`GraphFormatError` naming line ``lineno`` and ``what`` it holds."""
+    try:
+        x = float(field)
+    except ValueError:
+        raise GraphFormatError(
+            f"line {lineno}: cannot parse {what} {field!r}"
+        ) from None
+    if not (math.isfinite(x) and 0.0 <= x <= upper):
+        bound = "" if upper == math.inf else f" and <= {upper:g}"
+        raise GraphFormatError(
+            f"line {lineno}: {what} must be finite and >= 0{bound}, got {x}"
+        )
+    return x
+
+
 def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     """Parse a tab-separated edge list ``u<TAB>v[<TAB>w]``.
 
@@ -177,30 +225,9 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
         On a malformed row (with its line number) or empty input.
     """
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) not in (2, 3) or not fields[0] or not fields[1]:
-            raise GraphFormatError(
-                f"line {lineno}: expected 'u<TAB>v[<TAB>w]', got {raw!r}"
-            )
-        w = 1.0
-        if len(fields) == 3:
-            try:
-                w = float(fields[2])
-            except ValueError:
-                raise GraphFormatError(
-                    f"line {lineno}: weight {fields[2]!r} is not a number"
-                ) from None
-            if not np.isfinite(w) or w < 0:
-                raise GraphFormatError(
-                    f"line {lineno}: weight must be finite and >= 0, got {w}"
-                )
-        rows.append((fields[0], fields[1], w))
-    if not rows:
-        raise GraphFormatError("empty edge list: no data rows found")
+    for lineno, f in table_rows(text, (2, 3), "u<TAB>v[<TAB>w]", "edge list"):
+        w = parse_nonnegative(f[2], lineno, "weight", math.inf) if len(f) == 3 else 1.0
+        rows.append((f[0], f[1], w))
     return graph_from_edges(rows, directed=directed)
 
 
@@ -434,35 +461,12 @@ def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:
 
 def parse_node_layers(text: str) -> list[tuple[str, str]]:
     """Parse a node-layer TSV (``label<TAB>layer``) into (label, layer) pairs."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise GraphFormatError(
-                f"line {lineno}: expected 'label<TAB>layer', got {raw!r}"
-            )
-        out.append((fields[0], fields[1]))
-    if not out:
-        raise GraphFormatError("empty node-layer table")
-    return out
+    return [
+        (f[0], f[1])
+        for _, f in table_rows(text, (2,), "label<TAB>layer", "node-layer table")
+    ]
 
 
 def parse_label_pairs(text: str) -> list[tuple[str, str]]:
     """Parse a two-column TSV of label pairs (comments and blanks skipped)."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split("\t")]
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise GraphFormatError(
-                f"line {lineno}: expected 'u<TAB>v', got {raw!r}"
-            )
-        out.append((fields[0], fields[1]))
-    if not out:
-        raise GraphFormatError("empty edge table")
-    return out
+    return [(f[0], f[1]) for _, f in table_rows(text, (2,), "u<TAB>v", "edge table")]

@@ -33,8 +33,10 @@ from .graphs import (
     laplacian,
     parse_label_pairs,
     parse_node_layers,
+    parse_nonnegative,
     read_edge_list,
     symmetrized_view,
+    table_rows,
 )
 from .metrics import (
     average_precision_at_k,
@@ -74,34 +76,18 @@ _EXACT_TIE_WALKERS = DISCRETE_WALKERS
 def parse_score_table(text: str) -> dict[str, float]:
     """Parse a two-column ``label<TAB>p-value`` table.
 
-    Comment lines start with ``#``; blank lines are skipped.  Duplicate
-    labels and unparseable or negative values are rejected with the
-    offending line number.
+    Comment lines start with ``#``; blank lines are skipped.  Any run of
+    whitespace separates the columns.  Duplicate labels and unparseable
+    values or values outside [0, 1] are rejected with the offending line
+    number.
     """
     table: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ValueError(
-                f"line {lineno}: expected 'label value', got {len(fields)} fields"
-            )
-        label, value = fields
+    for lineno, (label, value) in table_rows(
+        text, (2,), "label value", "score table", sep=None
+    ):
         if label in table:
             raise ValueError(f"line {lineno}: duplicate label {label!r}")
-        try:
-            p = float(value)
-        except ValueError:
-            raise ValueError(
-                f"line {lineno}: cannot parse value {value!r}"
-            ) from None
-        if not np.isfinite(p) or p < 0:
-            raise ValueError(f"line {lineno}: value must be finite and >= 0")
-        table[label] = p
-    if not table:
-        raise ValueError("score table is empty")
+        table[label] = parse_nonnegative(value, lineno, "p-value", 1.0)
     return table
 
 
@@ -286,13 +272,6 @@ class SweepResult:
         }
 
 
-def _uniform_over(labels_in_gc: list[str], gc: LabeledGraph) -> np.ndarray:
-    p0 = np.zeros(gc.n)
-    for label in labels_in_gc:
-        p0[gc.index(label)] = 1.0
-    return p0 / p0.sum()
-
-
 def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
     """Yield one node-probability vector per grid value."""
     walker = config.walker
@@ -379,15 +358,18 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
         ),
     }
 
-    p0 = _uniform_over(seeds_in_gc, gc)
+    seed_nodes = [gc.index(s) for s in seeds_in_gc]
+    p0 = np.zeros(gc.n)
+    p0[seed_nodes] = 1.0
+    p0 /= p0.sum()
     relevance = set(targets_in_gc)
     grid_kind, grid = config.grid_points()
     records = []
     for grid_value, p in zip(grid, _sweep_distributions(config, gc, p0, grid)):
         if config.walker in _EXACT_TIE_WALKERS:
-            ranking = ctqrw._rank(p, gc.labels, seeds_in_gc, 0.0, 0.0)
+            ranking = ctqrw._rank(p, gc.labels, seed_nodes, 0.0, 0.0)
         else:
-            ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=seeds_in_gc)
+            ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=seed_nodes)
         digest = hashlib.sha256("\n".join(ranking.items).encode()).hexdigest()
         records.append(
             GridRecord(

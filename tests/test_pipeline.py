@@ -89,6 +89,8 @@ def test_parse_score_table_errors_carry_line_numbers():
         parse_score_table("g1\tlow")
     with pytest.raises(ValueError, match="line 1.*>= 0"):
         parse_score_table("g1\t-0.5")
+    with pytest.raises(ValueError, match="line 2.*>= 0"):
+        parse_score_table("g1\t0.5\ng2\t1.5")
     with pytest.raises(ValueError, match="empty"):
         parse_score_table("# only comments\n")
 
