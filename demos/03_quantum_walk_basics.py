@@ -14,11 +14,11 @@ from netqwalk.ctqrw import (
     build_hamiltonian,
     evolve,
     measure,
-    rank_by_probability,
     transition_probability,
     transition_rate,
 )
 from netqwalk.graphs import graph_from_edges
+from netqwalk.metrics import rank_by_probability
 
 # ----------------------------------------------------------------------
 # two nodes: the walker oscillates, it never settles

@@ -26,7 +26,6 @@ from .ctqrw import (
     initial_state_from_scores,
     measure,
     random_chiral_phases,
-    rank_by_probability,
     transition_probability,
     transition_rate,
     uniform_chiral_phases,
@@ -72,6 +71,7 @@ from .metrics import (
     average_precision_at_k,
     pairwise_distance_matrix,
     precision_at_k,
+    rank_by_probability,
     walk_support_subgraph,
 )
 from .pipeline import (

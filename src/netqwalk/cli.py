@@ -6,8 +6,9 @@ walkers over a cell-cell-interaction graph, and ``graph-stats`` prints
 connectivity statistics as JSON.  Every flag can also be supplied
 through an environment variable named ``NETQWALK_<FLAG>`` (dashes
 become underscores, e.g. ``NETQWALK_T_MAX``); explicit command-line
-values win.  Exit codes: 0 success, 1 validation or input error,
-2 numerical failure.
+values win, and a flag set neither way takes the default of its field
+in ``ExperimentConfig`` or ``CciConfig``.  Exit codes: 0 success,
+1 validation or input error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -46,14 +48,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add(parser, flag: str, **kwargs) -> None:
-    """``add_argument`` honoring the ``NETQWALK_`` environment override."""
-    env_name = ENV_PREFIX + flag.lstrip("-").replace("-", "_").upper()
+    """``add_argument`` honoring the ``NETQWALK_`` environment override.
+
+    An unset flag stays off the namespace, so the config dataclass's
+    default applies.
+    """
+    name = flag.lstrip("-").replace("-", "_").upper()
+    env_name = ENV_PREFIX + name
     env_value = os.environ.get(env_name)
-    if env_value is not None:
+    if env_value is None:
+        kwargs["default"] = argparse.SUPPRESS
+    else:
         # argparse runs string defaults through `type`, so the raw
         # environment string slots in as an overridable default.
         kwargs["default"] = env_value
         kwargs["required"] = False
+    if "dest" in kwargs:
+        kwargs["metavar"] = name
     kwargs.setdefault("help", "")
     kwargs["help"] += f" [env: {env_name}]"
     parser.add_argument(flag, **kwargs)
@@ -82,34 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
         "prioritize",
         help="sweep a walker over an interactome and rank candidate genes",
     )
-    _add(pri, "--graph", required=True, help="undirected edge list (TSV)")
-    _add(pri, "--scores", required=True, help="seed p-value table (TSV)")
-    _add(pri, "--targets", required=True, help="target p-value table (TSV)")
-    _add(pri, "--walker", default="ctqrw", choices=WALKERS, help="walk model")
+    _add(pri, "--graph", dest="graph_path", required=True, help="undirected edge list (TSV)")
+    _add(pri, "--scores", dest="scores_path", required=True, help="seed p-value table (TSV)")
+    _add(pri, "--targets", dest="targets_path", required=True, help="target p-value table (TSV)")
+    _add(pri, "--walker", choices=WALKERS, help="walk model")
     _add(
-        pri, "--hamiltonian", default="adjacency", choices=HAMILTONIAN_KINDS,
+        pri, "--hamiltonian", choices=HAMILTONIAN_KINDS,
         help="generator for the continuous quantum walk",
     )
-    _add(pri, "--alpha", type=float, default=0.85, help="restart probability weight")
-    _add(pri, "--t-max", type=float, default=10.0, help="largest evolution time")
-    _add(pri, "--t-step", type=float, default=0.1, help="time grid spacing")
+    _add(pri, "--alpha", type=float, help="restart probability weight")
+    _add(pri, "--t-max", type=float, help="largest evolution time")
+    _add(pri, "--t-step", type=float, help="time grid spacing")
+    _add(pri, "--steps-max", type=int, help="largest step count for discrete walkers")
     _add(
-        pri, "--steps-max", type=int, default=20,
-        help="largest step count for discrete walkers",
-    )
-    _add(
-        pri, "--collapse", type=_comma_floats, default="",
+        pri, "--collapse", dest="collapse_times", type=_comma_floats,
         help="comma-separated collapse times (ctqrw only)",
     )
-    _add(pri, "--k", type=_comma_ints, default="20,50,100", help="K values for AP@K")
-    _add(pri, "--seed-thresh", type=float, default=0.01, help="seed p-value cutoff")
+    _add(pri, "--k", dest="k_list", type=_comma_ints, help="K values for AP@K")
+    _add(pri, "--seed-thresh", type=float, help="seed p-value cutoff")
+    _add(pri, "--target-thresh", type=float, help="target p-value cutoff")
+    _add(pri, "--rng-seed", type=int, help="seed for random phases")
     _add(
-        pri, "--target-thresh", type=float, default=5e-8,
-        help="target p-value cutoff",
-    )
-    _add(pri, "--rng-seed", type=int, default=0, help="seed for random phases")
-    _add(
-        pri, "--rwr-mode", default="steady", choices=RWR_MODES,
+        pri, "--rwr-mode", choices=RWR_MODES,
         help="restart walk sweep: steady state or truncated iterations",
     )
     _add(pri, "--out", required=True, help="output directory")
@@ -118,18 +123,18 @@ def build_parser() -> argparse.ArgumentParser:
         "cci",
         help="walk a cell-cell-interaction graph and extract supported paths",
     )
-    _add(cci, "--nodes", required=True, help="node-layer table (TSV)")
-    _add(cci, "--edges", required=True, help="directed edge list (TSV)")
-    _add(cci, "--steps", type=int, default=5, help="number of walk steps")
+    _add(cci, "--nodes", dest="nodes_path", required=True, help="node-layer table (TSV)")
+    _add(cci, "--edges", dest="edges_path", required=True, help="directed edge list (TSV)")
+    _add(cci, "--steps", type=int, help="number of walk steps")
     _add(
         cci, "--targets", required=True, type=_comma_labels,
         help="comma-separated target node labels",
     )
     _add(
-        cci, "--epsilon", type=float, default=0.05,
+        cci, "--epsilon", type=float,
         help="per-hop probability threshold for the support subgraph",
     )
-    _add(cci, "--rng-seed", type=int, default=0, help="recorded in the manifest")
+    _add(cci, "--rng-seed", type=int, help="recorded in the manifest")
     _add(cci, "--out", required=True, help="output directory")
 
     stats = sub.add_parser("graph-stats", help="print connectivity statistics as JSON")
@@ -137,26 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(cls, args):
+    """``cls`` built from the namespace attributes that name its fields."""
+    names = {field.name for field in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names})
+
+
 def _run_prioritize(args) -> int:
-    config = ExperimentConfig(
-        graph_path=args.graph,
-        scores_path=args.scores,
-        targets_path=args.targets,
-        walker=args.walker,
-        hamiltonian=args.hamiltonian,
-        alpha=args.alpha,
-        t_max=args.t_max,
-        t_step=args.t_step,
-        steps_max=args.steps_max,
-        collapse_times=args.collapse,
-        k_list=args.k,
-        seed_thresh=args.seed_thresh,
-        target_thresh=args.target_thresh,
-        rng_seed=args.rng_seed,
-        rwr_mode=args.rwr_mode,
-    )
-    result = run_prioritization(config)
-    emit_reports(result, args.out)
+    result = run_prioritization(_config(ExperimentConfig, args))
+    paths = emit_reports(result, args.out)
     summary = result.summary()
     for k, entry in summary["per_k"].items():
         print(
@@ -164,20 +158,12 @@ def _run_prioritize(args) -> int:
             f"{summary['grid_kind']}={entry['argmax_grid_value']:g}, "
             f"mean {entry['mean_ap']:.4f}"
         )
-    print(f"wrote sweep.csv, summary.json, manifest.json to {args.out}")
+    print(f"wrote {', '.join(path.name for path in paths)} to {args.out}")
     return 0
 
 
 def _run_cci(args) -> int:
-    config = CciConfig(
-        nodes_path=args.nodes,
-        edges_path=args.edges,
-        steps=args.steps,
-        targets=args.targets,
-        epsilon=args.epsilon,
-        rng_seed=args.rng_seed,
-    )
-    result = run_cci_analysis(config)
+    result = run_cci_analysis(_config(CciConfig, args))
     files = emit_cci_reports(result, args.out)
     for walker in sorted(result.walkers):
         output = result.walkers[walker]

@@ -18,7 +18,6 @@ import scipy.sparse as sp
 
 from .expm import ConvergenceError, SparseHermitian, expm_action
 from .graphs import LabeledGraph
-from .metrics import RankedList
 from .states import as_amplitude_vector
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "transition_rate",
     "collapse",
     "measure",
-    "rank_by_probability",
 ]
 
 HAMILTONIAN_KINDS = ("adjacency", "laplacian", "chiral")
@@ -42,14 +40,6 @@ HAMILTONIAN_KINDS = ("adjacency", "laplacian", "chiral")
 #: Norm drift beyond this is renormalized away; beyond _DRIFT_FAIL it is an error.
 _DRIFT_RENORM = 1e-12
 _DRIFT_FAIL = 1e-8
-
-#: Neighbouring probabilities ``a >= b`` in a ranking are tied unless
-#: ``a - b > TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Propagators return
-#: equal probabilities with rounding noise of about 1e-15 that changes
-#: with the BLAS build and thread count; the absolute term covers values
-#: so small that this noise is a large fraction of them.
-TIE_RTOL = 1e-12
-TIE_ATOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -320,55 +310,3 @@ def measure(psi) -> np.ndarray:
     out = prob / total
     out.setflags(write=False)
     return out
-
-
-def rank_by_probability(p, labels=None, exclude=()) -> RankedList:
-    """Nodes ranked by probability, ties broken by ascending index.
-
-    Ties are defined up to rounding: after sorting by descending
-    probability, a new tie group starts only where neighbours ``a >= b``
-    differ by more than ``TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Inside a
-    group nodes are ordered by ascending index and every score is the
-    group's largest value, so the ranking does not follow rounding noise.
-    Groups chain: only neighbouring gaps are compared, so a run of values
-    whose every consecutive gap is within the tolerance forms one group,
-    however far apart its ends are, and a member's score can exceed its
-    own probability by more than the tolerance.
-
-    ``exclude`` removes nodes (indices, or labels when ``labels`` is
-    given) from the ranking entirely, which is how seed genes are kept
-    out of a prioritized list.
-    """
-    return _rank(p, labels, exclude, TIE_RTOL, TIE_ATOL)
-
-
-def _rank(p, labels, exclude, rtol, atol) -> RankedList:
-    """``rank_by_probability`` with tie tolerances ``rtol`` and ``atol``."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    n = p.shape[0]
-    if labels is not None and len(labels) != n:
-        raise ValueError("one label per probability is required")
-    excluded = set()
-    for e in exclude:
-        if isinstance(e, str):
-            if labels is None:
-                raise ValueError("label exclusions require labels")
-            excluded.add(list(labels).index(e))
-        else:
-            excluded.add(int(e))
-    keep = np.ones(n, dtype=bool)
-    keep[[i for i in excluded if 0 <= i < n]] = False
-    nodes = np.flatnonzero(keep)
-    by_value = np.argsort(-p[nodes], kind="stable")
-    values = p[nodes][by_value]
-    # A NaN gap fails the comparison, so NaN never joins a tie group.
-    starts = np.ones(nodes.shape[0], dtype=bool)
-    gap_tol = rtol * np.maximum(np.abs(values[:-1]), np.abs(values[1:])) + atol
-    starts[1:] = ~(values[:-1] - values[1:] <= gap_tol)
-    group = np.cumsum(starts) - 1
-    # ``nodes`` ascends, so a stable sort by group orders each group by index.
-    group_of_node = np.empty_like(group)
-    group_of_node[by_value] = group
-    order = nodes[np.argsort(group_of_node, kind="stable")].tolist()
-    items = tuple([labels[i] for i in order] if labels is not None else order)
-    return RankedList(items, values[starts][group])

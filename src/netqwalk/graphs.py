@@ -231,10 +231,10 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     return graph_from_edges(rows, directed=directed)
 
 
-def read_edge_list(path, directed: bool = False) -> LabeledGraph:
-    """Read an edge-list TSV file (UTF-8)."""
+def read_edge_list(path) -> LabeledGraph:
+    """Read an undirected edge-list TSV file (UTF-8)."""
     with open(path, encoding="utf-8") as fh:
-        return load_edge_list(fh.read(), directed=directed)
+        return load_edge_list(fh.read())
 
 
 # ---------------------------------------------------------------------------

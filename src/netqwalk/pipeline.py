@@ -17,7 +17,7 @@ import csv
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .graphs import (
     LabeledGraph,
     PartitionedCciGraph,
     build_cci_graph,
+    degree_vector,
     graph_stats,
     greatest_component,
     laplacian,
@@ -39,9 +40,11 @@ from .graphs import (
     table_rows,
 )
 from .metrics import (
+    _rank,
     average_precision_at_k,
     pairwise_distance_matrix,
     precision_at_k,
+    rank_by_probability,
     walk_support_subgraph,
 )
 
@@ -62,7 +65,7 @@ _DIGEST_TOP = 10
 
 # Known fault: these walkers tie only equal values, so probabilities that
 # are exactly equal but stored a few ulp apart are ranked in rounding order,
-# not by node index as ``ctqrw.rank_by_probability`` promises.  Their sparse
+# not by node index as ``metrics.rank_by_probability`` promises.  Their sparse
 # products round in a fixed order, so the reports are still reproducible.
 # The ``discrete-large`` references in ``perfbench/reference/`` hold this
 # order; drop the exception when they are recorded again (ROADMAP item 1).
@@ -196,7 +199,9 @@ class ExperimentConfig:
             raise ValueError(f"rwr_mode must be one of {RWR_MODES}")
         if self.collapse_times and self.walker != "ctqrw":
             raise ValueError("a collapse schedule requires walker='ctqrw'")
-        # normalize sequence fields and validate the collapse schedule
+        # normalize path and sequence fields and validate the collapse schedule
+        for name in ("graph_path", "scores_path", "targets_path"):
+            object.__setattr__(self, name, str(getattr(self, name)))
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
         sched = ctqrw.CollapseSchedule(tuple(self.collapse_times))
         object.__setattr__(self, "collapse_times", sched.times)
@@ -211,25 +216,6 @@ class ExperimentConfig:
         if self.rwr_mode == "steady":
             return "steady", (0.0,)
         return "iterations", tuple(range(1, self.steps_max + 1))
-
-    def echo(self) -> dict:
-        return {
-            "graph_path": str(self.graph_path),
-            "scores_path": str(self.scores_path),
-            "targets_path": str(self.targets_path),
-            "walker": self.walker,
-            "hamiltonian": self.hamiltonian,
-            "alpha": float(self.alpha),
-            "t_max": float(self.t_max),
-            "t_step": float(self.t_step),
-            "steps_max": int(self.steps_max),
-            "collapse_times": [float(t) for t in self.collapse_times],
-            "k_list": [int(k) for k in self.k_list],
-            "seed_thresh": float(self.seed_thresh),
-            "target_thresh": float(self.target_thresh),
-            "rng_seed": int(self.rng_seed),
-            "rwr_mode": self.rwr_mode,
-        }
 
 
 @dataclass(frozen=True)
@@ -367,9 +353,9 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
     records = []
     for grid_value, p in zip(grid, _sweep_distributions(config, gc, p0, grid)):
         if config.walker in _EXACT_TIE_WALKERS:
-            ranking = ctqrw._rank(p, gc.labels, seed_nodes, 0.0, 0.0)
+            ranking = _rank(p, gc.labels, seed_nodes, 0.0, 0.0)
         else:
-            ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=seed_nodes)
+            ranking = rank_by_probability(p, labels=gc.labels, exclude=seed_nodes)
         digest = hashlib.sha256("\n".join(ranking.items).encode()).hexdigest()
         records.append(
             GridRecord(
@@ -442,7 +428,7 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     _write_json(
         manifest_path,
         {
-            "config": result.config.echo(),
+            "config": asdict(result.config),
             "graph": result.graph_summary,
             "module": result.module_summary,
             "outputs": [SWEEP_CSV, SUMMARY_JSON, MANIFEST_JSON],
@@ -476,17 +462,9 @@ class CciConfig:
             raise ValueError("at least one target node label is required")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        object.__setattr__(self, "nodes_path", str(self.nodes_path))
+        object.__setattr__(self, "edges_path", str(self.edges_path))
         object.__setattr__(self, "targets", tuple(self.targets))
-
-    def echo(self) -> dict:
-        return {
-            "nodes_path": str(self.nodes_path),
-            "edges_path": str(self.edges_path),
-            "steps": int(self.steps),
-            "targets": list(self.targets),
-            "epsilon": float(self.epsilon),
-            "rng_seed": int(self.rng_seed),
-        }
 
 
 @dataclass(frozen=True)
@@ -512,9 +490,10 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     Each walker produces an ``n x n`` matrix of transition profiles
     after ``config.steps`` steps on the symmetrized view (row = start
     node), the pairwise distance matrix of those profiles, and the
-    communication subgraph supported at ``config.epsilon``.  Nodes the
-    coined walker cannot start from (isolated in the symmetrized view)
-    get zero rows, which are flagged.
+    communication subgraph supported at ``config.epsilon``.  The coined
+    walker cannot start from nodes of degree 0 in the symmetrized view;
+    they get zero rows, which are flagged.  Any other walker error
+    propagates.
     """
     cci = build_cci_graph(
         parse_node_layers(Path(config.nodes_path).read_text()),
@@ -524,6 +503,7 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
         cci.graph.index(t)  # raises KeyError for unknown labels
     sym = symmetrized_view(cci)
     n = sym.n
+    isolated = degree_vector(sym) == 0
     walkers = {}
     for walker in CCI_WALKERS:
         profiles = np.zeros((n, n))
@@ -531,11 +511,10 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
         for j in range(n):
             if walker == "dtrw":
                 profiles[j] = classical.dtrw_transition_profile(sym, j, config.steps)
+            elif isolated[j]:
+                zero_rows.append(sym.labels[j])
             else:
-                try:
-                    profiles[j] = dtqrw.transition_profile(sym, j, config.steps)
-                except ValueError:
-                    zero_rows.append(sym.labels[j])
+                profiles[j] = dtqrw.transition_profile(sym, j, config.steps)
         walkers[walker] = CciWalkerOutput(
             profiles=profiles,
             distances=pairwise_distance_matrix(profiles),
@@ -580,7 +559,7 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
     _write_json(
         manifest_path,
         {
-            "config": result.config.echo(),
+            "config": asdict(result.config),
             "layers": {
                 layer: int(count)
                 for layer, count in result.cci.layer_counts().items()

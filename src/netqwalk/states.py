@@ -13,7 +13,7 @@ PROB_TOL = 1e-10
 NORM_TOL = 1e-10
 
 
-def as_probability_vector(p, n: int | None = None, tol: float = PROB_TOL) -> np.ndarray:
+def as_probability_vector(p, n: int | None = None) -> np.ndarray:
     """Validate ``p`` as a distribution over nodes (entries >= 0, sum 1)."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     if n is not None and p.shape[0] != n:
@@ -22,17 +22,17 @@ def as_probability_vector(p, n: int | None = None, tol: float = PROB_TOL) -> np.
         raise ValueError("probability vector has non-finite entries")
     if p.size == 0:
         raise ValueError("probability vector is empty")
-    if p.min() < -tol:
+    if p.min() < -PROB_TOL:
         raise ValueError(f"probability vector has negative entry {p.min():g}")
     s = p.sum()
-    if abs(s - 1.0) > tol:
+    if abs(s - 1.0) > PROB_TOL:
         raise ValueError(f"probability vector sums to {s!r}, expected 1")
     out = np.clip(p, 0.0, None)
     out.setflags(write=False)
     return out
 
 
-def as_amplitude_vector(psi, n: int | None = None, tol: float = NORM_TOL) -> np.ndarray:
+def as_amplitude_vector(psi, n: int | None = None) -> np.ndarray:
     """Validate ``psi`` as a unit-2-norm complex state vector."""
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     if n is not None and psi.shape[0] != n:
@@ -42,7 +42,7 @@ def as_amplitude_vector(psi, n: int | None = None, tol: float = NORM_TOL) -> np.
     if psi.size == 0:
         raise ValueError("amplitude vector is empty")
     nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"amplitude vector has 2-norm {nrm!r}, expected 1")
     out = psi.copy()
     out.setflags(write=False)

@@ -11,12 +11,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netqwalk import cli
+from netqwalk.pipeline import CciConfig, ExperimentConfig
 
 GRAPH = "a\tb\nb\tc\nc\td\nd\ta\na\tc\nd\te\ne\tf\nx\ty\n"
 SCORES = "a\t0.001\nb\t0.002\nc\t0.9\n"
@@ -202,6 +204,50 @@ def test_cli_flag_beats_environment(data, monkeypatch):
     assert code == 0
     manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
     assert manifest["config"]["t_max"] == 1.0
+
+
+def test_unset_flags_take_the_config_defaults(data, capsys):
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--out", data["out"],
+    ])
+    assert code == 0
+    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
+    config = ExperimentConfig(data["graph"], data["scores"], data["targets"])
+    assert manifest["config"] == json.loads(json.dumps(asdict(config)))
+
+    code = cli.main([
+        "cci",
+        "--nodes", data["nodes"], "--edges", data["edges"],
+        "--targets", "C1", "--out", data["out"],
+    ])
+    assert code == 0
+    manifest = json.loads((Path(data["out"]) / "cci_manifest.json").read_text())
+    config = CciConfig(data["nodes"], data["edges"], targets=("C1",))
+    assert manifest["config"] == json.loads(json.dumps(asdict(config)))
+
+
+def test_env_sets_flags_whose_field_name_differs(data, monkeypatch):
+    # --graph fills graph_path and --k fills k_list; the env names follow the flags
+    monkeypatch.setenv("NETQWALK_GRAPH", data["graph"])
+    monkeypatch.setenv("NETQWALK_K", "2,4")
+    code = cli.main([
+        "prioritize", "--scores", data["scores"], "--targets", data["targets"],
+        "--t-max", "1.0", "--t-step", "0.5", "--out", data["out"],
+    ])
+    assert code == 0
+    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
+    assert manifest["config"]["graph_path"] == data["graph"]
+    assert manifest["config"]["k_list"] == [2, 4]
+
+
+def test_help_spells_flags_not_field_names(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["prioritize", "--help"])
+    text = capsys.readouterr().out
+    assert "--graph GRAPH" in text and "--k K" in text
+    assert "GRAPH_PATH" not in text and "K_LIST" not in text
 
 
 def test_env_override_invalid_value_is_exit_1(data, capsys, monkeypatch):

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from netqwalk.ctqrw import (
-    TIE_ATOL,
-    TIE_RTOL,
     CollapseSchedule,
     HamiltonianSpec,
     build_hamiltonian,
@@ -21,12 +19,12 @@ from netqwalk.ctqrw import (
     initial_state_from_scores,
     measure,
     random_chiral_phases,
-    rank_by_probability,
     transition_probability,
     transition_rate,
     uniform_chiral_phases,
 )
 from netqwalk.graphs import graph_from_edges, load_edge_list
+from netqwalk.metrics import TIE_ATOL, TIE_RTOL, rank_by_probability
 from netqwalk.states import delta_distribution
 
 

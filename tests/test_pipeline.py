@@ -15,7 +15,7 @@ import pytest
 
 from netqwalk import classical, ctqrw, dtqrw
 from netqwalk.graphs import build_cci_graph, greatest_component, read_edge_list, symmetrized_view
-from netqwalk.metrics import average_precision_at_k, walk_support_subgraph
+from netqwalk.metrics import average_precision_at_k, rank_by_probability, walk_support_subgraph
 from netqwalk.pipeline import (
     CciConfig,
     ExperimentConfig,
@@ -214,7 +214,7 @@ def test_pipeline_matches_direct_library_calls_exactly(fixture_paths):
     t = result.records[3].grid_value
     assert t == 1.5
     p = ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, ()))
-    ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=seeds)
+    ranking = rank_by_probability(p, labels=gc.labels, exclude=seeds)
     for i, k in enumerate((2, 4)):
         assert result.records[3].ap[i] == average_precision_at_k(ranking, {"c", "d"}, k)
 
@@ -238,7 +238,7 @@ def test_dtrw_and_dtqrw_sweeps_match_library(fixture_paths):
         else:
             arcs = dtqrw.arc_basis(gc)
             p = dtqrw.node_probabilities(arcs, dtqrw.evolve(arcs, dtqrw.arc_state_from_scores(arcs, p0), steps))
-        ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=["a", "b"])
+        ranking = rank_by_probability(p, labels=gc.labels, exclude=["a", "b"])
         assert result.records[2].ap[0] == average_precision_at_k(ranking, {"c", "d"}, 3)
 
 
@@ -283,7 +283,7 @@ def test_golden_digests_rank_structurally_equivalent_genes_by_index():
     psi0 = ctqrw.initial_state_from_scores(p0)
     for t, digest in zip(grid, golden):
         p = ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, ()))
-        ranking = ctqrw.rank_by_probability(p, labels=gc.labels, exclude=seeds)
+        ranking = rank_by_probability(p, labels=gc.labels, exclude=seeds)
         position = {label: k for k, label in enumerate(ranking.items)}
         for twin in twins:
             at = [position[gc.labels[i]] for i in twin]
@@ -518,6 +518,21 @@ def test_cci_isolated_node_gets_flagged_zero_row(tmp_path):
     dt = result.walkers["dtrw"]
     assert dt.zero_rows == ()
     assert dt.profiles[j, j] == 1.0
+
+
+def test_cci_coined_walker_error_on_connected_node_propagates(cci_paths, monkeypatch):
+    # only degree-0 nodes get zero rows; any other failure is a real error
+    original = dtqrw.transition_profile
+
+    def fail_on_l1(g, source, steps):
+        if g.labels[source] == "L1":
+            raise ValueError("synthetic walker failure")
+        return original(g, source, steps)
+
+    monkeypatch.setattr(dtqrw, "transition_profile", fail_on_l1)
+    nodes, edges = cci_paths
+    with pytest.raises(ValueError, match="synthetic walker failure"):
+        run_cci_analysis(CciConfig(nodes, edges, steps=3, targets=("C1",)))
 
 
 def test_cci_analysis_matches_direct_library_calls(cci_paths):
