@@ -47,7 +47,6 @@ print(f"  collapsed at t=pi/2: P(start) = {harmless[0]:.6f}  (basis state; no-op
 # ----------------------------------------------------------------------
 psi = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=complex)
 print("\ncollapse of (sqrt(.8), sqrt(.2)):", np.round(collapse(psi).real, 6))
-print("   l1 variant (unit-sum profile):", np.round(collapse(psi, norm='l1').real, 6))
 
 # ----------------------------------------------------------------------
 # denser schedules on a ring: the ballistic front gives way to a

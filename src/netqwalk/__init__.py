@@ -32,7 +32,6 @@ from .ctqrw import (
 )
 from .dtqrw import (
     ArcIndex,
-    CoinSpec,
     arc_basis,
     arc_state_from_scores,
     grover_coin,

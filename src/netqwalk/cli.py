@@ -134,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         cci, "--epsilon", type=float,
         help="per-hop probability threshold for the support subgraph",
     )
-    _add(cci, "--rng-seed", type=int, help="recorded in the manifest")
     _add(cci, "--out", required=True, help="output directory")
 
     stats = sub.add_parser("graph-stats", help="print connectivity statistics as JSON")

@@ -212,22 +212,15 @@ class CollapseSchedule:
             )
 
 
-def collapse(psi, norm: str = "l2") -> np.ndarray:
+def collapse(psi) -> np.ndarray:
     """Collapse a state onto its squared-modulus profile.
 
-    The default renormalizes ``|psi|**2`` to unit Euclidean norm, giving
-    a valid state whose subsequent evolution is unitary.  ``norm='l1'``
-    instead scales the profile to unit sum, for sensitivity checks; the
-    result is then not a unit state.
+    The profile ``|psi|**2`` is renormalized to unit Euclidean norm,
+    giving a valid state whose subsequent evolution is unitary.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     prob = np.abs(psi) ** 2
-    if norm == "l2":
-        scale = float(np.linalg.norm(prob))
-    elif norm == "l1":
-        scale = float(prob.sum())
-    else:
-        raise ValueError(f"unknown collapse norm {norm!r}; expected 'l2' or 'l1'")
+    scale = float(np.linalg.norm(prob))
     if scale == 0.0:
         raise ValueError("cannot collapse the zero state")
     return (prob / scale).astype(np.complex128)

@@ -3,9 +3,8 @@
 The walker lives on directed arcs: each undirected edge {j, k}
 contributes the arcs (j, k) and (k, j).  One step applies a coin
 within every node's outgoing-arc segment and then the flip-flop shift,
-which moves the amplitude of (j, k) onto (k, j).  The default coin is
-the Grover diffusion operator ``2/d * J - I`` on each degree-``d``
-segment.  Both the coin and the shift are unitary, so node
+which moves the amplitude of (j, k) onto (k, j).  The coin is the
+Grover diffusion operator ``2/d * J - I`` on each degree-``d`` segment.  Both the coin and the shift are unitary, so node
 probabilities (summed over outgoing arcs) stay normalized.
 """
 
@@ -20,7 +19,6 @@ from .states import as_amplitude_vector
 
 __all__ = [
     "ArcIndex",
-    "CoinSpec",
     "arc_basis",
     "grover_coin",
     "initial_arc_state",
@@ -95,100 +93,38 @@ def grover_coin(d: int) -> np.ndarray:
     return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
-@dataclass(frozen=True)
-class CoinSpec:
-    """Coin choice: the Grover coin, or custom unitary blocks per degree."""
-
-    kind: str
-    blocks: tuple[tuple[int, np.ndarray], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("grover", "custom"):
-            raise ValueError(f"unknown coin kind {self.kind!r}")
-        checked = []
-        for d, block in self.blocks:
-            d = int(d)
-            b = np.asarray(block, dtype=np.complex128)
-            if b.shape != (d, d):
-                raise ValueError(
-                    f"coin block for degree {d} has shape {b.shape}"
-                )
-            if not np.allclose(b.conj().T @ b, np.eye(d), atol=1e-12):
-                raise ValueError(f"coin block for degree {d} is not unitary")
-            b = b.copy()
-            b.setflags(write=False)
-            checked.append((d, b))
-        object.__setattr__(self, "blocks", tuple(checked))
-
-    @classmethod
-    def grover(cls) -> "CoinSpec":
-        return cls("grover")
-
-    @classmethod
-    def custom(cls, blocks: dict) -> "CoinSpec":
-        return cls("custom", tuple(sorted(blocks.items())))
-
-    def block(self, d: int) -> np.ndarray:
-        for dim, b in self.blocks:
-            if dim == d:
-                return b
-        if self.kind == "custom":
-            raise ValueError(f"no coin block provided for degree {d}")
-        return grover_coin(d)
-
-
 def _segment_sums(arcs: ArcIndex, psi: np.ndarray) -> np.ndarray:
     re = np.bincount(arcs.tails, weights=psi.real, minlength=arcs.n)
     im = np.bincount(arcs.tails, weights=psi.imag, minlength=arcs.n)
     return re + 1j * im
 
 
-def _apply_coin(arcs: ArcIndex, psi: np.ndarray, coin: CoinSpec, adjoint: bool) -> np.ndarray:
-    if coin.kind == "grover":
-        # Grover blocks are real symmetric, hence self-adjoint.
-        degrees = np.diff(arcs.node_ptr)
-        sums = _segment_sums(arcs, psi)
-        return (2.0 / degrees[arcs.tails]) * sums[arcs.tails] - psi
-    out = np.empty_like(psi)
-    ptr = arcs.node_ptr
-    for j in range(arcs.n):
-        lo, hi = int(ptr[j]), int(ptr[j + 1])
-        if lo == hi:
-            continue
-        b = coin.block(hi - lo)
-        if adjoint:
-            b = b.conj().T
-        out[lo:hi] = b @ psi[lo:hi]
-    return out
+def _apply_coin(arcs: ArcIndex, psi: np.ndarray) -> np.ndarray:
+    # Grover blocks are real symmetric, hence self-adjoint.
+    degrees = np.diff(arcs.node_ptr)
+    sums = _segment_sums(arcs, psi)
+    return (2.0 / degrees[arcs.tails]) * sums[arcs.tails] - psi
 
 
-def step(arcs: ArcIndex, psi, coin: CoinSpec | None = None) -> np.ndarray:
+def step(arcs: ArcIndex, psi) -> np.ndarray:
     """One walk step: coin within each node segment, then flip-flop shift."""
-    if coin is None:
-        coin = CoinSpec.grover()
     psi = as_amplitude_vector(psi, arcs.n_arcs)
-    coined = _apply_coin(arcs, psi, coin, adjoint=False)
-    return coined[arcs.reverse]
+    return _apply_coin(arcs, psi)[arcs.reverse]
 
 
-def step_inverse(arcs: ArcIndex, psi, coin: CoinSpec | None = None) -> np.ndarray:
-    """Inverse walk step: shift back, then the adjoint coin."""
-    if coin is None:
-        coin = CoinSpec.grover()
+def step_inverse(arcs: ArcIndex, psi) -> np.ndarray:
+    """Inverse walk step: shift back, then the same self-adjoint coin."""
     psi = as_amplitude_vector(psi, arcs.n_arcs)
-    return _apply_coin(arcs, psi[arcs.reverse], coin, adjoint=True)
+    return _apply_coin(arcs, psi[arcs.reverse])
 
 
-def evolve(arcs: ArcIndex, psi0, steps: int, coin: CoinSpec | None = None) -> np.ndarray:
+def evolve(arcs: ArcIndex, psi0, steps: int) -> np.ndarray:
     """State after ``steps`` applications of the walk unitary."""
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    if coin is None:
-        coin = CoinSpec.grover()
     psi = as_amplitude_vector(psi0, arcs.n_arcs)
     for _ in range(int(steps)):
-        coined = _apply_coin(arcs, psi, coin, adjoint=False)
-        psi = coined[arcs.reverse]
+        psi = _apply_coin(arcs, psi)[arcs.reverse]
     return psi
 
 
@@ -240,12 +176,7 @@ def node_probabilities(arcs: ArcIndex, psi) -> np.ndarray:
     return np.bincount(arcs.tails, weights=np.abs(psi) ** 2, minlength=arcs.n)
 
 
-def transition_profile(
-    g: LabeledGraph,
-    source,
-    steps: int,
-    coin: CoinSpec | None = None,
-) -> np.ndarray:
+def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     """Node distribution after ``steps`` from a walker launched at ``source``.
 
     The walker starts in the uniform superposition over the source's
@@ -253,5 +184,5 @@ def transition_profile(
     """
     arcs = arc_basis(g)
     idx = g.index(source) if isinstance(source, str) else int(source)
-    psi = evolve(arcs, initial_arc_state(arcs, idx), steps, coin=coin)
+    psi = evolve(arcs, initial_arc_state(arcs, idx), steps)
     return node_probabilities(arcs, psi)

@@ -171,7 +171,6 @@ def walk_support_subgraph(
     profiles,
     targets,
     epsilon: float,
-    sources=None,
 ) -> LabeledGraph:
     """Subgraph of three-hop communication paths supported by a walk.
 
@@ -189,8 +188,6 @@ def walk_support_subgraph(
         Receiver-side endpoints of the paths of interest (must be nonempty).
     epsilon : float
         Per-hop probability threshold in (0, 1).
-    sources : iterable of node labels or indices, optional
-        Restrict paths to these start nodes (default: every sender).
     """
     g = cci.graph
     if not 0.0 < epsilon < 1.0:
@@ -205,15 +202,11 @@ def walk_support_subgraph(
     prof = np.asarray(profiles, dtype=np.float64)
     if prof.shape != (g.n, g.n):
         raise ValueError(f"profiles must have shape ({g.n}, {g.n}), got {prof.shape}")
-    if sources is None:
-        source_set = set(cci.nodes_in_layer("sender"))
-    else:
-        source_set = {to_index(s) for s in sources}
     succ: dict[int, list[int]] = {}
     for j, k in g.edges:
         succ.setdefault(int(j), []).append(int(k))
     kept: set[tuple[int, int]] = set()
-    for s in sorted(source_set):
+    for s in cci.nodes_in_layer("sender"):
         for l in succ.get(s, ()):  # noqa: E741 - ligand index
             if prof[s, l] < epsilon:
                 continue

@@ -273,21 +273,30 @@ def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
         for t in grid:
             yield real_expm_action(lap, p0, t)
     elif walker == "dtrw":
+        # each grid point continues from the previous one
+        p, done = p0, 0
         for n in grid:
-            yield classical.dtrw_evolve(gc, p0, n)
+            p, done = classical.dtrw_evolve(gc, p, n - done), n
+            yield p
     elif walker == "ctqrw":
         spec = _hamiltonian_spec(config, gc)
         h = ctqrw.build_hamiltonian(gc, spec)
-        psi0 = ctqrw.initial_state_from_scores(p0)
+        # continue from the state right after the latest collapse before t,
+        # which repeats the operations of replaying the schedule from 0;
+        # evolving from the previous grid point would change the rounding
+        psi, start = ctqrw.initial_state_from_scores(p0), 0.0
+        pending = list(config.collapse_times)
         for t in grid:
-            times = tuple(tc for tc in config.collapse_times if tc < t)
-            psi = ctqrw.evolve_with_collapses(h, psi0, t, times)
-            yield ctqrw.measure(psi)
+            while pending and pending[0] < t:
+                tc = pending.pop(0)
+                psi = ctqrw.collapse(ctqrw.evolve_with_collapses(h, psi, tc - start))
+                start = tc
+            yield ctqrw.measure(ctqrw.evolve_with_collapses(h, psi, t - start))
     else:  # dtqrw
         arcs = dtqrw.arc_basis(gc)
-        psi0 = dtqrw.arc_state_from_scores(arcs, p0)
+        psi, done = dtqrw.arc_state_from_scores(arcs, p0), 0
         for n in grid:
-            psi = dtqrw.evolve(arcs, psi0, n)
+            psi, done = dtqrw.evolve(arcs, psi, n - done), n
             yield dtqrw.node_probabilities(arcs, psi)
 
 
@@ -453,7 +462,6 @@ class CciConfig:
     steps: int = 5
     targets: tuple[str, ...] = ()
     epsilon: float = 0.05
-    rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.steps < 1:
@@ -504,6 +512,7 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     sym = symmetrized_view(cci)
     n = sym.n
     isolated = degree_vector(sym) == 0
+    arcs = dtqrw.arc_basis(sym)
     walkers = {}
     for walker in CCI_WALKERS:
         profiles = np.zeros((n, n))
@@ -514,7 +523,8 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
             elif isolated[j]:
                 zero_rows.append(sym.labels[j])
             else:
-                profiles[j] = dtqrw.transition_profile(sym, j, config.steps)
+                psi = dtqrw.evolve(arcs, dtqrw.initial_arc_state(arcs, j), config.steps)
+                profiles[j] = dtqrw.node_probabilities(arcs, psi)
         walkers[walker] = CciWalkerOutput(
             profiles=profiles,
             distances=pairwise_distance_matrix(profiles),

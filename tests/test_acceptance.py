@@ -55,16 +55,14 @@ def _random_hamiltonian_spec(rng, g):
     return ctqrw.HamiltonianSpec(kind)
 
 
-def _dense_walk_unitary(arcs, coin=None):
-    """Independent dense coined-walk matrix: explicit shift @ block coin."""
-    if coin is None:
-        coin = dtqrw.CoinSpec.grover()
+def _dense_walk_unitary(arcs):
+    """Independent dense coined-walk matrix: explicit shift @ Grover block coin."""
     m = arcs.n_arcs
     c = np.zeros((m, m), dtype=np.complex128)
     for node in range(arcs.n):
         lo, hi = int(arcs.node_ptr[node]), int(arcs.node_ptr[node + 1])
         if hi > lo:
-            c[lo:hi, lo:hi] = coin.block(hi - lo)
+            c[lo:hi, lo:hi] = dtqrw.grover_coin(hi - lo)
     s = np.zeros((m, m))
     for a in range(m):
         s[int(arcs.reverse[a]), a] = 1.0

@@ -290,18 +290,9 @@ def test_collapse_discards_phases():
     assert np.max(np.abs(out - ref)) < 1e-15
 
 
-def test_collapse_l1_variant_sums_to_one():
-    psi = np.array([np.sqrt(0.8), np.sqrt(0.2)], dtype=np.complex128)
-    out = collapse(psi, norm="l1")
-    assert abs(out.real.sum() - 1.0) < 1e-15
-    assert np.max(np.abs(out.real - np.array([0.8, 0.2]))) < 1e-15
-
-
 def test_collapse_validation():
     with pytest.raises(ValueError, match="zero state"):
         collapse(np.zeros(3))
-    with pytest.raises(ValueError, match="norm"):
-        collapse(np.ones(2) / np.sqrt(2), norm="l3")
 
 
 def test_schedule_validation():

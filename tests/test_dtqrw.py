@@ -11,7 +11,6 @@ import pytest
 
 from netqwalk.dtqrw import (
     ArcIndex,
-    CoinSpec,
     arc_basis,
     arc_state_from_scores,
     evolve,
@@ -25,16 +24,14 @@ from netqwalk.dtqrw import (
 from netqwalk.graphs import graph_from_edges, load_edge_list
 
 
-def dense_walk_unitary(arcs: ArcIndex, coin: CoinSpec | None = None) -> np.ndarray:
+def dense_walk_unitary(arcs: ArcIndex) -> np.ndarray:
     """Explicit (shift @ coin) matrix on the arc space, built independently."""
-    if coin is None:
-        coin = CoinSpec.grover()
     m = arcs.n_arcs
     c = np.zeros((m, m), dtype=np.complex128)
     for node in range(arcs.n):
         lo, hi = int(arcs.node_ptr[node]), int(arcs.node_ptr[node + 1])
         if hi > lo:
-            c[lo:hi, lo:hi] = coin.block(hi - lo)
+            c[lo:hi, lo:hi] = grover_coin(hi - lo)
     s = np.zeros((m, m))
     for a in range(m):
         s[int(arcs.reverse[a]), a] = 1.0
@@ -117,20 +114,6 @@ def test_grover_coin_is_unitary_and_self_inverse():
         assert np.allclose(c, c.T, atol=1e-15)
 
 
-def test_coin_spec_validation():
-    with pytest.raises(ValueError, match="kind"):
-        CoinSpec("hadamard")
-    with pytest.raises(ValueError, match="shape"):
-        CoinSpec.custom({2: np.ones((3, 3))})
-    with pytest.raises(ValueError, match="unitary"):
-        CoinSpec.custom({2: np.array([[1.0, 1.0], [0.0, 1.0]])})
-    spec = CoinSpec.custom({2: np.array([[0.0, 1.0], [1.0, 0.0]])})
-    with pytest.raises(ValueError, match="degree 3"):
-        spec.block(3)
-    # grover spec falls back to the Grover block for any degree
-    assert np.allclose(CoinSpec.grover().block(4), grover_coin(4), atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # dynamics against the dense oracle
 # ---------------------------------------------------------------------------
@@ -177,27 +160,6 @@ def test_step_inverse_undoes_step():
         psi0 /= np.linalg.norm(psi0)
         back = step_inverse(arcs, step(arcs, psi0))
         assert np.max(np.abs(back - psi0)) < 1e-12
-
-
-def test_custom_coin_against_dense_oracle():
-    rng = np.random.default_rng(65)
-    g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
-    arcs = arc_basis(g)
-    # random unitary blocks per occurring degree via QR
-    blocks = {}
-    for d in sorted(set(np.diff(arcs.node_ptr).tolist())):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        q, r = np.linalg.qr(z)
-        blocks[d] = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    coin = CoinSpec.custom(blocks)
-    u = dense_walk_unitary(arcs, coin)
-    psi0 = initial_arc_state(arcs, 2)
-    for steps in (1, 3, 6):
-        got = evolve(arcs, psi0, steps, coin=coin)
-        ref = np.linalg.matrix_power(u, steps) @ psi0
-        assert np.max(np.abs(got - ref)) < 1e-12
-    # inverse with the adjoint coin block
-    assert np.max(np.abs(step_inverse(arcs, step(arcs, psi0, coin), coin) - psi0)) < 1e-12
 
 
 def test_two_node_walk_has_period_two():

@@ -14,12 +14,20 @@ import numpy as np
 import pytest
 
 from netqwalk import classical, ctqrw, dtqrw
-from netqwalk.graphs import build_cci_graph, greatest_component, read_edge_list, symmetrized_view
+from netqwalk.graphs import (
+    build_cci_graph,
+    greatest_component,
+    parse_label_pairs,
+    parse_node_layers,
+    read_edge_list,
+    symmetrized_view,
+)
 from netqwalk.metrics import average_precision_at_k, rank_by_probability, walk_support_subgraph
 from netqwalk.pipeline import (
     CciConfig,
     ExperimentConfig,
     SweepResult,
+    _sweep_distributions,
     build_seed_target_sets,
     emit_cci_reports,
     emit_reports,
@@ -219,27 +227,70 @@ def test_pipeline_matches_direct_library_calls_exactly(fixture_paths):
         assert result.records[3].ap[i] == average_precision_at_k(ranking, {"c", "d"}, k)
 
 
+def _fixture_start(gp):
+    """Greatest component of the fixture and the uniform seed distribution."""
+    gc = greatest_component(read_edge_list(gp))
+    p0 = np.zeros(gc.n)
+    for s in ("a", "b"):
+        p0[gc.index(s)] = 0.5
+    return gc, p0
+
+
+def _ranking(p, gc):
+    return rank_by_probability(p, labels=gc.labels, exclude=["a", "b"])
+
+
+def _digest(ranking):
+    return hashlib.sha256("\n".join(ranking.items).encode()).hexdigest()
+
+
 def test_dtrw_and_dtqrw_sweeps_match_library(fixture_paths):
+    # each grid point continues from the previous one; every point must
+    # still equal a walk run from the start for that many steps
     gp, sp, tp = fixture_paths
+    gc, p0 = _fixture_start(gp)
+    arcs = dtqrw.arc_basis(gc)
     for walker in ("dtrw", "dtqrw"):
         config = ExperimentConfig(
             graph_path=gp, scores_path=sp, targets_path=tp,
             walker=walker, steps_max=4, k_list=(3,),
         )
         result = run_prioritization(config)
+        _, grid = config.grid_points()
+        swept = list(_sweep_distributions(config, gc, p0, grid))
         assert [r.grid_value for r in result.records] == [1.0, 2.0, 3.0, 4.0]
-        gc = greatest_component(read_edge_list(gp))
-        p0 = np.zeros(gc.n)
-        for s in ("a", "b"):
-            p0[gc.index(s)] = 0.5
-        steps = 3
-        if walker == "dtrw":
-            p = classical.dtrw_evolve(gc, p0, steps)
-        else:
-            arcs = dtqrw.arc_basis(gc)
-            p = dtqrw.node_probabilities(arcs, dtqrw.evolve(arcs, dtqrw.arc_state_from_scores(arcs, p0), steps))
-        ranking = rank_by_probability(p, labels=gc.labels, exclude=["a", "b"])
-        assert result.records[2].ap[0] == average_precision_at_k(ranking, {"c", "d"}, 3)
+        for steps, swept_p, record in zip(grid, swept, result.records):
+            if walker == "dtrw":
+                p = classical.dtrw_evolve(gc, p0, steps)
+            else:
+                psi = dtqrw.evolve(arcs, dtqrw.arc_state_from_scores(arcs, p0), steps)
+                p = dtqrw.node_probabilities(arcs, psi)
+            assert np.array_equal(swept_p, p)
+            ranking = _ranking(p, gc)
+            assert record.ranking_sha256 == _digest(ranking)
+            assert record.ap[0] == average_precision_at_k(ranking, {"c", "d"}, 3)
+
+
+def test_collapse_sweep_matches_definition_at_every_point(fixture_paths):
+    # one collapse falls between grid points and one exactly on a grid
+    # point, where it must not act yet (collapse times strictly below t)
+    gp, sp, tp = fixture_paths
+    config = ExperimentConfig(
+        graph_path=gp, scores_path=sp, targets_path=tp,
+        walker="ctqrw", t_max=2.0, t_step=0.5, collapse_times=(0.75, 1.0), k_list=(3,),
+    )
+    result = run_prioritization(config)
+    gc, p0 = _fixture_start(gp)
+    h = ctqrw.build_hamiltonian(gc, ctqrw.HamiltonianSpec.adjacency())
+    psi0 = ctqrw.initial_state_from_scores(p0)
+    _, grid = config.grid_points()
+    swept = list(_sweep_distributions(config, gc, p0, grid))
+    assert [r.grid_value for r in result.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
+    for t, p, record in zip(grid, swept, result.records):
+        times = [tc for tc in config.collapse_times if tc < t]
+        ref = ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, times))
+        assert np.array_equal(p, ref)
+        assert record.ranking_sha256 == _digest(_ranking(ref, gc))
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -522,15 +573,19 @@ def test_cci_isolated_node_gets_flagged_zero_row(tmp_path):
 
 def test_cci_coined_walker_error_on_connected_node_propagates(cci_paths, monkeypatch):
     # only degree-0 nodes get zero rows; any other failure is a real error
-    original = dtqrw.transition_profile
-
-    def fail_on_l1(g, source, steps):
-        if g.labels[source] == "L1":
-            raise ValueError("synthetic walker failure")
-        return original(g, source, steps)
-
-    monkeypatch.setattr(dtqrw, "transition_profile", fail_on_l1)
     nodes, edges = cci_paths
+    l1 = build_cci_graph(
+        parse_node_layers(Path(nodes).read_text()),
+        parse_label_pairs(Path(edges).read_text()),
+    ).graph.index("L1")
+    original = dtqrw.initial_arc_state
+
+    def fail_on_l1(arcs, node):
+        if node == l1:
+            raise ValueError("synthetic walker failure")
+        return original(arcs, node)
+
+    monkeypatch.setattr(dtqrw, "initial_arc_state", fail_on_l1)
     with pytest.raises(ValueError, match="synthetic walker failure"):
         run_cci_analysis(CciConfig(nodes, edges, steps=3, targets=("C1",)))
 
