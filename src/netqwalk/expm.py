@@ -8,8 +8,13 @@ vector is ever formed, never the full exponential.
 Backends
 --------
 dense
-    Eigendecomposition of the dense matrix, cached on the
-    :class:`SparseHermitian` wrapper.  Used for n <= ``DENSE_LIMIT``.
+    Eigendecomposition of the dense matrix (LAPACK divide and conquer,
+    ``driver="evd"``), cached on the :class:`SparseHermitian` wrapper.
+    Used for n <= ``DENSE_LIMIT``.  A real generator (adjacency,
+    Laplacian) is decomposed in real arithmetic and its real orthogonal
+    eigenvectors are applied to the real and imaginary parts of a state
+    as two real columns, so no n x n complex array is formed; only a
+    complex generator (chiral phases) has complex eigenvectors.
 lanczos
     Restarted Lanczos (Krylov) action with full reorthogonalization and
     an adaptive subspace grown until the a-posteriori residual estimate
@@ -79,10 +84,14 @@ class SparseHermitian:
         return self.matrix.nnz == 0 or float(np.abs(self.matrix.data.imag).max()) == 0.0
 
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense eigendecomposition (w, V) with H = V diag(w) V^dagger."""
+        """Dense eigendecomposition (w, V) with H = V diag(w) V^dagger.
+
+        For a real H the decomposition runs in real arithmetic and V is a
+        real orthogonal float64 matrix; otherwise V is complex unitary.
+        """
         if self._eig is None:
-            w, v = scipy.linalg.eigh(self.matrix.toarray())
-            self._eig = (w, v)
+            dense = self.matrix.real.toarray() if self.is_real else self.matrix.toarray()
+            self._eig = scipy.linalg.eigh(dense, driver="evd")
         return self._eig
 
     def norm_estimate(self) -> float:
@@ -113,9 +122,24 @@ def as_hermitian(matrix) -> SparseHermitian:
     return SparseHermitian(sp.csr_matrix(matrix))
 
 
+def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``m @ x`` for a real matrix ``m`` without casting ``m`` to complex.
+
+    A complex ``x`` is multiplied as the (n, 2) float64 columns of its
+    real and imaginary parts, a view of the contiguous vector.
+    """
+    if not np.iscomplexobj(x):
+        return m @ x
+    cols = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
+    return (m @ cols).view(np.complex128).reshape(-1)
+
+
 def _dense_apply(op: SparseHermitian, v: np.ndarray, scale: complex) -> np.ndarray:
     w, vec = op.eigendecomposition()
-    return vec @ (np.exp(scale * w) * (vec.conj().T @ v))
+    if np.iscomplexobj(vec):
+        # V^dagger v without materialising the conjugate transpose of V
+        return vec @ (np.exp(scale * w) * (vec.T @ v.conj()).conj())
+    return _real_matmul(vec, np.exp(scale * w) * _real_matmul(vec.T, v))
 
 
 def _lanczos_apply(
@@ -249,8 +273,9 @@ def real_expm_action(generator, p, t: float) -> np.ndarray:
         raise HermiticityError("diffusion generator must be a real symmetric matrix")
     if t < 0:
         raise ValueError("diffusion time must be >= 0")
-    p = as_probability_vector(p, n=op.n).astype(np.complex128)
-    out = np.ascontiguousarray(_action(op, p, -1.0, t, DEFAULT_TOL, "auto").real)
+    p = as_probability_vector(p, n=op.n)
+    # real on the dense path; the Lanczos path returns a complex vector
+    out = _action(op, p, -1.0, t, DEFAULT_TOL, "auto").real
     if out.min() < -1e-6:
         raise ConvergenceError(
             f"diffusion produced a negative probability {out.min():g}"

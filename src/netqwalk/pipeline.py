@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass
@@ -205,6 +206,8 @@ class ExperimentConfig:
         object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
         sched = ctqrw.CollapseSchedule(tuple(self.collapse_times))
         object.__setattr__(self, "collapse_times", sched.times)
+        # a collapse at or past the last grid time would act on no grid point
+        sched.validate_horizon(self.grid_points()[1][-1])
 
     def grid_points(self) -> tuple[str, tuple]:
         """(kind, values) of the sweep grid for the configured walker."""
@@ -397,6 +400,13 @@ def _fmt(value: float) -> str:
     return f"{float(value):.17g}"
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one field of a row that ``csv.writer`` writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -541,6 +551,9 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = result.cci.graph.labels
+    # each row is its csv-quoted label and the entries as _fmt writes them
+    row_cells = [_csv_cell(label) + "," for label in labels]
+    row_values = ",".join(["%.17g"] * len(labels)) + "\n"
     written = []
     manifest_walkers = {}
     for walker, output in sorted(result.walkers.items()):
@@ -549,10 +562,12 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
         supp_path = out / f"cci_{walker}_support.tsv"
         for path, matrix in ((prof_path, output.profiles), (dist_path, output.distances)):
             with path.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["node"] + list(labels))
-                for j, label in enumerate(labels):
-                    writer.writerow([label] + [_fmt(v) for v in matrix[j]])
+                csv.writer(fh, lineterminator="\n").writerow(["node"] + list(labels))
+                # one row of Python floats at a time keeps the peak memory flat
+                fh.writelines(
+                    cell + row_values % tuple(row.tolist())
+                    for cell, row in zip(row_cells, matrix)
+                )
         with supp_path.open("w") as fh:
             fh.write("# directed support edges: tail<TAB>head\n")
             for j, k in output.support.edges:

@@ -115,6 +115,21 @@ def test_prioritize_collapse_flag_parses_comma_floats(data):
     assert code == 0
 
 
+def test_prioritize_collapse_past_the_grid_is_exit_1(data, capsys):
+    # the grid ends at t = 2, so collapses at 5 and 7 would change no point
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"],
+        "--t-max", "2", "--collapse", "5,7", "--k", "3", "--out", data["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: collapse time 7.0")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not Path(data["out"]).exists()
+
+
 def test_prioritize_validation_error_is_exit_1(data, capsys):
     code = cli.main([
         "prioritize",

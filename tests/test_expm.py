@@ -10,6 +10,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from netqwalk import ctqrw
 from netqwalk.expm import (
     ConvergenceError,
     HermiticityError,
@@ -82,6 +83,75 @@ def test_wrapper_caches_eigendecomposition():
     # and it actually diagonalizes the matrix
     rec = v1 @ np.diag(w1) @ v1.conj().T
     assert np.allclose(rec, op.matrix.toarray(), atol=1e-12)
+
+
+def random_graph(rng, n, extra):
+    """Connected undirected graph: a path plus ``extra`` random chords."""
+    edges = [(f"v{j}", f"v{j + 1}") for j in range(n - 1)]
+    for _ in range(extra):
+        j, k = rng.integers(0, n, size=2)
+        if j != k:
+            edges.append((f"v{j}", f"v{k}"))
+    return graph_from_edges(edges)
+
+
+def test_real_generator_gives_real_orthogonal_eigenvectors():
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, 300, 900)
+    for h in (
+        ctqrw.build_hamiltonian(g, ctqrw.HamiltonianSpec("adjacency")),
+        as_hermitian(laplacian(g)),
+    ):
+        w, v = h.eigendecomposition()
+        assert w.dtype == np.float64 and v.dtype == np.float64
+        assert np.abs(v.T @ v - np.eye(g.n)).max() < 1e-13
+        dense = h.matrix.toarray().real
+        assert np.abs(v @ np.diag(w) @ v.T - dense).max() < 1e-12
+
+
+def test_chiral_generator_keeps_complex_eigenvectors():
+    rng = np.random.default_rng(12)
+    g = random_graph(rng, 60, 120)
+    h = ctqrw.build_hamiltonian(g, ctqrw.random_chiral_phases(g, 3))
+    assert not h.is_real
+    w, v = h.eigendecomposition()
+    assert w.dtype == np.float64 and v.dtype == np.complex128
+    assert np.abs(v.conj().T @ v - np.eye(g.n)).max() < 1e-13
+    assert np.abs(v @ np.diag(w) @ v.conj().T - h.matrix.toarray()).max() < 1e-12
+
+
+@pytest.mark.parametrize("real_h", [True, False])
+def test_dense_action_matches_expm_for_real_complex_and_strided_vectors(real_h):
+    rng = np.random.default_rng(13)
+    n = 40
+    h = as_hermitian(random_hermitian(rng, n, density=0.2, real=real_h))
+    assert h.is_real == real_h
+    base = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    vectors = {
+        "real": rng.standard_normal(n),
+        "complex": base[:n].copy(),
+        "strided complex": base[::2],
+        "strided real": base.real[::2],
+    }
+    for t in (0.3, -1.1, 2.7):
+        for name, v in vectors.items():
+            got = expm_action(h, v, t, backend="dense")
+            ref = oracle_expm(h.matrix, v, -1j * t)
+            assert np.max(np.abs(got - ref)) < 1e-12, (name, t)
+
+
+def test_dense_grid_norm_drift_stays_below_renormalisation():
+    # nothing along a 101-point grid on a real graph should need renormalising
+    rng = np.random.default_rng(15)
+    g = random_graph(rng, 400, 1600)
+    psi0 = np.zeros(g.n, dtype=np.complex128)
+    psi0[rng.choice(g.n, size=12, replace=False)] = 1.0 / np.sqrt(12.0)
+    for kind in ("adjacency", "laplacian"):
+        h = ctqrw.build_hamiltonian(g, ctqrw.HamiltonianSpec(kind))
+        drift = max(
+            abs(np.linalg.norm(expm_action(h, psi0, 0.1 * i)) - 1.0) for i in range(101)
+        )
+        assert drift < ctqrw._DRIFT_RENORM, (kind, drift)
 
 
 def test_norm_estimate_brackets_spectral_norm():
@@ -254,8 +324,9 @@ def test_diffusion_matches_scipy_oracle():
         p0 /= p0.sum()
         t = float(rng.uniform(0.0, 4.0))
         got = real_expm_action(lap, p0, t)
-        ref = oracle_expm(lap, p0, -t).real
-        assert np.max(np.abs(got - ref)) < 1e-10
+        ref = oracle_expm(lap, p0, -t)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - ref)) < 1e-12
 
 
 def test_diffusion_conserves_probability():

@@ -7,6 +7,7 @@ routes must agree exactly.
 """
 
 import csv
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def test_config_validation():
         ExperimentConfig(**base, walker="rwr", collapse_times=(1.0,))
     with pytest.raises(ValueError, match="increasing"):
         ExperimentConfig(**base, collapse_times=(2.0, 1.0))
+    # collapses must fall before the last grid time, where they can act
+    with pytest.raises(ValueError, match="not inside"):
+        ExperimentConfig(**base, t_max=2.0, collapse_times=(1.0, 2.0))
+    ExperimentConfig(**base, t_max=2.0, collapse_times=(1.0, 1.95))
 
 
 def test_grid_points_per_walker():
@@ -634,3 +639,29 @@ def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):
     assert manifest["graph"] == {"nodes": 6, "edges": 4}
     assert manifest["walkers"]["dtrw"]["support_edges"] == 3
     assert manifest["walkers"]["dtqrw"]["zero_rows"] == []
+
+
+def test_emit_cci_matrices_match_per_entry_csv_writer(tmp_path):
+    # labels that csv must quote, and entries whose text is easy to get wrong
+    nodes = 'S,1\tsender\nL"1\tligand\nR 1\treceptor\nC1\treceiver\n'
+    edges = 'S,1\tL"1\nL"1\tR 1\nR 1\tC1\n'
+    np_, ep = tmp_path / "nodes.tsv", tmp_path / "edges.tsv"
+    np_.write_text(nodes)
+    ep.write_text(edges)
+    result = run_cci_analysis(CciConfig(str(np_), str(ep), steps=3, targets=("C1",)))
+    special = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e300, np.inf, -np.inf, np.nan])
+    dtrw = result.walkers["dtrw"]
+    walkers = dict(result.walkers)
+    walkers["dtrw"] = dataclasses.replace(dtrw, profiles=special[:16].repeat(2).reshape(4, 4))
+    result = dataclasses.replace(result, walkers=walkers)
+    emit_cci_reports(result, tmp_path / "out")
+    labels = result.cci.graph.labels
+    for walker, output in result.walkers.items():
+        for name, matrix in (("profiles", output.profiles), ("distances", output.distances)):
+            with (tmp_path / "ref.csv").open("w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["node"] + list(labels))
+                for label, row in zip(labels, matrix):
+                    writer.writerow([label] + [f"{float(v):.17g}" for v in row])
+            got = (tmp_path / "out" / f"cci_{walker}_{name}.csv").read_bytes()
+            assert got == (tmp_path / "ref.csv").read_bytes()

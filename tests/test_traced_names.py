@@ -1,10 +1,12 @@
 """The functions the benchmark tracer wraps must keep their names and step
-arguments.
+arguments, and the spans it requires must still be reached.
 
 ``perfbench/spans.py`` finds each traced function by name and sums a step
 argument (``steps``, ``n_iter``) per call; a rename there only shows up as
-a failed traced benchmark pass.  This test resolves every target the same
-way, without installing the tracer.
+a failed traced benchmark pass.  The first test resolves every target the
+same way, without installing the tracer.  The tracer also patches
+``scipy.linalg.eigh`` as the ``expm.spectral`` span; the second test counts
+those calls in one continuous sweep.
 """
 
 import importlib.util
@@ -12,7 +14,11 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+import scipy.linalg
+
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
+from netqwalk.pipeline import ExperimentConfig, run_prioritization
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -33,3 +39,28 @@ def test_every_traced_function_resolves_with_its_step_argument():
         if step_arg is not None:
             params = inspect.signature(fn).parameters
             assert step_arg in params, f"{span}: {name} lost its {step_arg!r} argument"
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.mark.parametrize("walker", ["ctqrw", "ctrw"])
+def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
+    # the benchmark's must-hit ``expm.spectral`` span wraps scipy.linalg.eigh,
+    # and the sweep must reuse one cached decomposition for every grid point
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    result = run_prioritization(ExperimentConfig(
+        graph_path=DATA / "synthetic_ppi.tsv",
+        scores_path=DATA / "synthetic_scores.tsv",
+        targets_path=DATA / "synthetic_targets.tsv",
+        walker=walker, t_max=2.0,
+    ))
+    assert len(result.records) == 21
+    assert len(calls) == 1
