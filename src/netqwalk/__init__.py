@@ -35,6 +35,7 @@ from .dtqrw import (
     arc_basis,
     arc_state_from_scores,
     grover_coin,
+    initial_arc_block,
     initial_arc_state,
     node_probabilities,
     transition_profile,

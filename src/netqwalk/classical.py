@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action
 from .graphs import LabeledGraph, adjacency_matrix, laplacian
-from .states import as_probability_vector, delta_distribution
+from .states import as_probability_columns, as_probability_vector, delta_distribution
 
 POWER_MAX_ITER = 100_000
 POWER_TOL = 1e-12
@@ -171,8 +171,14 @@ def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
 
 def dtrw_evolve(g: LabeledGraph, p0, steps: int) -> np.ndarray:
     """Discrete-time random walk: ``steps`` applications of the row-stochastic
-    transition matrix (dangling nodes hold their mass)."""
-    p = as_probability_vector(p0, n=g.n).copy()
+    transition matrix (dangling nodes hold their mass).
+
+    ``p0`` is one distribution over nodes or an ``(n, k)`` block of ``k``
+    distributions, one per column; column ``j`` of the result is the walk
+    from column ``j``, with the same floating-point operations as the walk
+    from that column alone.
+    """
+    p = as_probability_columns(p0, n=g.n)
     if steps < 0:
         raise ValueError("step count must be >= 0")
     wt = row_stochastic(g).matrix.transpose().tocsr()

@@ -4,8 +4,16 @@ The walker lives on directed arcs: each undirected edge {j, k}
 contributes the arcs (j, k) and (k, j).  One step applies a coin
 within every node's outgoing-arc segment and then the flip-flop shift,
 which moves the amplitude of (j, k) onto (k, j).  The coin is the
-Grover diffusion operator ``2/d * J - I`` on each degree-``d`` segment.  Both the coin and the shift are unitary, so node
-probabilities (summed over outgoing arcs) stay normalized.
+Grover diffusion operator ``2/d * J - I`` on each degree-``d`` segment.
+Both the coin and the shift are unitary, so node probabilities (summed
+over outgoing arcs) stay normalized.
+
+Sums over each node's outgoing arcs are one product with the ``n x
+n_arcs`` incidence matrix that :func:`arc_basis` builds once.  The coin
+and the shift are real, so a real state stays real (float64) and gives
+the same node probabilities as the complex walk.  The walk functions
+take one state or an ``(n_arcs, k)`` block of states, one per column,
+and apply the same floating-point operations to every column.
 """
 
 from __future__ import annotations
@@ -13,15 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graphs import LabeledGraph
-from .states import as_amplitude_vector
+from .states import as_amplitude_columns
 
 __all__ = [
     "ArcIndex",
     "arc_basis",
     "grover_coin",
     "initial_arc_state",
+    "initial_arc_block",
     "arc_state_from_scores",
     "step",
     "step_inverse",
@@ -36,8 +46,11 @@ class ArcIndex:
     """Sorted arc enumeration of an undirected graph.
 
     Arcs are ordered lexicographically by (tail, head); ``node_ptr``
-    delimits the outgoing-arc segment of each node in CSR style, and
-    ``reverse`` is the involution mapping each arc to its opposite.
+    delimits the outgoing-arc segment of each node in CSR style,
+    ``reverse`` is the involution mapping each arc to its opposite, and
+    ``incidence`` is the ``n x n_arcs`` 0/1 matrix (row pointer
+    ``node_ptr``, column indices ``0..n_arcs-1``) that sums each node's
+    segment.
     """
 
     n: int
@@ -45,6 +58,7 @@ class ArcIndex:
     heads: np.ndarray
     node_ptr: np.ndarray
     reverse: np.ndarray
+    incidence: sp.csr_matrix
 
     @property
     def n_arcs(self) -> int:
@@ -79,11 +93,15 @@ def arc_basis(g: LabeledGraph) -> ArcIndex:
     node_ptr = np.searchsorted(tails, np.arange(n + 1))
     keys = tails * n + heads
     reverse = np.searchsorted(keys, heads * n + tails)
-    if not np.array_equal(reverse[reverse], np.arange(tails.shape[0])):
+    n_arcs = tails.shape[0]
+    if not np.array_equal(reverse[reverse], np.arange(n_arcs)):
         raise AssertionError("arc reversal failed to be an involution")
+    incidence = sp.csr_matrix(
+        (np.ones(n_arcs), np.arange(n_arcs), node_ptr), shape=(n, n_arcs)
+    )
     for arr in (tails, heads, node_ptr, reverse):
         arr.setflags(write=False)
-    return ArcIndex(n, tails, heads, node_ptr, reverse)
+    return ArcIndex(n, tails, heads, node_ptr, reverse, incidence)
 
 
 def grover_coin(d: int) -> np.ndarray:
@@ -93,52 +111,57 @@ def grover_coin(d: int) -> np.ndarray:
     return (2.0 / d) * np.ones((d, d)) - np.eye(d)
 
 
-def _segment_sums(arcs: ArcIndex, psi: np.ndarray) -> np.ndarray:
-    re = np.bincount(arcs.tails, weights=psi.real, minlength=arcs.n)
-    im = np.bincount(arcs.tails, weights=psi.imag, minlength=arcs.n)
-    return re + 1j * im
-
-
 def _apply_coin(arcs: ArcIndex, psi: np.ndarray) -> np.ndarray:
     # Grover blocks are real symmetric, hence self-adjoint.
-    degrees = np.diff(arcs.node_ptr)
-    sums = _segment_sums(arcs, psi)
-    return (2.0 / degrees[arcs.tails]) * sums[arcs.tails] - psi
+    scale = 2.0 / np.diff(arcs.node_ptr)[arcs.tails]
+    if psi.ndim == 2:
+        scale = scale[:, np.newaxis]
+    return scale * (arcs.incidence @ psi)[arcs.tails] - psi
 
 
 def step(arcs: ArcIndex, psi) -> np.ndarray:
     """One walk step: coin within each node segment, then flip-flop shift."""
-    psi = as_amplitude_vector(psi, arcs.n_arcs)
+    psi = as_amplitude_columns(psi, arcs.n_arcs)
     return _apply_coin(arcs, psi)[arcs.reverse]
 
 
 def step_inverse(arcs: ArcIndex, psi) -> np.ndarray:
     """Inverse walk step: shift back, then the same self-adjoint coin."""
-    psi = as_amplitude_vector(psi, arcs.n_arcs)
+    psi = as_amplitude_columns(psi, arcs.n_arcs)
     return _apply_coin(arcs, psi[arcs.reverse])
 
 
 def evolve(arcs: ArcIndex, psi0, steps: int) -> np.ndarray:
-    """State after ``steps`` applications of the walk unitary."""
+    """State after ``steps`` applications of the walk unitary.
+
+    ``psi0`` is one unit-norm arc state or an ``(n_arcs, k)`` block of
+    them, one per column; each column evolves as it would alone.
+    """
     if steps < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
-    psi = as_amplitude_vector(psi0, arcs.n_arcs)
+    psi = as_amplitude_columns(psi0, arcs.n_arcs)
     for _ in range(int(steps)):
         psi = _apply_coin(arcs, psi)[arcs.reverse]
     return psi
 
 
-def initial_arc_state(arcs: ArcIndex, node: int) -> np.ndarray:
-    """Uniform superposition over the outgoing arcs of ``node``."""
-    d = arcs.degree(node)
-    if d == 0:
-        raise ValueError(
-            f"node {node} is isolated and cannot launch an arc-space walk"
-        )
-    psi = np.zeros(arcs.n_arcs, dtype=np.complex128)
-    lo = int(arcs.node_ptr[node])
-    psi[lo : lo + d] = 1.0 / np.sqrt(d)
+def initial_arc_block(arcs: ArcIndex, nodes) -> np.ndarray:
+    """Real ``(n_arcs, len(nodes))`` block whose column ``c`` is the uniform
+    superposition over the outgoing arcs of ``nodes[c]``."""
+    psi = np.zeros((arcs.n_arcs, len(nodes)))
+    for c, node in enumerate(nodes):
+        lo, hi = arcs.node_ptr[node], arcs.node_ptr[node + 1]
+        if hi == lo:
+            raise ValueError(
+                f"node {node} is isolated and cannot launch an arc-space walk"
+            )
+        psi[lo:hi, c] = 1.0 / np.sqrt(hi - lo)
     return psi
+
+
+def initial_arc_state(arcs: ArcIndex, node: int) -> np.ndarray:
+    """Uniform superposition over the outgoing arcs of ``node`` (complex)."""
+    return initial_arc_block(arcs, [node])[:, 0].astype(np.complex128)
 
 
 def arc_state_from_scores(arcs: ArcIndex, scores) -> np.ndarray:
@@ -169,11 +192,17 @@ def arc_state_from_scores(arcs: ArcIndex, scores) -> np.ndarray:
 
 
 def node_probabilities(arcs: ArcIndex, psi) -> np.ndarray:
-    """Per-node probabilities, summed over each node's outgoing arcs."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if psi.shape[0] != arcs.n_arcs:
-        raise ValueError(f"expected {arcs.n_arcs} amplitudes, got {psi.shape[0]}")
-    return np.bincount(arcs.tails, weights=np.abs(psi) ** 2, minlength=arcs.n)
+    """Per-node probabilities, summed over each node's outgoing arcs.
+
+    For an ``(n_arcs, k)`` block of states, column ``j`` of the ``(n, k)``
+    result belongs to column ``j`` of ``psi``.
+    """
+    psi = np.asarray(psi)
+    if psi.ndim not in (1, 2) or psi.shape[0] != arcs.n_arcs:
+        raise ValueError(
+            f"expected {arcs.n_arcs} amplitudes per state, got shape {psi.shape}"
+        )
+    return arcs.incidence @ (np.abs(psi) ** 2)
 
 
 def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Validated walker states: probability vectors and amplitude vectors.
 
 Both are plain numpy arrays; the helpers here check the defining
-invariants (nonnegative unit-sum reals, unit-2-norm complex amplitudes)
-and return read-only float64/complex128 copies.
+invariants (nonnegative unit-sum reals, unit-2-norm amplitudes) and
+return read-only copies.  The ``*_columns`` forms also take an ``(n, k)``
+block of ``k`` states, one per column, and check every column.
 """
 
 from __future__ import annotations
@@ -13,40 +14,73 @@ PROB_TOL = 1e-10
 NORM_TOL = 1e-10
 
 
-def as_probability_vector(p, n: int | None = None) -> np.ndarray:
-    """Validate ``p`` as a distribution over nodes (entries >= 0, sum 1)."""
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if n is not None and p.shape[0] != n:
-        raise ValueError(f"probability vector has length {p.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(p)):
-        raise ValueError("probability vector has non-finite entries")
-    if p.size == 0:
-        raise ValueError("probability vector is empty")
-    if p.min() < -PROB_TOL:
-        raise ValueError(f"probability vector has negative entry {p.min():g}")
-    s = p.sum()
-    if abs(s - 1.0) > PROB_TOL:
-        raise ValueError(f"probability vector sums to {s!r}, expected 1")
+def _columns(x: np.ndarray, n: int | None, kind: str):
+    """Shape and finiteness checks shared by both kinds of state.
+
+    Returns ``x`` viewed as ``(rows, k)`` and a function that names column
+    ``j`` in an error message.
+    """
+    if x.ndim not in (1, 2):
+        raise ValueError(f"{kind} states must form a vector or a 2-d block, got shape {x.shape}")
+    noun = f"{kind} vector" if x.ndim == 1 else f"{kind} block"
+    if n is not None and x.shape[0] != n:
+        raise ValueError(f"{noun} has length {x.shape[0]}, expected {n}")
+    if x.size == 0:
+        raise ValueError(f"{noun} is empty")
+
+    def name(j: int) -> str:
+        return noun if x.ndim == 1 else f"{noun} column {j}"
+
+    cols = x.reshape(x.shape[0], -1)
+    bad = np.flatnonzero(~np.isfinite(cols).all(axis=0))
+    if bad.size:
+        raise ValueError(f"{name(bad[0])} has non-finite entries")
+    return cols, name
+
+
+def as_probability_columns(p, n: int | None = None) -> np.ndarray:
+    """Validate ``p`` as a distribution over nodes (entries >= 0, sum 1), or
+    as an ``(n, k)`` block whose every column is one; float64, same shape."""
+    p = np.asarray(p, dtype=np.float64)
+    cols, name = _columns(p, n, "probability")
+    low = cols.min(axis=0)
+    bad = np.flatnonzero(low < -PROB_TOL)
+    if bad.size:
+        raise ValueError(f"{name(bad[0])} has negative entry {low[bad[0]]:g}")
+    sums = cols.sum(axis=0)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > PROB_TOL)
+    if bad.size:
+        raise ValueError(f"{name(bad[0])} sums to {sums[bad[0]]!r}, expected 1")
     out = np.clip(p, 0.0, None)
     out.setflags(write=False)
     return out
 
 
+def as_probability_vector(p, n: int | None = None) -> np.ndarray:
+    """Validate ``p`` as a distribution over nodes (entries >= 0, sum 1)."""
+    return as_probability_columns(np.asarray(p, dtype=np.float64).reshape(-1), n)
+
+
+def as_amplitude_columns(psi, n: int | None = None) -> np.ndarray:
+    """Validate ``psi`` as a unit-2-norm state vector, or as an ``(n, k)``
+    block whose every column is one.
+
+    A real input stays real (float64); a complex one is complex128.
+    """
+    psi = np.asarray(psi)
+    psi = psi.astype(np.complex128 if np.iscomplexobj(psi) else np.float64)
+    cols, name = _columns(psi, n, "amplitude")
+    norms = np.linalg.norm(cols, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if bad.size:
+        raise ValueError(f"{name(bad[0])} has 2-norm {norms[bad[0]]!r}, expected 1")
+    psi.setflags(write=False)
+    return psi
+
+
 def as_amplitude_vector(psi, n: int | None = None) -> np.ndarray:
     """Validate ``psi`` as a unit-2-norm complex state vector."""
-    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
-    if n is not None and psi.shape[0] != n:
-        raise ValueError(f"amplitude vector has length {psi.shape[0]}, expected {n}")
-    if not np.all(np.isfinite(psi)):
-        raise ValueError("amplitude vector has non-finite entries")
-    if psi.size == 0:
-        raise ValueError("amplitude vector is empty")
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise ValueError(f"amplitude vector has 2-norm {nrm!r}, expected 1")
-    out = psi.copy()
-    out.setflags(write=False)
-    return out
+    return as_amplitude_columns(np.asarray(psi, dtype=np.complex128).reshape(-1), n)
 
 
 def delta_distribution(n: int, i: int) -> np.ndarray:

@@ -1,0 +1,32 @@
+"""Shared test inputs."""
+
+import numpy as np
+import pytest
+
+from netqwalk.graphs import CCI_LAYERS
+from netqwalk.pipeline import _CCI_CHUNK
+
+
+@pytest.fixture
+def four_layer_cci(tmp_path):
+    """A generated four-layer CCI graph larger than two CCI chunks.
+
+    Node 0 of every layer has no edges, so each layer holds an isolated
+    node; every other node has an edge to each adjacent layer.  Returns
+    ``(nodes_path, edges_path, target)``.
+    """
+    rng = np.random.default_rng(81)
+    per_layer = _CCI_CHUNK // 2 + 7
+    labels = [[f"{layer}{i}" for i in range(per_layer)] for layer in CCI_LAYERS]
+    edges = set()
+    for tails, heads in zip(labels, labels[1:]):
+        for i in range(1, per_layer):
+            edges.add((tails[i], heads[int(rng.integers(1, per_layer))]))
+            edges.add((tails[int(rng.integers(1, per_layer))], heads[i]))
+    nodes_path = tmp_path / "four_layer_nodes.tsv"
+    edges_path = tmp_path / "four_layer_edges.tsv"
+    nodes_path.write_text("".join(
+        f"{label}\t{layer}\n" for layer, names in zip(CCI_LAYERS, labels) for label in names
+    ))
+    edges_path.write_text("".join(f"{u}\t{v}\n" for u, v in sorted(edges)))
+    return str(nodes_path), str(edges_path), labels[-1][1]

@@ -223,6 +223,48 @@ def test_dtrw_transition_profile_matches_matrix_power():
         assert np.max(np.abs(got - ref)) < 1e-12
 
 
+def graph_with_dangling_and_isolated(rng, n):
+    """Directed random graph; its last two nodes have no edges at all, and
+    every node ``j`` with ``j % 5 == 0`` has no outgoing edge."""
+    labels = [f"v{j}" for j in range(n)]
+    edges = [
+        (labels[j], labels[k])
+        for j, k in rng.integers(0, n - 2, size=(3 * n, 2))
+        if j != k and j % 5
+    ]
+    return graph_from_edges(edges, directed=True, nodes=labels)
+
+
+@pytest.mark.parametrize("k", [1, 6])
+def test_dtrw_block_columns_match_vector_walks(k):
+    rng = np.random.default_rng(47)
+    g = graph_with_dangling_and_isolated(rng, 30)
+    block = rng.random((g.n, k)) * (rng.random((g.n, k)) < 0.5)
+    block[g.n - 1, 0] = 1.0  # mass on an isolated node
+    block /= block.sum(axis=0)
+    for steps in (0, 1, 5):
+        got = dtrw_evolve(g, block, steps)
+        assert got.shape == (g.n, k) and got.dtype == np.float64
+        for j in range(k):
+            assert np.array_equal(got[:, j], dtrw_evolve(g, block[:, j], steps))
+    assert dtrw_evolve(g, block, 5)[g.n - 1, 0] == block[g.n - 1, 0]
+
+
+def test_dtrw_block_names_the_bad_column():
+    g = graph_with_dangling_and_isolated(np.random.default_rng(48), 12)
+    block = np.full((g.n, 3), 1.0 / g.n)
+    negative = block.copy()
+    negative[:2, 1] = [-0.5, 0.5 + 1.0 / g.n]
+    with pytest.raises(ValueError, match="column 1 has negative entry"):
+        dtrw_evolve(g, negative, 2)
+    heavy = block.copy()
+    heavy[:, 2] *= 2.0
+    with pytest.raises(ValueError, match="column 2 sums to"):
+        dtrw_evolve(g, heavy, 2)
+    with pytest.raises(ValueError, match="length"):
+        dtrw_evolve(g, block[1:], 2)
+
+
 def test_dtrw_dangling_node_absorbs():
     g = load_edge_list("a\tb", directed=True)
     p = dtrw_evolve(g, delta_distribution(2, 0), 10)

@@ -141,6 +141,19 @@ def test_prioritize_validation_error_is_exit_1(data, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_prioritize_repeated_k_is_exit_1(data, capsys):
+    # a repeated K would write its sweep.csv columns twice and one summary key
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--k", "20,20", "--out", data["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: duplicate K value 20\n"
+    assert not Path(data["out"]).exists()
+
+
 FIXTURES = Path(__file__).resolve().parent.parent / "data"
 
 
@@ -328,6 +341,18 @@ def test_cci_targets_flag_splits_on_commas(data):
         "--targets", "C1,R1", "--epsilon", "0.2", "--out", data["out"],
     ])
     assert code == 0
+
+
+def test_cci_repeated_target_is_exit_1(data, capsys):
+    code = cli.main([
+        "cci",
+        "--nodes", data["nodes"], "--edges", data["edges"],
+        "--targets", "C1,R1,C1", "--out", data["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: duplicate target 'C1'\n"
+    assert not Path(data["out"]).exists()
 
 
 # ---------------------------------------------------------------------------

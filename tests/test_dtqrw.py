@@ -15,6 +15,7 @@ from netqwalk.dtqrw import (
     arc_state_from_scores,
     evolve,
     grover_coin,
+    initial_arc_block,
     initial_arc_state,
     node_probabilities,
     step,
@@ -193,6 +194,71 @@ def test_evolve_validation():
         evolve(arcs, psi0, -1)
     with pytest.raises(ValueError, match="length"):
         evolve(arcs, np.ones(3) / np.sqrt(3), 1)
+
+
+def graph_with_leaves_and_isolated(rng, n):
+    """Random graph; its last two nodes are isolated, its next-to-last two
+    are degree-1 leaves hanging off random core nodes."""
+    labels = [f"v{j}" for j in range(n)]
+    core = n - 4
+    edges = [(labels[j], labels[(j + 1) % core]) for j in range(core)]
+    edges += [(labels[j], labels[k]) for j, k in rng.integers(0, core, size=(core, 2)) if j != k]
+    edges += [(labels[n - 4], labels[int(rng.integers(0, core))]),
+              (labels[n - 3], labels[int(rng.integers(0, core))])]
+    return graph_from_edges(edges, nodes=labels)
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+@pytest.mark.parametrize("k", [1, 5])
+def test_block_evolution_matches_each_column(k, complex_block):
+    rng = np.random.default_rng(69)
+    g = graph_with_leaves_and_isolated(rng, 24)
+    arcs = arc_basis(g)
+    block = rng.standard_normal((arcs.n_arcs, k))
+    if complex_block:
+        block = block + 1j * rng.standard_normal((arcs.n_arcs, k))
+    block /= np.linalg.norm(block, axis=0)
+    dtype = np.complex128 if complex_block else np.float64
+    for steps in (0, 1, 7):
+        got = evolve(arcs, block, steps)
+        assert got.shape == (arcs.n_arcs, k) and got.dtype == dtype
+        probs = node_probabilities(arcs, got)
+        assert probs.shape == (g.n, k)
+        for j in range(k):
+            assert np.array_equal(got[:, j], evolve(arcs, block[:, j], steps))
+            assert np.array_equal(probs[:, j], node_probabilities(arcs, got[:, j]))
+        if not complex_block:
+            # the complex walk of a real state has the same probabilities
+            as_complex = evolve(arcs, block.astype(np.complex128), steps)
+            assert np.array_equal(node_probabilities(arcs, as_complex), probs)
+        assert np.array_equal(step(arcs, block), evolve(arcs, block, 1))
+        assert np.allclose(step_inverse(arcs, step(arcs, block)), block, atol=1e-14)
+
+
+def test_block_evolution_names_the_bad_column():
+    g = graph_with_leaves_and_isolated(np.random.default_rng(70), 10)
+    arcs = arc_basis(g)
+    block = np.full((arcs.n_arcs, 3), 1.0 / np.sqrt(arcs.n_arcs))
+    block[:, 2] *= 1.5
+    with pytest.raises(ValueError, match="column 2 has 2-norm"):
+        evolve(arcs, block, 3)
+    block[:, 2] = np.nan
+    with pytest.raises(ValueError, match="column 2 has non-finite"):
+        evolve(arcs, block, 3)
+    with pytest.raises(ValueError, match="length"):
+        evolve(arcs, block[1:], 3)
+
+
+def test_initial_arc_block_columns_are_the_single_start_states():
+    g = graph_with_leaves_and_isolated(np.random.default_rng(71), 12)
+    arcs = arc_basis(g)
+    starts = [3, 0, g.n - 3, 3]
+    block = initial_arc_block(arcs, starts)
+    assert block.shape == (arcs.n_arcs, 4) and block.dtype == np.float64
+    for c, node in enumerate(starts):
+        assert np.array_equal(block[:, c], initial_arc_state(arcs, node))
+    with pytest.raises(ValueError, match=f"node {g.n - 1} is isolated"):
+        initial_arc_block(arcs, [1, g.n - 1])
 
 
 # ---------------------------------------------------------------------------

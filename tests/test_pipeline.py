@@ -583,34 +583,53 @@ def test_cci_coined_walker_error_on_connected_node_propagates(cci_paths, monkeyp
         parse_node_layers(Path(nodes).read_text()),
         parse_label_pairs(Path(edges).read_text()),
     ).graph.index("L1")
-    original = dtqrw.initial_arc_state
+    original = dtqrw.initial_arc_block
 
-    def fail_on_l1(arcs, node):
-        if node == l1:
+    def fail_on_l1(arcs, nodes):
+        if l1 in nodes:
             raise ValueError("synthetic walker failure")
-        return original(arcs, node)
+        return original(arcs, nodes)
 
-    monkeypatch.setattr(dtqrw, "initial_arc_state", fail_on_l1)
+    monkeypatch.setattr(dtqrw, "initial_arc_block", fail_on_l1)
     with pytest.raises(ValueError, match="synthetic walker failure"):
         run_cci_analysis(CciConfig(nodes, edges, steps=3, targets=("C1",)))
 
 
-def test_cci_analysis_matches_direct_library_calls(cci_paths):
-    nodes, edges = cci_paths
-    config = CciConfig(nodes, edges, steps=5, targets=("C1",), epsilon=0.2)
-    result = run_cci_analysis(config)
-    cci = build_cci_graph(
+def test_cci_analysis_matches_direct_library_calls(cci_paths, four_layer_cci):
+    # the block walks must give every row exactly as a walk from that node
+    # alone; the generated graph spans several chunks and has an isolated
+    # node in each layer
+    planted = build_cci_graph(
         [("S1", "sender"), ("S2", "sender"), ("L1", "ligand"),
          ("L2", "ligand"), ("R1", "receptor"), ("C1", "receiver")],
         [("S1", "L1"), ("S2", "L2"), ("L1", "R1"), ("R1", "C1")],
     )
-    sym = symmetrized_view(cci)
-    prof = np.zeros((sym.n, sym.n))
-    for j in range(sym.n):
-        prof[j] = dtqrw.transition_profile(sym, j, 5)
-    assert np.array_equal(result.walkers["dtqrw"].profiles, prof)
-    sub = walk_support_subgraph(cci, prof, ("C1",), 0.2)
-    assert np.array_equal(result.walkers["dtqrw"].support.edges, sub.edges)
+    *layered_paths, target = four_layer_cci
+    layered = build_cci_graph(
+        parse_node_layers(Path(layered_paths[0]).read_text()),
+        parse_label_pairs(Path(layered_paths[1]).read_text()),
+    )
+    for (nodes, edges), cci, targets, epsilon in (
+        (cci_paths, planted, ("C1",), 0.2),
+        (layered_paths, layered, (target,), 0.01),
+    ):
+        result = run_cci_analysis(
+            CciConfig(nodes, edges, steps=5, targets=targets, epsilon=epsilon)
+        )
+        sym = symmetrized_view(cci)
+        isolated = sorted(set(range(sym.n)) - set(sym.edges.ravel().tolist()))
+        prof = {"dtrw": np.zeros((sym.n, sym.n)), "dtqrw": np.zeros((sym.n, sym.n))}
+        for j in range(sym.n):
+            prof["dtrw"][j] = classical.dtrw_transition_profile(sym, j, 5)
+            if j not in isolated:
+                prof["dtqrw"][j] = dtqrw.transition_profile(sym, j, 5)
+        for walker in ("dtrw", "dtqrw"):
+            out = result.walkers[walker]
+            assert np.array_equal(out.profiles, prof[walker])
+            sub = walk_support_subgraph(cci, prof[walker], targets, epsilon)
+            assert np.array_equal(out.support.edges, sub.edges)
+        assert result.walkers["dtqrw"].zero_rows == tuple(sym.labels[j] for j in isolated)
+        assert result.walkers["dtrw"].zero_rows == ()
 
 
 def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):

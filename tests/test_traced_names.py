@@ -6,7 +6,8 @@ argument (``steps``, ``n_iter``) per call; a rename there only shows up as
 a failed traced benchmark pass.  The first test resolves every target the
 same way, without installing the tracer.  The tracer also patches
 ``scipy.linalg.eigh`` as the ``expm.spectral`` span; the second test counts
-those calls in one continuous sweep.
+those calls in one continuous sweep.  The last test counts the walker calls
+of one CCI run, which evolves its start nodes in column blocks.
 """
 
 import importlib.util
@@ -18,7 +19,14 @@ import pytest
 import scipy.linalg
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk.pipeline import ExperimentConfig, run_prioritization
+from netqwalk import classical, dtqrw
+from netqwalk.pipeline import (
+    _CCI_CHUNK,
+    CciConfig,
+    ExperimentConfig,
+    run_cci_analysis,
+    run_prioritization,
+)
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -64,3 +72,33 @@ def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
     ))
     assert len(result.records) == 21
     assert len(calls) == 1
+
+
+def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
+    four_layer_cci, monkeypatch
+):
+    # ``dtrw_evolve`` and ``dtqrw.evolve`` are must-hit spans on the benchmark's
+    # ``cci`` workload; a run must reach both, with one call per chunk of
+    # start nodes rather than one per node
+    calls = {"row_stochastic": 0, "dtrw_evolve": 0, "evolve": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(classical, "row_stochastic")
+    count(classical, "dtrw_evolve")
+    count(dtqrw, "evolve")
+    nodes, edges, target = four_layer_cci
+    result = run_cci_analysis(CciConfig(nodes, edges, steps=5, targets=(target,)))
+    n = result.cci.graph.n
+    launched = n - len(result.walkers["dtqrw"].zero_rows)
+    assert launched > 2 * _CCI_CHUNK
+    assert calls["row_stochastic"] <= calls["dtrw_evolve"]
+    assert 1 <= calls["dtrw_evolve"] <= -(-n // _CCI_CHUNK)
+    assert 1 <= calls["evolve"] <= -(-launched // _CCI_CHUNK)
