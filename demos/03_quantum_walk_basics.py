@@ -10,7 +10,6 @@ the way the prioritization pipeline does.
 import numpy as np
 
 from netqwalk.ctqrw import (
-    HamiltonianSpec,
     build_hamiltonian,
     evolve,
     measure,
@@ -24,7 +23,7 @@ from netqwalk.metrics import rank_by_probability
 # two nodes: the walker oscillates, it never settles
 # ----------------------------------------------------------------------
 k2 = graph_from_edges([("u", "v")])
-h2 = build_hamiltonian(k2, HamiltonianSpec.adjacency())
+h2 = build_hamiltonian(k2, "adjacency")
 print("two-node transfer probability |<v|exp(-iHt)|u>|^2 vs sin^2(t):")
 for t in (0.0, 0.5, np.pi / 2, 2.5, np.pi):
     p = transition_probability(h2, 1, 0, t)
@@ -38,7 +37,7 @@ print(f"rate at t={t}: {transition_rate(h2, 1, 0, t):.6f} vs {np.sin(2 * t):.6f}
 # triangle: the complete-graph spectrum caps the transfer at 4/9
 # ----------------------------------------------------------------------
 tri = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-h3 = build_hamiltonian(tri, HamiltonianSpec.adjacency())
+h3 = build_hamiltonian(tri, "adjacency")
 peak = max(transition_probability(h3, 1, 0, t) for t in np.linspace(0, 10, 2001))
 print(f"\ntriangle peak transfer: {peak:.6f}  (closed form caps it at 4/9 = {4 / 9:.6f})")
 
@@ -48,7 +47,7 @@ print(f"\ntriangle peak transfer: {peak:.6f}  (closed form caps it at 4/9 = {4 /
 g = graph_from_edges(
     [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c"), ("d", "e"), ("e", "f")]
 )
-h = build_hamiltonian(g, HamiltonianSpec.adjacency())
+h = build_hamiltonian(g, "adjacency")
 psi0 = np.zeros(g.n, dtype=complex)
 psi0[g.index("a")] = 1.0
 

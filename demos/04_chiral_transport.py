@@ -13,7 +13,6 @@ an even ring stays perfectly balanced.
 import numpy as np
 
 from netqwalk.ctqrw import (
-    HamiltonianSpec,
     build_hamiltonian,
     transition_probability,
     uniform_chiral_phases,
@@ -24,8 +23,8 @@ from netqwalk.graphs import graph_from_edges
 # the 3-cycle at phi = pi/2
 # ----------------------------------------------------------------------
 tri = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-h_real = build_hamiltonian(tri, HamiltonianSpec.adjacency())
-h_chiral = build_hamiltonian(tri, uniform_chiral_phases(tri, np.pi / 2))
+h_real = build_hamiltonian(tri, "adjacency")
+h_chiral = build_hamiltonian(tri, "chiral", uniform_chiral_phases(tri, np.pi / 2))
 
 print("forward/backward transfer on the 3-cycle (source a, sink b):")
 print("        real H           chiral H (phi = pi/2)")
@@ -68,7 +67,7 @@ from netqwalk.ctqrw import evolve, measure, random_chiral_phases
 print("\nrandom-phase rings at t=4 (start v0, same phase seed):")
 for n in (12, 13):
     ring = graph_from_edges([(f"v{j}", f"v{(j + 1) % n}") for j in range(n)])
-    h_rand = build_hamiltonian(ring, random_chiral_phases(ring, rng=7))
+    h_rand = build_hamiltonian(ring, "chiral", random_chiral_phases(ring, rng=7))
     psi0 = np.zeros(n, dtype=complex)
     psi0[0] = 1.0
     p = measure(evolve(h_rand, psi0, 4.0))

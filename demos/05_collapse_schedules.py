@@ -12,7 +12,6 @@ effect on revival dynamics and on where the walker ends up.
 import numpy as np
 
 from netqwalk.ctqrw import (
-    HamiltonianSpec,
     build_hamiltonian,
     collapse,
     evolve,
@@ -31,7 +30,7 @@ from netqwalk.graphs import graph_from_edges
 # change nothing: the state is momentarily a basis state, and a basis
 # state is its own collapse.)
 k2 = graph_from_edges([("u", "v")])
-h2 = build_hamiltonian(k2, HamiltonianSpec.adjacency())
+h2 = build_hamiltonian(k2, "adjacency")
 psi0 = np.array([1.0, 0.0], dtype=complex)
 
 coherent = measure(evolve(h2, psi0, np.pi))
@@ -54,7 +53,7 @@ print("\ncollapse of (sqrt(.8), sqrt(.2)):", np.round(collapse(psi).real, 6))
 # ----------------------------------------------------------------------
 n = 24
 ring = graph_from_edges([(f"v{j}", f"v{(j + 1) % n}") for j in range(n)])
-h = build_hamiltonian(ring, HamiltonianSpec.adjacency())
+h = build_hamiltonian(ring, "adjacency")
 psi0 = np.zeros(n, dtype=complex)
 psi0[0] = 1.0
 t_final = 6.0

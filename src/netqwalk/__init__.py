@@ -18,7 +18,6 @@ from .classical import (
 )
 from .ctqrw import (
     CollapseSchedule,
-    HamiltonianSpec,
     build_hamiltonian,
     collapse,
     evolve,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action
 from .graphs import LabeledGraph, adjacency_matrix, laplacian
@@ -103,12 +102,7 @@ def _finalize_distribution(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def rwr_steady_state(
-    g: LabeledGraph,
-    p0,
-    alpha: float,
-    method: str = "auto",
-) -> np.ndarray:
+def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
     """Steady state of the random walk with restart.
 
     Solves ``p = alpha * M p + (1 - alpha) * p0`` for the column-stochastic
@@ -120,9 +114,9 @@ def rwr_steady_state(
     alpha : float
         Continuation probability in [0, 1); ``1 - alpha`` is the restart
         probability per step.
-    method : {"auto", "direct", "power"}
-        Linear solve or power iteration; "auto" picks the direct solve up
-        to a few thousand nodes.  Both agree within 1e-8.
+
+    Graphs of up to ``_DIRECT_DENSE_LIMIT`` nodes take a dense linear
+    solve, larger ones power iteration; the two agree within 1e-8.
     """
     p0 = as_probability_vector(p0, n=g.n)
     if not 0.0 <= alpha < 1.0:
@@ -130,15 +124,10 @@ def rwr_steady_state(
     if alpha == 0.0:
         return p0.copy()
     m = normalize_column_stochastic(g, p0).matrix
-    if method == "auto":
-        method = "direct" if g.n <= _DIRECT_DENSE_LIMIT else "power"
-    if method == "direct":
+    if g.n <= _DIRECT_DENSE_LIMIT:
         system = sp.eye(g.n, format="csc") - alpha * m.tocsc()
-        if g.n <= _DIRECT_DENSE_LIMIT:
-            p = np.linalg.solve(system.toarray(), (1.0 - alpha) * p0)
-        else:
-            p = scipy.sparse.linalg.spsolve(system, (1.0 - alpha) * p0)
-    elif method == "power":
+        p = np.linalg.solve(system.toarray(), (1.0 - alpha) * p0)
+    else:
         p = p0.copy()
         for _ in range(POWER_MAX_ITER):
             nxt = alpha * (m @ p) + (1.0 - alpha) * p0
@@ -150,8 +139,6 @@ def rwr_steady_state(
             raise ConvergenceError(
                 f"restart walk power iteration did not converge in {POWER_MAX_ITER} steps"
             )
-    else:
-        raise ValueError(f"unknown method {method!r}")
     return _finalize_distribution(p)
 
 

@@ -11,17 +11,16 @@ propagator between collapses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .expm import ConvergenceError, SparseHermitian, expm_action
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, adjacency_matrix, laplacian
 from .states import as_amplitude_vector
 
 __all__ = [
-    "HamiltonianSpec",
     "CollapseSchedule",
     "build_hamiltonian",
     "uniform_chiral_phases",
@@ -42,116 +41,57 @@ _DRIFT_RENORM = 1e-12
 _DRIFT_FAIL = 1e-8
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
-    """Which Hamiltonian to build, plus edge phases for the chiral kind.
-
-    ``phases`` maps an oriented edge ``(j, k)`` to an angle ``phi``; the
-    Hamiltonian gets ``H[j, k] = w * exp(i phi)`` and ``H[k, j]`` its
-    conjugate.  Every edge of the graph must receive exactly one phase,
-    and phases on non-edges are rejected.
-    """
-
-    kind: str
-    phases: tuple[tuple[int, int, float], ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.kind not in HAMILTONIAN_KINDS:
-            raise ValueError(
-                f"unknown hamiltonian kind {self.kind!r}; "
-                f"expected one of {HAMILTONIAN_KINDS}"
-            )
-        entries = []
-        for j, k, phi in self.phases:
-            entries.append((int(j), int(k), float(phi)))
-        if entries and self.kind != "chiral":
-            raise ValueError("phases are only meaningful for kind='chiral'")
-        object.__setattr__(self, "phases", tuple(entries))
-
-    @classmethod
-    def adjacency(cls) -> "HamiltonianSpec":
-        return cls("adjacency")
-
-    @classmethod
-    def laplacian(cls) -> "HamiltonianSpec":
-        return cls("laplacian")
-
-    @classmethod
-    def chiral(cls, phases) -> "HamiltonianSpec":
-        if isinstance(phases, dict):
-            phases = [(j, k, phi) for (j, k), phi in phases.items()]
-        return cls("chiral", tuple(phases))
-
-
-def uniform_chiral_phases(g: LabeledGraph, phi: float) -> HamiltonianSpec:
-    """Chiral spec assigning the same angle to every edge of ``g``.
+def uniform_chiral_phases(g: LabeledGraph, phi: float) -> np.ndarray:
+    """The angle ``phi`` on every stored edge of ``g``, in ``g.edges`` order.
 
     For a directed graph the phase is oriented along each stored edge,
     so a directed cycle acquires a consistent circulation.
     """
-    phases = [(int(j), int(k), float(phi)) for j, k in g.edges]
-    return HamiltonianSpec.chiral(phases)
+    return np.full(g.edge_count, float(phi))
 
 
-def random_chiral_phases(g: LabeledGraph, rng) -> HamiltonianSpec:
-    """Chiral spec with angles drawn uniformly from [0, 2*pi)."""
-    rng = np.random.default_rng(rng)
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=g.edge_count)
-    phases = [
-        (int(j), int(k), float(a)) for (j, k), a in zip(g.edges, angles)
-    ]
-    return HamiltonianSpec.chiral(phases)
+def random_chiral_phases(g: LabeledGraph, rng) -> np.ndarray:
+    """Angles drawn uniformly from [0, 2*pi), one per stored edge of ``g``."""
+    return np.random.default_rng(rng).uniform(0.0, 2.0 * np.pi, g.edge_count)
 
 
-def _edge_weight_map(g: LabeledGraph) -> dict[tuple[int, int], float]:
-    return {
-        (int(j), int(k)): float(w) for (j, k), w in zip(g.edges, g.weights)
-    }
-
-
-def build_hamiltonian(g: LabeledGraph, spec: HamiltonianSpec) -> SparseHermitian:
-    """Hermitian walk generator for ``g`` according to ``spec``.
+def build_hamiltonian(g: LabeledGraph, kind: str, phases=None) -> SparseHermitian:
+    """Hermitian walk generator of the given ``kind`` for ``g``.
 
     Adjacency and Laplacian Hamiltonians require an undirected graph.
-    The chiral kind accepts directed graphs, using the undirected
-    support of the edges; each support edge must be phased exactly once.
+    The chiral kind takes ``phases``, one finite angle per stored edge
+    in ``g.edges`` order: edge ``(j, k)`` of weight ``w`` adds
+    ``w * exp(i phi)`` to ``H[j, k]`` and its conjugate to ``H[k, j]``.
+    It accepts directed graphs; a directed pair ``(j, k)``, ``(k, j)``
+    sums its two phased terms.
     """
-    from .graphs import adjacency_matrix, laplacian
-
-    if spec.kind == "adjacency":
-        if g.directed:
-            raise ValueError("adjacency Hamiltonian requires an undirected graph")
-        return SparseHermitian(adjacency_matrix(g).astype(np.complex128))
-    if spec.kind == "laplacian":
-        return SparseHermitian(laplacian(g).astype(np.complex128))
-
-    weight_of = _edge_weight_map(g)
-    support = {}
-    for (j, k), w in weight_of.items():
-        key = (j, k) if j < k else (k, j)
-        support[key] = support.get(key, 0.0) + w
-    phased: dict[tuple[int, int], complex] = {}
-    for j, k, phi in spec.phases:
-        key = (j, k) if j < k else (k, j)
-        if key not in support:
-            raise ValueError(f"phase assigned to non-edge ({j}, {k})")
-        if key in phased:
-            raise ValueError(f"edge ({key[0]}, {key[1]}) phased more than once")
-        angle = phi if j < k else -phi
-        phased[key] = support[key] * np.exp(1j * angle)
-    missing = sorted(set(support) - set(phased))
-    if missing:
-        j, k = missing[0]
+    if kind not in HAMILTONIAN_KINDS:
         raise ValueError(
-            f"{len(missing)} edge(s) missing a phase, first ({j}, {k})"
+            f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"
         )
-    rows = np.empty(2 * len(phased), dtype=np.int64)
-    cols = np.empty_like(rows)
-    vals = np.empty(2 * len(phased), dtype=np.complex128)
-    for i, ((j, k), h) in enumerate(sorted(phased.items())):
-        rows[2 * i], cols[2 * i], vals[2 * i] = j, k, h
-        rows[2 * i + 1], cols[2 * i + 1], vals[2 * i + 1] = k, j, np.conj(h)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    if kind != "chiral":
+        if phases is not None:
+            raise ValueError("phases are only meaningful for kind='chiral'")
+        if kind == "adjacency":
+            if g.directed:
+                raise ValueError("adjacency Hamiltonian requires an undirected graph")
+            return SparseHermitian(adjacency_matrix(g))
+        return SparseHermitian(laplacian(g))
+    if phases is None:
+        raise ValueError("kind='chiral' needs one phase per edge")
+    phi = np.asarray(phases, dtype=np.float64)
+    if phi.shape != (g.edge_count,):
+        raise ValueError(
+            f"expected {g.edge_count} phases, one per edge, got shape {phi.shape}"
+        )
+    if not np.all(np.isfinite(phi)):
+        raise ValueError("phases must be finite")
+    h = g.weights * np.exp(1j * phi)
+    j, k = g.edges[:, 0], g.edges[:, 1]
+    matrix = sp.csr_matrix(
+        (np.concatenate([h, h.conj()]), (np.concatenate([j, k]), np.concatenate([k, j]))),
+        shape=(g.n, g.n),
+    )
     return SparseHermitian(matrix)
 
 

@@ -64,9 +64,6 @@ class ArcIndex:
     def n_arcs(self) -> int:
         return int(self.tails.shape[0])
 
-    def degree(self, node: int) -> int:
-        return int(self.node_ptr[node + 1] - self.node_ptr[node])
-
 
 def arc_basis(g: LabeledGraph) -> ArcIndex:
     """Arc enumeration for ``g``, which must be undirected.
@@ -169,7 +166,8 @@ def arc_state_from_scores(arcs: ArcIndex, scores) -> np.ndarray:
 
     Arc (j, k) receives amplitude ``sqrt(scores[j] / degree(j))`` before
     normalization, so the node-probability profile of the initial state
-    is proportional to ``scores``.  Positive scores on isolated nodes
+    is proportional to ``scores``.  The state is real (float64), so the
+    walk runs in real arithmetic.  Positive scores on isolated nodes
     cannot be represented and raise a ``ValueError``.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
@@ -184,11 +182,15 @@ def arc_state_from_scores(arcs: ArcIndex, scores) -> np.ndarray:
             f"isolated node {int(stranded[0])} carries positive score"
         )
     per_arc = s / np.maximum(degrees, 1)
-    psi = np.sqrt(per_arc[arcs.tails]).astype(np.complex128)
-    nrm = float(np.linalg.norm(psi))
+    psi = np.sqrt(per_arc[arcs.tails])
+    # the norm of the complex cast, applied as a reciprocal scale, rounds
+    # exactly as normalizing the complex128 state does; a real norm can
+    # differ in the last bit, and prioritization ranks exactly tied dtqrw
+    # probabilities by rounding (pipeline._EXACT_TIE_WALKERS)
+    nrm = float(np.linalg.norm(psi.astype(np.complex128)))
     if nrm == 0.0:
         raise ValueError("scores must have at least one positive entry")
-    return psi / nrm
+    return psi * (1.0 / nrm)
 
 
 def node_probabilities(arcs: ArcIndex, psi) -> np.ndarray:

@@ -323,38 +323,43 @@ def node_subgraph(g: LabeledGraph, node_indices) -> LabeledGraph:
     return LabeledGraph(labels, edges, directed=g.directed, weights=g.weights[mask])
 
 
+def _greatest_id(g: LabeledGraph, comp: np.ndarray) -> int:
+    """Id of the largest component in the labelling ``comp`` of a nonempty
+    ``g``; on a size tie, the component holding the lexicographically
+    smallest label."""
+    sizes = np.bincount(comp)
+    best = np.flatnonzero(sizes == sizes.max())
+    if best.size == 1:
+        return int(best[0])
+    tied = np.flatnonzero(np.isin(comp, best))
+    return int(comp[min(tied, key=g.labels.__getitem__)])
+
+
 def greatest_component(g: LabeledGraph) -> LabeledGraph:
     """Return the greatest connected component as a label-preserving subgraph.
 
     Ties on component size break deterministically: the component that
     contains the lexicographically smallest label wins.
     """
-    decomp = connected_components(g)
-    comp = decomp.component_of
     if g.n == 0:
         return g
-    sizes = np.bincount(comp)
-    best = np.flatnonzero(sizes == sizes.max())
-    if best.size == 1:
-        winner = best[0]
-    else:
-        winner = min(
-            best,
-            key=lambda c: min(lab for i, lab in enumerate(g.labels) if comp[i] == c),
-        )
-    return node_subgraph(g, np.flatnonzero(comp == winner))
+    comp = connected_components(g).component_of
+    return node_subgraph(g, np.flatnonzero(comp == _greatest_id(g, comp)))
 
 
 def graph_stats(g: LabeledGraph) -> dict:
     """Node/edge/fragment counts for the graph and its greatest component."""
     decomp = connected_components(g)
-    gc = greatest_component(g)
+    in_gc = np.zeros(g.n, dtype=bool)
+    if g.n:
+        in_gc = decomp.component_of == _greatest_id(g, decomp.component_of)
     return {
         "nodes": g.n,
         "edges": g.edge_count,
         "fragments": decomp.count,
-        "gc_nodes": gc.n,
-        "gc_edges": gc.edge_count,
+        "gc_nodes": int(in_gc.sum()),
+        # both ends of an edge lie in one component
+        "gc_edges": int(in_gc[g.edges[:, 0]].sum()),
     }
 
 

@@ -293,8 +293,9 @@ def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
             p, done = classical.dtrw_evolve(gc, p, n - done), n
             yield p
     elif walker == "ctqrw":
-        spec = _hamiltonian_spec(config, gc)
-        h = ctqrw.build_hamiltonian(gc, spec)
+        chiral = config.hamiltonian == "chiral"
+        phases = ctqrw.random_chiral_phases(gc, config.rng_seed) if chiral else None
+        h = ctqrw.build_hamiltonian(gc, config.hamiltonian, phases)
         # continue from the state right after the latest collapse before t,
         # which repeats the operations of replaying the schedule from 0;
         # evolving from the previous grid point would change the rounding
@@ -312,12 +313,6 @@ def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
         for n in grid:
             psi, done = dtqrw.evolve(arcs, psi, n - done), n
             yield dtqrw.node_probabilities(arcs, psi)
-
-
-def _hamiltonian_spec(config: ExperimentConfig, gc: LabeledGraph) -> ctqrw.HamiltonianSpec:
-    if config.hamiltonian == "chiral":
-        return ctqrw.random_chiral_phases(gc, config.rng_seed)
-    return ctqrw.HamiltonianSpec(config.hamiltonian)
 
 
 def run_prioritization(config: ExperimentConfig) -> SweepResult:

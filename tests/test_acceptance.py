@@ -48,11 +48,12 @@ def _random_graph(rng, n):
     return graph_from_edges(edges)
 
 
-def _random_hamiltonian_spec(rng, g):
+def _random_hamiltonian(rng, g):
     kind = ("adjacency", "laplacian", "chiral")[int(rng.integers(0, 3))]
+    phases = None
     if kind == "chiral":
-        return ctqrw.random_chiral_phases(g, int(rng.integers(0, 1 << 31)))
-    return ctqrw.HamiltonianSpec(kind)
+        phases = ctqrw.random_chiral_phases(g, int(rng.integers(0, 1 << 31)))
+    return ctqrw.build_hamiltonian(g, kind, phases)
 
 
 def _dense_walk_unitary(arcs):
@@ -90,7 +91,7 @@ def test_criterion_01_unitarity_suite():
     worst_ct = 0.0
     for _ in range(100):
         g = _random_graph(rng, int(rng.integers(2, 201)))
-        h = ctqrw.build_hamiltonian(g, _random_hamiltonian_spec(rng, g))
+        h = _random_hamiltonian(rng, g)
         psi0 = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         psi0 /= np.linalg.norm(psi0)
         psi = ctqrw.evolve(h, psi0, float(rng.uniform(0.0, 10.0)))
@@ -150,9 +151,7 @@ def test_criterion_02_oracle_equivalence():
 def test_criterion_03_analytic_cases():
     failures = []
     rng = np.random.default_rng(103)
-    h2 = ctqrw.build_hamiltonian(
-        graph_from_edges([("a", "b")]), ctqrw.HamiltonianSpec.adjacency()
-    )
+    h2 = ctqrw.build_hamiltonian(graph_from_edges([("a", "b")]), "adjacency")
     worst = 0.0
     for t in rng.uniform(0.0, 10.0, size=100):
         p = ctqrw.transition_probability(h2, 1, 0, float(t))
@@ -160,8 +159,7 @@ def test_criterion_03_analytic_cases():
     if worst > 1e-10:
         failures.append(f"two-node transfer off by {worst:g} > 1e-10")
     h3 = ctqrw.build_hamiltonian(
-        graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")]),
-        ctqrw.HamiltonianSpec.adjacency(),
+        graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")]), "adjacency"
     )
     worst3 = 0.0
     for t in rng.uniform(0.0, 10.0, size=100):
@@ -187,7 +185,7 @@ def test_criterion_04_real_symmetry_and_chiral_asymmetry():
     for _ in range(50):
         g = _random_graph(rng, int(rng.integers(3, 40)))
         kind = ("adjacency", "laplacian")[int(rng.integers(0, 2))]
-        h = ctqrw.build_hamiltonian(g, ctqrw.HamiltonianSpec(kind))
+        h = ctqrw.build_hamiltonian(g, kind)
         j, k = (int(x) for x in rng.integers(0, g.n, size=2))
         t = float(rng.uniform(0.1, 6.0))
         worst = max(
@@ -200,7 +198,7 @@ def test_criterion_04_real_symmetry_and_chiral_asymmetry():
     if worst > 1e-10:
         failures.append(f"real-generator symmetry broken by {worst:g} > 1e-10")
     cycle = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-    h = ctqrw.build_hamiltonian(cycle, ctqrw.uniform_chiral_phases(cycle, np.pi / 2.0))
+    h = ctqrw.build_hamiltonian(cycle, "chiral", ctqrw.uniform_chiral_phases(cycle, np.pi / 2.0))
     asym = max(
         abs(
             ctqrw.transition_probability(h, 1, 0, float(t))
@@ -213,7 +211,7 @@ def test_criterion_04_real_symmetry_and_chiral_asymmetry():
     _report(4, f"transition symmetry (real {worst:.1e}, chiral asym {asym:.2f})", failures)
 
 
-def test_criterion_05_restart_walk():
+def test_criterion_05_restart_walk(monkeypatch):
     failures = []
     rng = np.random.default_rng(105)
     worst_res = 0.0
@@ -223,13 +221,16 @@ def test_criterion_05_restart_walk():
         p0 = rng.random(g.n)
         p0 /= p0.sum()
         alpha = float(rng.uniform(0.05, 0.95))
-        p = classical.rwr_steady_state(g, p0, alpha, method="direct")
+        p = classical.rwr_steady_state(g, p0, alpha)
         m = classical.normalize_column_stochastic(g, p0).matrix
         worst_res = max(
             worst_res,
             float(np.max(np.abs(p - alpha * (m @ p) - (1 - alpha) * p0))),
         )
-        q = classical.rwr_steady_state(g, p0, alpha, method="power")
+        with monkeypatch.context() as patch:
+            # a size limit below every node count selects power iteration
+            patch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
+            q = classical.rwr_steady_state(g, p0, alpha)
         worst_agree = max(worst_agree, float(np.max(np.abs(p - q))))
     if worst_res > 1e-8:
         failures.append(f"fixed-point residual {worst_res:g} > 1e-8")
@@ -282,7 +283,7 @@ def test_criterion_07_transition_rate():
     worst = 0.0
     for _ in range(100):
         g = _random_graph(rng, int(rng.integers(3, 15)))
-        h = ctqrw.build_hamiltonian(g, _random_hamiltonian_spec(rng, g))
+        h = _random_hamiltonian(rng, g)
         j, k = (int(x) for x in rng.integers(0, g.n, size=2))
         t = float(rng.uniform(0.1, 4.0))
         rate = ctqrw.transition_rate(h, j, k, t)

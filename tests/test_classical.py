@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from netqwalk import classical
 from netqwalk.classical import (
     TransitionMatrix,
     ctrw_evolve,
@@ -119,12 +120,14 @@ def test_rwr_fixed_point_residual():
         assert abs(p.sum() - 1.0) < 1e-10
 
 
-def test_rwr_direct_and_power_agree():
+def test_rwr_direct_and_power_agree(monkeypatch):
     rng = np.random.default_rng(42)
     g = random_connected_graph(rng, 25)
     p0 = uniform_distribution(g.n)
-    direct = rwr_steady_state(g, p0, 0.85, method="direct")
-    power = rwr_steady_state(g, p0, 0.85, method="power")
+    direct = rwr_steady_state(g, p0, 0.85)
+    # a size limit below the graph's node count selects power iteration
+    monkeypatch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
+    power = rwr_steady_state(g, p0, 0.85)
     assert np.max(np.abs(direct - power)) < 1e-8
 
 
@@ -140,8 +143,6 @@ def test_rwr_validation():
     for alpha in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             rwr_steady_state(g, p0, alpha)
-    with pytest.raises(ValueError, match="method"):
-        rwr_steady_state(g, p0, 0.5, method="magic")
     with pytest.raises(ValueError, match="sums"):
         rwr_steady_state(g, np.array([0.9, 0.9]), 0.5)
 

@@ -6,6 +6,8 @@ permutation matrix, applied with ``numpy.linalg.matrix_power``.  The
 library never forms that matrix, so agreement is a real cross-check.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,14 @@ from netqwalk.dtqrw import (
     step_inverse,
     transition_profile,
 )
-from netqwalk.graphs import graph_from_edges, load_edge_list
+from netqwalk.graphs import (
+    graph_from_edges,
+    greatest_component,
+    load_edge_list,
+    read_edge_list,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def dense_walk_unitary(arcs: ArcIndex) -> np.ndarray:
@@ -59,8 +68,7 @@ def test_arc_basis_structure_on_path():
     assert arcs.n_arcs == 4
     got = list(zip(arcs.tails.tolist(), arcs.heads.tolist()))
     assert got == [(0, 1), (1, 0), (1, 2), (2, 1)]
-    assert arcs.node_ptr.tolist() == [0, 1, 3, 4]
-    assert arcs.degree(0) == 1 and arcs.degree(1) == 2 and arcs.degree(2) == 1
+    assert arcs.node_ptr.tolist() == [0, 1, 3, 4]  # degrees 1, 2, 1
 
 
 def test_arc_reversal_is_an_involution():
@@ -88,7 +96,7 @@ def test_arc_basis_isolated_node_has_empty_segment():
 
     g2 = LabeledGraph(("a", "b", "z"), g.edges, weights=g.weights, directed=False)
     arcs = arc_basis(g2)
-    assert arcs.degree(2) == 0
+    assert arcs.node_ptr.tolist() == [0, 1, 2, 2]  # node 2 has no arcs
     with pytest.raises(ValueError, match="isolated"):
         initial_arc_state(arcs, 2)
 
@@ -285,6 +293,27 @@ def test_arc_state_from_scores_node_profile_proportional():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
     p = node_probabilities(arcs, psi)
     assert np.max(np.abs(p - s / s.sum())) < 1e-12
+
+
+def test_real_score_state_walks_like_its_complex_cast():
+    # the fixture interactome with a sparse nonnegative score vector: the
+    # real state must equal the complex128 state normalized in complex
+    # arithmetic, and give exactly its node probabilities at every step
+    # (at this seed a plain real norm can round differently)
+    g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
+    arcs = arc_basis(g)
+    rng = np.random.default_rng(0)
+    s = rng.random(g.n) * (rng.random(g.n) < 0.1)
+    psi = arc_state_from_scores(arcs, s)
+    assert psi.dtype == np.float64
+    amp = np.sqrt(s / np.maximum(np.diff(arcs.node_ptr), 1))[arcs.tails].astype(np.complex128)
+    psi_c = amp / np.linalg.norm(amp)
+    assert np.array_equal(psi, psi_c.real) and not psi_c.imag.any()
+    for _ in range(20):
+        psi, psi_c = evolve(arcs, psi, 1), evolve(arcs, psi_c, 1)
+        assert psi.dtype == np.float64
+        assert np.array_equal(psi, psi_c.real) and not psi_c.imag.any()
+        assert np.array_equal(node_probabilities(arcs, psi), node_probabilities(arcs, psi_c))
 
 
 def test_arc_state_from_scores_validation():

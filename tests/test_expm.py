@@ -99,7 +99,7 @@ def test_real_generator_gives_real_orthogonal_eigenvectors():
     rng = np.random.default_rng(11)
     g = random_graph(rng, 300, 900)
     for h in (
-        ctqrw.build_hamiltonian(g, ctqrw.HamiltonianSpec("adjacency")),
+        ctqrw.build_hamiltonian(g, "adjacency"),
         as_hermitian(laplacian(g)),
     ):
         w, v = h.eigendecomposition()
@@ -112,7 +112,7 @@ def test_real_generator_gives_real_orthogonal_eigenvectors():
 def test_chiral_generator_keeps_complex_eigenvectors():
     rng = np.random.default_rng(12)
     g = random_graph(rng, 60, 120)
-    h = ctqrw.build_hamiltonian(g, ctqrw.random_chiral_phases(g, 3))
+    h = ctqrw.build_hamiltonian(g, "chiral", ctqrw.random_chiral_phases(g, 3))
     assert not h.is_real
     w, v = h.eigendecomposition()
     assert w.dtype == np.float64 and v.dtype == np.complex128
@@ -147,7 +147,7 @@ def test_dense_grid_norm_drift_stays_below_renormalisation():
     psi0 = np.zeros(g.n, dtype=np.complex128)
     psi0[rng.choice(g.n, size=12, replace=False)] = 1.0 / np.sqrt(12.0)
     for kind in ("adjacency", "laplacian"):
-        h = ctqrw.build_hamiltonian(g, ctqrw.HamiltonianSpec(kind))
+        h = ctqrw.build_hamiltonian(g, kind)
         drift = max(
             abs(np.linalg.norm(expm_action(h, psi0, 0.1 * i)) - 1.0) for i in range(101)
         )

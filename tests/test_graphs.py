@@ -192,6 +192,22 @@ def test_graph_stats_schema():
     }
 
 
+def test_graph_stats_ties_follow_greatest_component():
+    # three components of four nodes tie; the smallest label ("a") sits in
+    # the last-labelled one, whose edge count differs from the others
+    g = graph_from_edges([
+        ("m", "n"), ("n", "o"), ("o", "p"),
+        ("x", "y"), ("y", "z"), ("z", "w"), ("w", "x"),
+        ("b", "a"), ("b", "c"), ("b", "d"), ("c", "d"), ("a", "c"),
+        ("q", "r"),
+    ])
+    gc = greatest_component(g)
+    assert "a" in gc.labels
+    stats = graph_stats(g)
+    assert (stats["gc_nodes"], stats["gc_edges"]) == (gc.n, gc.edge_count) == (4, 5)
+    assert stats["fragments"] == 4
+
+
 def test_singleton_graph_stats():
     g = graph_from_edges([], nodes=["only"])
     assert graph_stats(g) == {

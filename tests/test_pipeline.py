@@ -222,7 +222,7 @@ def test_pipeline_matches_direct_library_calls_exactly(fixture_paths):
     p0 = np.zeros(gc.n)
     for s in seeds:
         p0[gc.index(s)] = 0.5
-    h = ctqrw.build_hamiltonian(gc, ctqrw.HamiltonianSpec.adjacency())
+    h = ctqrw.build_hamiltonian(gc, "adjacency")
     psi0 = ctqrw.initial_state_from_scores(p0)
     t = result.records[3].grid_value
     assert t == 1.5
@@ -286,7 +286,7 @@ def test_collapse_sweep_matches_definition_at_every_point(fixture_paths):
     )
     result = run_prioritization(config)
     gc, p0 = _fixture_start(gp)
-    h = ctqrw.build_hamiltonian(gc, ctqrw.HamiltonianSpec.adjacency())
+    h = ctqrw.build_hamiltonian(gc, "adjacency")
     psi0 = ctqrw.initial_state_from_scores(p0)
     _, grid = config.grid_points()
     swept = list(_sweep_distributions(config, gc, p0, grid))
@@ -335,7 +335,7 @@ def test_golden_digests_rank_structurally_equivalent_genes_by_index():
     assert len(golden) == len(grid)
     p0 = np.zeros(gc.n)
     p0[[gc.index(s) for s in seeds]] = 1.0 / len(seeds)
-    h = ctqrw.build_hamiltonian(gc, ctqrw.HamiltonianSpec.adjacency())
+    h = ctqrw.build_hamiltonian(gc, "adjacency")
     psi0 = ctqrw.initial_state_from_scores(p0)
     for t, digest in zip(grid, golden):
         p = ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, ()))
