@@ -156,19 +156,24 @@ def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
     return _finalize_distribution(p)
 
 
-def dtrw_evolve(g: LabeledGraph, p0, steps: int) -> np.ndarray:
+def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarray:
     """Discrete-time random walk: ``steps`` applications of the row-stochastic
     transition matrix (dangling nodes hold their mass).
 
+    ``g`` is the graph or its :func:`row_stochastic` matrix; a caller that
+    walks one graph repeatedly builds that matrix once and passes it.
     ``p0`` is one distribution over nodes or an ``(n, k)`` block of ``k``
     distributions, one per column; column ``j`` of the result is the walk
     from column ``j``, with the same floating-point operations as the walk
     from that column alone.
     """
-    p = as_probability_columns(p0, n=g.n)
+    walk = g if isinstance(g, TransitionMatrix) else row_stochastic(g)
+    if walk.orientation != "row":
+        raise ValueError("dtrw steps with a row-stochastic transition matrix")
+    wt = walk.matrix.transpose()
+    p = as_probability_columns(p0, n=wt.shape[0])
     if steps < 0:
         raise ValueError("step count must be >= 0")
-    wt = row_stochastic(g).matrix.transpose().tocsr()
     for _ in range(steps):
         p = wt @ p
     return _finalize_distribution(p)

@@ -16,10 +16,12 @@ dense
     as two real columns, so no n x n complex array is formed; only a
     complex generator (chiral phases) has complex eigenvectors.
 lanczos
-    Restarted Lanczos (Krylov) action with full reorthogonalization and
-    an adaptive subspace grown until the a-posteriori residual estimate
-    drops below the tolerance.  Long evolutions are split into substeps
-    bounded by ``norm(H) * dt <= SPLIT_BOUND``.
+    Lanczos (Krylov) action with full reorthogonalization on a basis
+    stored as the rows of one C-contiguous array, grown until the
+    a-posteriori error estimate drops below the tolerance.  Long
+    evolutions are split into substeps bounded by ``norm(H) * dt <=
+    SPLIT_BOUND``; if a substep reaches ``_MAX_KRYLOV`` vectors, the
+    action is retried with twice as many substeps.
 """
 
 from __future__ import annotations
@@ -154,19 +156,20 @@ def _lanczos_apply(
     n = v.shape[0]
     beta0 = np.linalg.norm(v)
     m_max = min(n, _MAX_KRYLOV)
-    q = np.empty((n, m_max + 1), dtype=np.complex128)
-    q[:, 0] = v / beta0
+    q = np.empty((m_max + 1, n), dtype=np.complex128)
+    q[0] = v / beta0
     alphas: list[float] = []
     betas: list[float] = []
     coef_prev: np.ndarray | None = None
     for j in range(m_max):
-        w = a @ q[:, j]
-        alphas.append(float(np.real(np.vdot(q[:, j], w))))
-        w = w - alphas[j] * q[:, j]
+        w = a @ q[j]
+        alphas.append(float(np.real(np.vdot(q[j], w))))
+        w = w - alphas[j] * q[j]
         if j > 0:
-            w = w - betas[j - 1] * q[:, j - 1]
-        for _ in range(2):  # reorthogonalize twice for stability
-            w = w - q[:, : j + 1] @ (q[:, : j + 1].conj().T @ w)
+            w = w - betas[j - 1] * q[j - 1]
+        basis = q[: j + 1]
+        for _ in range(2):  # reorthogonalize twice; Q^H w = conj(Q conj(w))
+            w = w - (basis @ w.conj()).conj() @ basis
         beta = float(np.linalg.norm(w))
         betas.append(beta)
         ew, ev = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
@@ -178,9 +181,9 @@ def _lanczos_apply(
             err = max(err, beta0 * float(np.linalg.norm(delta)))
         happy = beta <= 1e-14 * max(beta0, 1.0)
         if happy or err <= tol * max(beta0, 1.0):
-            return beta0 * (q[:, : j + 1] @ coef)
+            return beta0 * (coef @ basis)
         coef_prev = coef
-        q[:, j + 1] = w / beta
+        q[j + 1] = w / beta
     return None
 
 

@@ -121,10 +121,11 @@ def _merge_edges(
         edges = np.sort(edges, axis=1)
     if edges.size == 0:
         return edges.reshape(0, 2), weights[:0], n_loops
-    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0])
-    np.add.at(merged, inv.reshape(-1), weights)
-    return uniq, merged, n_loops
+    # one int64 key per (tail, head) sorts like the rows themselves
+    n = int(edges.max()) + 1
+    keys, inv = np.unique(edges[:, 0] * n + edges[:, 1], return_inverse=True)
+    merged = np.bincount(inv, weights=weights, minlength=keys.size)
+    return np.stack([keys // n, keys % n], axis=1), merged, n_loops
 
 
 def graph_from_edges(

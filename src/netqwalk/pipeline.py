@@ -287,10 +287,11 @@ def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
         for t in grid:
             yield real_expm_action(lap, p0, t)
     elif walker == "dtrw":
-        # each grid point continues from the previous one
+        # one transition matrix; each grid point continues from the previous one
+        walk = classical.row_stochastic(gc)
         p, done = p0, 0
         for n in grid:
-            p, done = classical.dtrw_evolve(gc, p, n - done), n
+            p, done = classical.dtrw_evolve(walk, p, n - done), n
             yield p
     elif walker == "ctqrw":
         chiral = config.hamiltonian == "chiral"
@@ -393,7 +394,10 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
         config=config,
         grid_kind=grid_kind,
         records=tuple(records),
-        graph_summary={"graph": stats, "gc": graph_stats(gc)},
+        # gc is one component, so its stats need no second labelling
+        graph_summary={"graph": stats, "gc": {
+            "nodes": gc.n, "edges": gc.edge_count, "fragments": 1,
+            "gc_nodes": gc.n, "gc_edges": gc.edge_count}},
         module_summary=module_summary,
     )
 
@@ -542,6 +546,7 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     sym = symmetrized_view(cci)
     n = sym.n
     isolated = degree_vector(sym) == 0
+    walk = classical.row_stochastic(sym)
     arcs = dtqrw.arc_basis(sym)
     starts = {"dtrw": np.arange(n), "dtqrw": np.flatnonzero(~isolated)}
     walkers = {}
@@ -552,7 +557,7 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
             if walker == "dtrw":
                 delta = np.zeros((n, chunk.size))
                 delta[chunk, np.arange(chunk.size)] = 1.0
-                block = classical.dtrw_evolve(sym, delta, config.steps)
+                block = classical.dtrw_evolve(walk, delta, config.steps)
             else:
                 psi = dtqrw.initial_arc_block(arcs, chunk)
                 block = dtqrw.node_probabilities(arcs, dtqrw.evolve(arcs, psi, config.steps))

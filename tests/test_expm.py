@@ -5,6 +5,8 @@ full dense matrix; the library itself never forms the exponential, so
 agreement is a genuine cross-check rather than a tautology.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,7 +21,9 @@ from netqwalk.expm import (
     expm_action,
     real_expm_action,
 )
-from netqwalk.graphs import graph_from_edges, laplacian
+from netqwalk.graphs import graph_from_edges, greatest_component, laplacian, read_edge_list
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def random_hermitian(rng, n, density=0.4, real=False):
@@ -272,6 +276,27 @@ def test_long_time_lanczos_splitting():
     got = expm_action(h, v, t, backend="lanczos", tol=1e-10)
     ref = oracle_expm(h, v, -1j * t)
     assert np.max(np.abs(got - ref)) < 1e-7
+
+
+def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(monkeypatch):
+    # 490 nodes: the subspace stops well short of n, and t = 5 and 10 split
+    # into substeps; the per-action iteration counts pin the stopping rule
+    g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
+    h = ctqrw.build_hamiltonian(g, "chiral", ctqrw.random_chiral_phases(g, 0))
+    v = np.ones(g.n) / np.sqrt(g.n)
+    calls = []
+    eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    for t, iterations in ((0.5, 20), (2.0, 37), (5.0, 102), (10.0, 190)):
+        calls.clear()
+        got = expm_action(h, v, t, backend="lanczos")
+        assert len(calls) == iterations
+        assert np.max(np.abs(got - expm_action(h, v, t, backend="dense"))) < 1e-9
 
 
 def test_expm_action_input_validation():

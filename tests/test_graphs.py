@@ -7,6 +7,7 @@ from netqwalk.graphs import (
     CciValidationError,
     GraphFormatError,
     LabeledGraph,
+    _merge_edges,
     adjacency_matrix,
     build_cci_graph,
     connected_components,
@@ -50,6 +51,20 @@ def test_duplicate_weighted_edges_sum():
     )
     assert g.edge_count == 1
     assert adjacency_matrix(g)[0, 1] == 2.0
+
+
+def test_merge_edges_sums_weighted_duplicates_in_row_order():
+    edges = [(2, 0), (0, 2), (1, 1), (0, 1), (2, 0), (3, 1), (1, 0), (0, 3)]
+    weights = [0.5, 1.25, 9.0, 2.0, 0.25, 1.0, 4.0, 0.5]
+    uniq, merged, n_loops = _merge_edges(edges, weights, directed=False)
+    assert uniq.tolist() == [[0, 1], [0, 2], [0, 3], [1, 3]]
+    assert merged.tolist() == [6.0, 2.0, 0.5, 1.0]
+    assert n_loops == 1
+    uniq, merged, n_loops = _merge_edges(edges, weights, directed=True)
+    assert uniq.tolist() == [[0, 1], [0, 2], [0, 3], [1, 0], [2, 0], [3, 1]]
+    assert merged.tolist() == [2.0, 1.25, 0.5, 4.0, 0.75, 1.0]
+    assert n_loops == 1
+    assert uniq.dtype == np.int64 and merged.dtype == np.float64
 
 
 def test_load_edge_list_comments_blanks_and_weights():

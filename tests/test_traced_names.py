@@ -5,9 +5,11 @@ arguments, and the spans it requires must still be reached.
 argument (``steps``, ``n_iter``) per call; a rename there only shows up as
 a failed traced benchmark pass.  The first test resolves every target the
 same way, without installing the tracer.  The tracer also patches
-``scipy.linalg.eigh`` as the ``expm.spectral`` span; the second test counts
-those calls in one continuous sweep.  The last test counts the walker calls
-of one CCI run, which evolves its start nodes in column blocks.
+``scipy.linalg.eigh`` as the ``expm.spectral`` span and counts
+``scipy.linalg.eigh_tridiagonal`` calls as ``expm.krylov_iters``; the next
+tests count those calls in one continuous sweep each.  The last tests count
+the transition-matrix builds of a dtrw sweep and the walker calls of one CCI
+run, which evolves its start nodes in column blocks.
 """
 
 import importlib.util
@@ -19,7 +21,7 @@ import pytest
 import scipy.linalg
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk import classical, dtqrw
+from netqwalk import classical, ctqrw, dtqrw, expm
 from netqwalk.pipeline import (
     _CCI_CHUNK,
     CciConfig,
@@ -52,26 +54,60 @@ def test_every_traced_function_resolves_with_its_step_argument():
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace ``module.name`` with a wrapper that appends to ``calls``."""
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _run_fixture(**fields):
+    return run_prioritization(ExperimentConfig(
+        graph_path=DATA / "synthetic_ppi.tsv",
+        scores_path=DATA / "synthetic_scores.tsv",
+        targets_path=DATA / "synthetic_targets.tsv",
+        **fields,
+    ))
+
+
 @pytest.mark.parametrize("walker", ["ctqrw", "ctrw"])
 def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
     # the benchmark's must-hit ``expm.spectral`` span wraps scipy.linalg.eigh,
     # and the sweep must reuse one cached decomposition for every grid point
     calls = []
-    eigh = scipy.linalg.eigh
-
-    def counting_eigh(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
-    result = run_prioritization(ExperimentConfig(
-        graph_path=DATA / "synthetic_ppi.tsv",
-        scores_path=DATA / "synthetic_scores.tsv",
-        targets_path=DATA / "synthetic_targets.tsv",
-        walker=walker, t_max=2.0,
-    ))
+    _count_calls(monkeypatch, scipy.linalg, "eigh", calls)
+    result = _run_fixture(walker=walker, t_max=2.0)
     assert len(result.records) == 21
     assert len(calls) == 1
+
+
+def test_chiral_collapse_sweep_reaches_the_krylov_counter(monkeypatch):
+    # the benchmark's must-hit ``expm.krylov_iters`` counts
+    # scipy.linalg.eigh_tridiagonal calls; with the dense backend switched
+    # off, the fixture runs the krylov-collapse command shape: one action
+    # per grid point (51) plus one per collapse (4)
+    monkeypatch.setattr(expm, "DENSE_LIMIT", 0)
+    iterations, actions = [], []
+    _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", iterations)
+    _count_calls(monkeypatch, ctqrw, "expm_action", actions)
+    result = _run_fixture(
+        walker="ctqrw", hamiltonian="chiral", t_max=5.0, collapse_times=(1, 2, 3, 4)
+    )
+    assert len(result.records) == 51
+    assert len(iterations) >= 1
+    assert len(actions) == 55
+
+
+def test_dtrw_sweep_builds_one_transition_matrix(monkeypatch):
+    built = []
+    _count_calls(monkeypatch, classical, "row_stochastic", built)
+    result = _run_fixture(walker="dtrw")
+    assert len(result.records) > 1
+    assert len(built) == 1
 
 
 def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
@@ -80,25 +116,15 @@ def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
     # ``dtrw_evolve`` and ``dtqrw.evolve`` are must-hit spans on the benchmark's
     # ``cci`` workload; a run must reach both, with one call per chunk of
     # start nodes rather than one per node
-    calls = {"row_stochastic": 0, "dtrw_evolve": 0, "evolve": 0}
-
-    def count(module, name):
-        fn = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(classical, "row_stochastic")
-    count(classical, "dtrw_evolve")
-    count(dtqrw, "evolve")
+    built, dtrw_walks, dtqrw_walks = [], [], []
+    _count_calls(monkeypatch, classical, "row_stochastic", built)
+    _count_calls(monkeypatch, classical, "dtrw_evolve", dtrw_walks)
+    _count_calls(monkeypatch, dtqrw, "evolve", dtqrw_walks)
     nodes, edges, target = four_layer_cci
     result = run_cci_analysis(CciConfig(nodes, edges, steps=5, targets=(target,)))
     n = result.cci.graph.n
     launched = n - len(result.walkers["dtqrw"].zero_rows)
     assert launched > 2 * _CCI_CHUNK
-    assert calls["row_stochastic"] <= calls["dtrw_evolve"]
-    assert 1 <= calls["dtrw_evolve"] <= -(-n // _CCI_CHUNK)
-    assert 1 <= calls["evolve"] <= -(-launched // _CCI_CHUNK)
+    assert len(built) == 1
+    assert 1 <= len(dtrw_walks) <= -(-n // _CCI_CHUNK)
+    assert 1 <= len(dtqrw_walks) <= -(-launched // _CCI_CHUNK)
