@@ -26,7 +26,11 @@ lanczos
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -144,6 +148,34 @@ def _dense_apply(op: SparseHermitian, v: np.ndarray, scale: complex) -> np.ndarr
     return _real_matmul(vec, np.exp(scale * w) * _real_matmul(vec.T, v))
 
 
+@cache
+def _openblas_threads():
+    """``(get, set)`` thread-count calls of numpy's bundled OpenBLAS, or None."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_"):
+            if hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the body, then restore it.
+
+    The Lanczos GEMVs on at most 121 x n blocks gain little from threads,
+    and while other processes load the CPUs every threaded call waits for
+    a descheduled worker: run times swung by 2-3x.
+    """
+    get, put = _openblas_threads() or (lambda: None, lambda _: None)
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _lanczos_apply(
     a: sp.csr_matrix, v: np.ndarray, scale: complex, tol: float
 ) -> np.ndarray | None:
@@ -223,7 +255,8 @@ def _action(
     if backend == "dense":
         return _dense_apply(op, v, unit * t)
     if backend == "lanczos":
-        return _krylov_action(op, v, unit, t, tol)
+        with _one_blas_thread():
+            return _krylov_action(op, v, unit, t, tol)
     raise ValueError(f"unknown backend {backend!r}")
 
 

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from netqwalk import ctqrw
+from netqwalk import ctqrw, expm
 from netqwalk.expm import (
     ConvergenceError,
     HermiticityError,
@@ -396,3 +396,33 @@ def test_diffusion_zero_time_exact():
     p0 = np.array([0.2, 0.3, 0.5])
     out = real_expm_action(lap, p0, 0.0)
     assert np.array_equal(out, p0)
+
+
+def test_lanczos_action_runs_on_one_blas_thread_and_restores_it(monkeypatch):
+    calls = expm._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread calls are not available")
+    get, put = calls
+    seen = []
+    kernel = expm._lanczos_apply
+
+    def spy(*args):
+        seen.append(get())
+        return kernel(*args)
+
+    monkeypatch.setattr(expm, "_lanczos_apply", spy)
+    rng = np.random.default_rng(8)
+    h = random_hermitian(rng, 30)
+    v = rng.standard_normal(30) + 0j
+    threads = get()
+    put(2)
+    try:
+        out = expm_action(h, v, 3.0, backend="lanczos")
+        assert seen and set(seen) == {1}
+        assert get() == 2
+        with pytest.raises(RuntimeError), expm._one_blas_thread():
+            raise RuntimeError
+        assert get() == 2
+    finally:
+        put(threads)
+    assert np.allclose(out, oracle_expm(h, v, -3.0j), atol=1e-9)
