@@ -6,6 +6,9 @@ self-loops are dropped at construction and duplicate edges are merged by
 summing their weights.  All walk modules operate on these graphs through
 the sparse matrix views built here (adjacency, degree, Laplacian).
 
+Input tables are parsed whole, a column at a time, by :func:`read_table`;
+a table that fails its checks is read again row by row to name the line.
+
 Cell-cell interaction (CCI) networks are handled by
 :class:`PartitionedCciGraph`, a directed four-partite graph whose layers
 are ``sender -> ligand -> receptor -> receiver`` and whose edges may only
@@ -16,7 +19,9 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,6 +30,9 @@ from scipy.sparse import csgraph
 logger = logging.getLogger(__name__)
 
 CCI_LAYERS = ("sender", "ligand", "receptor", "receiver")
+
+# a run of whitespace inside one line; ``str.split()`` splits on the same set
+_BLANKS = re.compile(r"[^\S\n]+")
 
 
 class GraphFormatError(ValueError):
@@ -62,6 +70,9 @@ class LabeledGraph:
     directed: bool = False
     weights: np.ndarray | None = None
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _components: ComponentDecomposition | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -128,6 +139,17 @@ def _merge_edges(
     return np.stack([keys // n, keys % n], axis=1), merged, n_loops
 
 
+def _indexed_graph(ends, weights, directed: bool, nodes=()) -> LabeledGraph:
+    """Graph of endpoint labels ``u0, v0, u1, ...``, indexed by first appearance."""
+    labels = tuple(dict.fromkeys(chain(nodes, ends)))
+    index = dict(zip(labels, range(len(labels))))
+    ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+    edges, merged, n_loops = _merge_edges(ids.reshape(-1, 2), weights, directed)
+    if n_loops:
+        logger.warning("dropped %d self-loop(s) during graph construction", n_loops)
+    return LabeledGraph(labels, edges, directed=directed, weights=merged)
+
+
 def graph_from_edges(
     edge_list,
     directed: bool = False,
@@ -139,38 +161,19 @@ def graph_from_edges(
     edge endpoints).  Duplicate edges are merged with weight summation and
     self-loops are dropped with a counted warning.
     """
-    labels: list[str] = []
-    index: dict[str, int] = {}
-
-    def at(label) -> int:
-        label = str(label)
-        if label not in index:
-            index[label] = len(labels)
-            labels.append(label)
-        return index[label]
-
-    for lab in nodes or ():
-        at(lab)
-    pairs = []
-    weights = []
-    for item in edge_list:
-        u, v = item[0], item[1]
-        w = float(item[2]) if len(item) > 2 else 1.0
-        pairs.append((at(u), at(v)))
-        weights.append(w)
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    edges, merged, n_loops = _merge_edges(edges, np.asarray(weights), directed)
-    if n_loops:
-        logger.warning("dropped %d self-loop(s) during graph construction", n_loops)
-    return LabeledGraph(tuple(labels), edges, directed=directed, weights=merged)
+    items = list(edge_list)
+    ends = [str(label) for item in items for label in (item[0], item[1])]
+    weights = np.array([float(item[2]) if len(item) > 2 else 1.0 for item in items])
+    return _indexed_graph(ends, weights, directed, map(str, nodes or ()))
 
 
 def table_rows(text: str, widths, form: str, table: str, sep: str | None = "\t"):
     """Yield ``(line number, fields)`` for each data row of a headerless table.
 
     Lines starting with ``#`` and blank lines are skipped.  Fields are split
-    on ``sep`` (any whitespace when ``None``) and whitespace-trimmed.  Rows
-    are yielded as they are read, so the caller makes the only pass.
+    on ``sep`` (any whitespace when ``None``) and whitespace-trimmed.  This
+    line-numbered reader runs only to name the bad line of a table that
+    :func:`read_table` rejected.
 
     Raises
     ------
@@ -195,6 +198,42 @@ def table_rows(text: str, widths, form: str, table: str, sep: str | None = "\t")
         raise GraphFormatError(f"empty {table}: no data rows found")
 
 
+def read_table(text: str, widths, form: str, table: str, sep="\t", number=None, unique=False):
+    """Fields of a headerless table, split as :func:`table_rows` splits it;
+    ``sep`` is a tab, or ``None`` for any run of whitespace.
+
+    Returns a ``(rows, max(widths))`` object array (``None`` past the end of
+    a short row), each row's field count, and the values of the column
+    ``number = (column, what, upper)`` checked as by :func:`parse_nonnegative`.
+    With ``unique``, first fields may not repeat.  A table that fails a check
+    is read again by :func:`table_rows`, so the error names its first bad line.
+    """
+    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    if sep is None and rows:
+        rows = _BLANKS.sub("\t", "\n".join(rows)).split("\n")
+    width = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
+    flat = list(map(str.strip, "\t".join(rows).split("\t")))
+    if rows and "" not in flat and np.isin(width, widths).all():
+        fields = np.full((len(rows), max(widths)), None, dtype=object)
+        row = np.repeat(np.arange(len(rows)), width)
+        col = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
+        fields[row, col] = np.array(flat, dtype=object)
+        values = ()
+        if number:
+            j, _, upper = number
+            values = _nonnegative_column(fields[width > j, j], upper)
+        if values is not None and not (unique and len(set(fields[:, 0].tolist())) < len(rows)):
+            return fields, width, values
+    seen = set()
+    for lineno, f in table_rows(text, widths, form, table, sep):
+        if unique and f[0] in seen:
+            raise GraphFormatError(f"line {lineno}: duplicate label {f[0]!r}")
+        seen.add(f[0])
+        if number and len(f) > number[0]:
+            parse_nonnegative(f[number[0]], lineno, *number[1:])
+    raise AssertionError(f"the row reader accepts a {table} that read_table rejects")
+
+
 def parse_nonnegative(field: str, lineno: int, what: str, upper: float) -> float:
     """``float(field)`` checked to be finite and in ``[0, upper]``, else a
     :class:`GraphFormatError` naming line ``lineno`` and ``what`` it holds."""
@@ -212,6 +251,15 @@ def parse_nonnegative(field: str, lineno: int, what: str, upper: float) -> float
     return x
 
 
+def _nonnegative_column(fields, upper: float) -> np.ndarray | None:
+    """:func:`parse_nonnegative` of a column, or ``None`` if a field fails it."""
+    try:
+        x = np.fromiter(map(float, fields), np.float64, len(fields))
+    except ValueError:
+        return None
+    return x if np.all(np.isfinite(x) & (x >= 0.0) & (x <= upper)) else None
+
+
 def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     """Parse a tab-separated edge list ``u<TAB>v[<TAB>w]``.
 
@@ -225,11 +273,12 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     GraphFormatError
         On a malformed row (with its line number) or empty input.
     """
-    rows = []
-    for lineno, f in table_rows(text, (2, 3), "u<TAB>v[<TAB>w]", "edge list"):
-        w = parse_nonnegative(f[2], lineno, "weight", math.inf) if len(f) == 3 else 1.0
-        rows.append((f[0], f[1], w))
-    return graph_from_edges(rows, directed=directed)
+    fields, width, w = read_table(
+        text, (2, 3), "u<TAB>v[<TAB>w]", "edge list", number=(2, "weight", math.inf)
+    )
+    weights = np.ones(width.size)
+    weights[width == 3] = w
+    return _indexed_graph(fields[:, :2].ravel().tolist(), weights, directed)
 
 
 def read_edge_list(path) -> LabeledGraph:
@@ -304,13 +353,13 @@ class ComponentDecomposition:
 
 
 def connected_components(g: LabeledGraph) -> ComponentDecomposition:
-    """Decompose ``g`` into (weakly) connected components."""
-    if g.n == 0:
-        return ComponentDecomposition(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-    a = adjacency_matrix(g)
-    _, comp = csgraph.connected_components(a, directed=g.directed, connection="weak")
-    sizes = np.sort(np.bincount(comp))[::-1]
-    return ComponentDecomposition(comp, sizes)
+    """Decompose ``g`` into (weakly) connected components, once per graph."""
+    if g._components is None:
+        a = adjacency_matrix(g)
+        _, comp = csgraph.connected_components(a, directed=g.directed, connection="weak")
+        sizes = np.sort(np.bincount(comp))[::-1]
+        object.__setattr__(g, "_components", ComponentDecomposition(comp, sizes))
+    return g._components
 
 
 def node_subgraph(g: LabeledGraph, node_indices) -> LabeledGraph:
@@ -467,12 +516,9 @@ def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:
 
 def parse_node_layers(text: str) -> list[tuple[str, str]]:
     """Parse a node-layer TSV (``label<TAB>layer``) into (label, layer) pairs."""
-    return [
-        (f[0], f[1])
-        for _, f in table_rows(text, (2,), "label<TAB>layer", "node-layer table")
-    ]
+    return list(map(tuple, read_table(text, (2,), "label<TAB>layer", "node-layer table")[0]))
 
 
 def parse_label_pairs(text: str) -> list[tuple[str, str]]:
     """Parse a two-column TSV of label pairs (comments and blanks skipped)."""
-    return [(f[0], f[1]) for _, f in table_rows(text, (2,), "u<TAB>v", "edge table")]
+    return list(map(tuple, read_table(text, (2,), "u<TAB>v", "edge table")[0]))

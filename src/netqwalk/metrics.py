@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .graphs import LabeledGraph, PartitionedCciGraph
 
@@ -159,6 +158,9 @@ def pairwise_distance_matrix(profiles) -> np.ndarray:
             raise ValueError(
                 f"profile {i} has dimension {row.shape[0]}, expected {dim}"
             )
+    # imported here so that only ``cci``, which measures distances, pays for it
+    from scipy.spatial.distance import cdist
+
     mat = np.vstack(rows)
     d = cdist(mat, mat)
     d = 0.5 * (d + d.T)

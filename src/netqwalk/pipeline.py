@@ -35,10 +35,9 @@ from .graphs import (
     laplacian,
     parse_label_pairs,
     parse_node_layers,
-    parse_nonnegative,
     read_edge_list,
+    read_table,
     symmetrized_view,
-    table_rows,
 )
 from .metrics import (
     _rank,
@@ -94,19 +93,16 @@ def parse_score_table(text: str) -> dict[str, float]:
     values or values outside [0, 1] are rejected with the offending line
     number.
     """
-    table: dict[str, float] = {}
-    for lineno, (label, value) in table_rows(
-        text, (2,), "label value", "score table", sep=None
-    ):
-        if label in table:
-            raise ValueError(f"line {lineno}: duplicate label {label!r}")
-        table[label] = parse_nonnegative(value, lineno, "p-value", 1.0)
-    return table
+    fields, _, p = read_table(
+        text, (2,), "label value", "score table",
+        sep=None, number=(1, "p-value", 1.0), unique=True,
+    )
+    return dict(zip(fields[:, 0].tolist(), p.tolist()))
 
 
 def read_score_table(path) -> dict[str, float]:
-    """Read a ``label<TAB>p-value`` table from ``path``."""
-    return parse_score_table(Path(path).read_text())
+    """Read a ``label<TAB>p-value`` table (UTF-8) from ``path``."""
+    return parse_score_table(Path(path).read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -418,7 +414,7 @@ def _csv_cell(text: str) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def emit_reports(result: SweepResult, out_dir) -> list[Path]:
@@ -434,7 +430,7 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
     k_list = result.config.k_list
 
     sweep_path = out / SWEEP_CSV
-    with sweep_path.open("w", newline="") as fh:
+    with sweep_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["walker", "grid_kind", "grid_value"]
@@ -538,8 +534,8 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     and ``dtqrw.transition_profile`` exactly.
     """
     cci = build_cci_graph(
-        parse_node_layers(Path(config.nodes_path).read_text()),
-        parse_label_pairs(Path(config.edges_path).read_text()),
+        parse_node_layers(Path(config.nodes_path).read_text(encoding="utf-8")),
+        parse_label_pairs(Path(config.edges_path).read_text(encoding="utf-8")),
     )
     for t in config.targets:
         cci.graph.index(t)  # raises KeyError for unknown labels
@@ -589,14 +585,14 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
         dist_path = out / f"cci_{walker}_distances.csv"
         supp_path = out / f"cci_{walker}_support.tsv"
         for path, matrix in ((prof_path, output.profiles), (dist_path, output.distances)):
-            with path.open("w", newline="") as fh:
+            with path.open("w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerow(["node"] + list(labels))
                 # one row of Python floats at a time keeps the peak memory flat
                 fh.writelines(
                     cell + row_values % tuple(row.tolist())
                     for cell, row in zip(row_cells, matrix)
                 )
-        with supp_path.open("w") as fh:
+        with supp_path.open("w", encoding="utf-8") as fh:
             fh.write("# directed support edges: tail<TAB>head\n")
             for j, k in output.support.edges:
                 fh.write(f"{labels[j]}\t{labels[k]}\n")

@@ -1,10 +1,11 @@
 """Tests for the command-line interface.
 
 Everything runs in process through ``cli.main`` so exit codes, stdout and
-environment overrides can be asserted without subprocess overhead.  The
-BLAS thread-count test is the exception: OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` once at import, so each setting needs a fresh
-interpreter.
+environment overrides can be asserted without subprocess overhead.  Three
+kinds of test need a fresh interpreter: the BLAS thread-count test, because
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once at import; the text-encoding
+test, which runs with ``EncodingWarning`` turned into an error; and the
+import-set test.
 """
 
 import json
@@ -157,6 +158,14 @@ def test_prioritize_repeated_k_is_exit_1(data, capsys):
 FIXTURES = Path(__file__).resolve().parent.parent / "data"
 
 
+def _child_env(**extra):
+    """The environment plus ``extra``, with this checkout's ``src`` on the path."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "walker_args",
     [
@@ -172,12 +181,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "data"
 def test_prioritize_sweep_is_independent_of_blas_threads(tmp_path, walker_args):
     # The continuous walkers return tied probabilities with rounding noise
     # that changes with the BLAS thread count; no walker's digest may follow it.
-    src = str(Path(cli.__file__).resolve().parent.parent)
     sweeps = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = _child_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run(
             [
                 sys.executable, "-m", "netqwalk.cli", "prioritize",
@@ -190,6 +197,46 @@ def test_prioritize_sweep_is_independent_of_blas_threads(tmp_path, walker_args):
         )
         sweeps.append((out / "sweep.csv").read_bytes())
     assert sweeps[0] == sweeps[1]
+
+
+@pytest.mark.parametrize("command", ["prioritize", "cci", "graph-stats"])
+def test_every_file_is_read_and_written_as_utf8(command, tmp_path):
+    # a file opened without an encoding takes the locale's, so a non-ASCII
+    # label would read differently from one table to the next
+    args = {
+        "prioritize": [
+            "--graph", FIXTURES / "synthetic_ppi.tsv",
+            "--scores", FIXTURES / "synthetic_scores.tsv",
+            "--targets", FIXTURES / "synthetic_targets.tsv", "--out", tmp_path,
+        ],
+        "cci": [
+            "--nodes", FIXTURES / "cci_nodes.tsv", "--edges", FIXTURES / "cci_edges.tsv",
+            "--targets", "C1", "--out", tmp_path,
+        ],
+        "graph-stats": ["--graph", FIXTURES / "synthetic_ppi.tsv"],
+    }[command]
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "netqwalk.cli", command, *map(str, args),
+        ],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_cli_import_leaves_scipy_spatial_and_special_unloaded():
+    # only ``cci`` measures distances, so only it pays for scipy.spatial
+    probe = (
+        "import sys, netqwalk.cli; "
+        "print([m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_usage_errors_are_exit_1_not_systemexit(capsys):

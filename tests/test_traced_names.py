@@ -8,8 +8,9 @@ same way, without installing the tracer.  The tracer also patches
 ``scipy.linalg.eigh`` as the ``expm.spectral`` span and counts
 ``scipy.linalg.eigh_tridiagonal`` calls as ``expm.krylov_iters``; the next
 tests count those calls in one continuous sweep each.  The last tests count
-the transition-matrix builds of a dtrw sweep and the walker calls of one CCI
-run, which evolves its start nodes in column blocks.
+the component labellings of one prioritization, the transition-matrix
+builds of a dtrw sweep and the walker calls of one CCI run, which evolves
+its start nodes in column blocks.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
+from scipy.sparse import csgraph
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
 from netqwalk import classical, ctqrw, dtqrw, expm
@@ -100,6 +102,15 @@ def test_chiral_collapse_sweep_reaches_the_krylov_counter(monkeypatch):
     assert len(result.records) == 51
     assert len(iterations) >= 1
     assert len(actions) == 55
+
+
+def test_prioritization_labels_the_components_once(monkeypatch):
+    # ``graph_stats`` and ``greatest_component`` (the must-hit
+    # ``graphs.component`` span) share one labelling of the input graph
+    calls = []
+    _count_calls(monkeypatch, csgraph, "connected_components", calls)
+    _run_fixture(walker="rwr")
+    assert len(calls) == 1
 
 
 def test_dtrw_sweep_builds_one_transition_matrix(monkeypatch):
