@@ -186,4 +186,25 @@ def dtrw_transition_profile(g: LabeledGraph, source: int, steps: int) -> np.ndar
 
 def ctrw_evolve(g: LabeledGraph, p0, t: float) -> np.ndarray:
     """Continuous-time diffusion ``exp(-L t) p0`` on an undirected graph."""
-    return real_expm_action(as_hermitian(laplacian(g)), p0, t)
+    return next(ctrw_sweep(g, p0, (t,), None))
+
+
+def rwr_sweep(g: LabeledGraph, p0, grid, config):
+    """The restart walk's steady state, the one point of its grid."""
+    yield rwr_steady_state(g, p0, config.alpha)
+
+
+def ctrw_sweep(g: LabeledGraph, p0, grid, config):
+    """Diffusion from ``p0`` at each ``grid`` time; the Laplacian is decomposed once."""
+    lap = as_hermitian(laplacian(g))
+    for t in grid:
+        yield real_expm_action(lap, p0, t)
+
+
+def dtrw_sweep(g: LabeledGraph, p0, grid, config):
+    """The walk at each step count of ``grid``, continuing from the one before."""
+    walk = row_stochastic(g)
+    p, done = p0, 0
+    for n in grid:
+        p, done = dtrw_evolve(walk, p, n - done), n
+        yield p

@@ -26,7 +26,6 @@ from .graphs import graph_stats, read_edge_list
 from .pipeline import (
     CciConfig,
     ExperimentConfig,
-    RWR_MODES,
     WALKERS,
     emit_cci_reports,
     emit_reports,
@@ -113,10 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(pri, "--seed-thresh", type=float, help="seed p-value cutoff")
     _add(pri, "--target-thresh", type=float, help="target p-value cutoff")
     _add(pri, "--rng-seed", type=int, help="seed for random phases")
-    _add(
-        pri, "--rwr-mode", choices=RWR_MODES,
-        help="restart walk sweep: steady state or truncated iterations",
-    )
     _add(pri, "--out", required=True, help="output directory")
 
     cci = sub.add_parser(

@@ -243,3 +243,21 @@ def measure(psi) -> np.ndarray:
     out = prob / total
     out.setflags(write=False)
     return out
+
+
+def sweep(g: LabeledGraph, p0, grid, config):
+    """Measured walk from ``p0`` at each time of ``grid``, with ``config``'s collapses."""
+    chiral = config.hamiltonian == "chiral"
+    phases = random_chiral_phases(g, config.rng_seed) if chiral else None
+    h = build_hamiltonian(g, config.hamiltonian, phases)
+    # continue from the state right after the latest collapse before t,
+    # which repeats the operations of replaying the schedule from 0;
+    # evolving from the previous grid point would change the rounding
+    psi, start = initial_state_from_scores(p0), 0.0
+    pending = list(config.collapse_times)
+    for t in grid:
+        while pending and pending[0] < t:
+            tc = pending.pop(0)
+            psi = collapse(evolve_with_collapses(h, psi, tc - start))
+            start = tc
+        yield measure(evolve_with_collapses(h, psi, t - start))

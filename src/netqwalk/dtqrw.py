@@ -217,3 +217,12 @@ def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     idx = g.index(source) if isinstance(source, str) else int(source)
     psi = evolve(arcs, initial_arc_state(arcs, idx), steps)
     return node_probabilities(arcs, psi)
+
+
+def sweep(g: LabeledGraph, p0, grid, config):
+    """Node probabilities at each step count of ``grid``, continuing from the last."""
+    arcs = arc_basis(g)
+    psi, done = arc_state_from_scores(arcs, p0), 0
+    for n in grid:
+        psi, done = evolve(arcs, psi, n - done), n
+        yield node_probabilities(arcs, psi)

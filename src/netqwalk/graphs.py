@@ -76,9 +76,10 @@ class LabeledGraph:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        if len(set(labels)) != len(labels):
-            raise GraphFormatError("node labels must be unique")
         n = len(labels)
+        index = dict(zip(labels, range(n)))
+        if len(index) != n:
+            raise GraphFormatError("node labels must be unique")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError("edge indices out of range")
@@ -97,7 +98,7 @@ class LabeledGraph:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", _frozen(edges))
         object.__setattr__(self, "weights", _frozen(weights))
-        object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def n(self) -> int:

@@ -2,7 +2,7 @@
 
 The prioritization driver loads an interactome, restricts it to the
 greatest connected component, seeds a walker from significance-filtered
-genes, sweeps the walk parameter (time, steps, or restart iterations),
+genes, sweeps the walk parameter (time or steps; rwr has one point),
 and scores the resulting rankings against a held-out target set with
 precision@K and average precision@K.  The cell-cell-interaction driver
 runs discrete walkers over a symmetrized multipartite graph, compares
@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, ctqrw, dtqrw
-from .expm import as_hermitian, real_expm_action
 from .graphs import (
     LabeledGraph,
     PartitionedCciGraph,
@@ -32,7 +31,6 @@ from .graphs import (
     degree_vector,
     graph_stats,
     greatest_component,
-    laplacian,
     parse_label_pairs,
     parse_node_layers,
     read_edge_list,
@@ -50,10 +48,16 @@ from .metrics import (
 
 logger = logging.getLogger(__name__)
 
-WALKERS = ("rwr", "ctrw", "dtrw", "ctqrw", "dtqrw")
-CONTINUOUS_WALKERS = ("ctrw", "ctqrw")
-DISCRETE_WALKERS = ("dtrw", "dtqrw")
-RWR_MODES = ("steady", "iterations")
+#: walker -> (grid kind, sweep).  ``sweep(gc, p0, grid, config)`` yields one
+#: node distribution per grid value, in grid order.
+SWEEPS = {
+    "rwr": ("steady", classical.rwr_sweep),
+    "ctrw": ("time", classical.ctrw_sweep),
+    "dtrw": ("steps", classical.dtrw_sweep),
+    "ctqrw": ("time", ctqrw.sweep),
+    "dtqrw": ("steps", dtqrw.sweep),
+}
+WALKERS = tuple(SWEEPS)
 
 SWEEP_CSV = "sweep.csv"
 SUMMARY_JSON = "summary.json"
@@ -69,7 +73,7 @@ _DIGEST_TOP = 10
 # products round in a fixed order, so the reports are still reproducible.
 # The ``discrete-large`` references in ``perfbench/reference/`` hold this
 # order; drop the exception when they are recorded again (ROADMAP item 1).
-_EXACT_TIE_WALKERS = DISCRETE_WALKERS
+_EXACT_TIE_WALKERS = ("dtrw", "dtqrw")
 
 
 def _reject_repeats(values, what: str) -> None:
@@ -166,10 +170,8 @@ class ExperimentConfig:
     """One prioritization run: data paths, walker, grid, and evaluation.
 
     Continuous walkers sweep ``t = 0, t_step, ..., t_max``; discrete
-    walkers sweep ``1..steps_max`` steps.  Restart walks default to the
-    single steady state of the restart equation; ``rwr_mode =
-    'iterations'`` instead sweeps truncated iteration counts, since a
-    time axis for restart walks can be read either way.
+    walkers sweep ``1..steps_max`` steps.  The restart walk has one grid
+    point, the steady state of the restart equation.
     """
 
     graph_path: str
@@ -186,7 +188,6 @@ class ExperimentConfig:
     seed_thresh: float = 0.01
     target_thresh: float = 5e-8
     rng_seed: int = 0
-    rwr_mode: str = "steady"
 
     def __post_init__(self) -> None:
         if self.walker not in WALKERS:
@@ -201,8 +202,6 @@ class ExperimentConfig:
             raise ValueError("steps_max must be >= 1")
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ValueError("k_list must be nonempty with every K >= 1")
-        if self.rwr_mode not in RWR_MODES:
-            raise ValueError(f"rwr_mode must be one of {RWR_MODES}")
         if self.collapse_times and self.walker != "ctqrw":
             raise ValueError("a collapse schedule requires walker='ctqrw'")
         # normalize path and sequence fields and validate the collapse schedule
@@ -218,14 +217,13 @@ class ExperimentConfig:
 
     def grid_points(self) -> tuple[str, tuple]:
         """(kind, values) of the sweep grid for the configured walker."""
-        if self.walker in CONTINUOUS_WALKERS:
+        kind = SWEEPS[self.walker][0]
+        if kind == "time":
             count = int(np.floor(self.t_max / self.t_step + 1e-9))
-            return "time", tuple(round(i * self.t_step, 10) for i in range(count + 1))
-        if self.walker in DISCRETE_WALKERS:
-            return "steps", tuple(range(1, self.steps_max + 1))
-        if self.rwr_mode == "steady":
-            return "steady", (0.0,)
-        return "iterations", tuple(range(1, self.steps_max + 1))
+            return kind, tuple(round(i * self.t_step, 10) for i in range(count + 1))
+        if kind == "steps":
+            return kind, tuple(range(1, self.steps_max + 1))
+        return kind, (0.0,)
 
 
 @dataclass(frozen=True)
@@ -266,50 +264,6 @@ class SweepResult:
             "n_grid_points": len(self.records),
             "per_k": per_k,
         }
-
-
-def _sweep_distributions(config: ExperimentConfig, gc: LabeledGraph, p0, grid):
-    """Yield one node-probability vector per grid value."""
-    walker = config.walker
-    if walker == "rwr":
-        if config.rwr_mode == "steady":
-            yield classical.rwr_steady_state(gc, p0, config.alpha)
-        else:
-            for n in grid:
-                yield classical.rwr_iterate(gc, p0, config.alpha, n)
-    elif walker == "ctrw":
-        # wrap the Laplacian once so its eigendecomposition is reused
-        lap = as_hermitian(laplacian(gc))
-        for t in grid:
-            yield real_expm_action(lap, p0, t)
-    elif walker == "dtrw":
-        # one transition matrix; each grid point continues from the previous one
-        walk = classical.row_stochastic(gc)
-        p, done = p0, 0
-        for n in grid:
-            p, done = classical.dtrw_evolve(walk, p, n - done), n
-            yield p
-    elif walker == "ctqrw":
-        chiral = config.hamiltonian == "chiral"
-        phases = ctqrw.random_chiral_phases(gc, config.rng_seed) if chiral else None
-        h = ctqrw.build_hamiltonian(gc, config.hamiltonian, phases)
-        # continue from the state right after the latest collapse before t,
-        # which repeats the operations of replaying the schedule from 0;
-        # evolving from the previous grid point would change the rounding
-        psi, start = ctqrw.initial_state_from_scores(p0), 0.0
-        pending = list(config.collapse_times)
-        for t in grid:
-            while pending and pending[0] < t:
-                tc = pending.pop(0)
-                psi = ctqrw.collapse(ctqrw.evolve_with_collapses(h, psi, tc - start))
-                start = tc
-            yield ctqrw.measure(ctqrw.evolve_with_collapses(h, psi, t - start))
-    else:  # dtqrw
-        arcs = dtqrw.arc_basis(gc)
-        psi, done = dtqrw.arc_state_from_scores(arcs, p0), 0
-        for n in grid:
-            psi, done = dtqrw.evolve(arcs, psi, n - done), n
-            yield dtqrw.node_probabilities(arcs, psi)
 
 
 def run_prioritization(config: ExperimentConfig) -> SweepResult:
@@ -365,8 +319,9 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
     p0 /= p0.sum()
     relevance = set(targets_in_gc)
     grid_kind, grid = config.grid_points()
+    sweep = SWEEPS[config.walker][1]
     records = []
-    for grid_value, p in zip(grid, _sweep_distributions(config, gc, p0, grid)):
+    for grid_value, p in zip(grid, sweep(gc, p0, grid, config)):
         if config.walker in _EXACT_TIE_WALKERS:
             ranking = _rank(p, gc.labels, seed_nodes, 0.0, 0.0)
         else:

@@ -88,7 +88,3 @@ def delta_distribution(n: int, i: int) -> np.ndarray:
     p = np.zeros(n)
     p[i] = 1.0
     return p
-
-
-def uniform_distribution(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)

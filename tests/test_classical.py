@@ -23,7 +23,7 @@ from netqwalk.classical import (
     rwr_steady_state,
 )
 from netqwalk.graphs import graph_from_edges, load_edge_list
-from netqwalk.states import delta_distribution, uniform_distribution
+from netqwalk.states import delta_distribution
 
 
 def random_connected_graph(rng, n):
@@ -54,7 +54,7 @@ def test_transition_matrix_validates_orientation_and_sign():
 
 def test_column_normalization_on_path():
     g = graph_from_edges([("a", "b"), ("b", "c")])
-    m = normalize_column_stochastic(g, uniform_distribution(3)).matrix.toarray()
+    m = normalize_column_stochastic(g, np.full(3, 1 / 3)).matrix.toarray()
     # node b has degree 2, so its column splits evenly
     expected = np.array([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
     assert np.allclose(m, expected, atol=1e-15)
@@ -123,7 +123,7 @@ def test_rwr_fixed_point_residual():
 def test_rwr_direct_and_power_agree(monkeypatch):
     rng = np.random.default_rng(42)
     g = random_connected_graph(rng, 25)
-    p0 = uniform_distribution(g.n)
+    p0 = np.full(g.n, 1 / g.n)
     direct = rwr_steady_state(g, p0, 0.85)
     # a size limit below the graph's node count selects power iteration
     monkeypatch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
@@ -139,7 +139,7 @@ def test_rwr_alpha_zero_returns_restart_distribution():
 
 def test_rwr_validation():
     g = graph_from_edges([("a", "b")])
-    p0 = uniform_distribution(2)
+    p0 = np.full(2, 1 / 2)
     for alpha in (-0.1, 1.0, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             rwr_steady_state(g, p0, alpha)

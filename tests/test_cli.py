@@ -8,8 +8,10 @@ test, which runs with ``EncodingWarning`` turned into an error; and the
 import-set test.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -19,7 +21,9 @@ import numpy as np
 import pytest
 
 from netqwalk import cli
-from netqwalk.pipeline import CciConfig, ExperimentConfig
+from netqwalk.pipeline import WALKERS, CciConfig, ExperimentConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 GRAPH = "a\tb\nb\tc\nc\td\nd\ta\na\tc\nd\te\ne\tf\nx\ty\n"
 SCORES = "a\t0.001\nb\t0.002\nc\t0.9\n"
@@ -91,18 +95,25 @@ def test_prioritize_writes_reports_and_summary_lines(data, capsys):
     assert len(sweep_lines) == 1 + 5  # header + grid 0, 0.5, ..., 2.0
 
 
-def test_prioritize_rwr_iterations_mode(data, capsys):
+def test_walker_list_is_one_list_and_the_rwr_mode_flag_is_gone(data, capsys):
+    # the CLI choices, the sweep table and the README name the same walkers
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    walker = next(a for a in sub.choices["prioritize"]._actions if a.dest == "walker")
+    listed = re.search(r"`--walker` ([a-z|]+)", README.read_text()).group(1)
+    assert tuple(walker.choices) == WALKERS == tuple(listed.split("|"))
+    assert WALKERS == ("rwr", "ctrw", "dtrw", "ctqrw", "dtqrw")
     code = cli.main([
         "prioritize",
         "--graph", data["graph"], "--scores", data["scores"],
         "--targets", data["targets"],
-        "--walker", "rwr", "--rwr-mode", "iterations", "--steps-max", "5",
-        "--k", "3", "--out", data["out"],
+        "--walker", "rwr", "--rwr-mode", "iterations", "--out", data["out"],
     ])
-    assert code == 0
-    sweep = (Path(data["out"]) / "sweep.csv").read_text().splitlines()
-    assert len(sweep) == 6
-    assert sweep[1].split(",")[1] == "iterations"
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --rwr-mode iterations" in err
+    assert "Traceback" not in err
 
 
 def test_prioritize_collapse_flag_parses_comma_floats(data):

@@ -86,6 +86,14 @@ def test_load_edge_list_empty_is_error():
         load_edge_list("# nothing here\n")
 
 
+def test_labeled_graph_rejects_repeated_labels_and_indexes_unique_ones():
+    with pytest.raises(GraphFormatError, match="node labels must be unique"):
+        LabeledGraph(("a", "b", "a"), np.array([[0, 1]]))
+    g = LabeledGraph(("c", "a", "b"), np.array([[0, 2]]))
+    assert [g.index(label) for label in ("a", "b", "c")] == [1, 2, 0]
+    assert "b" in g and "d" not in g
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         graph_from_edges([("a", "b", -1.0)])

@@ -23,12 +23,18 @@ from netqwalk.graphs import (
     read_edge_list,
     symmetrized_view,
 )
-from netqwalk.metrics import average_precision_at_k, rank_by_probability, walk_support_subgraph
+from netqwalk.metrics import (
+    _rank,
+    average_precision_at_k,
+    rank_by_probability,
+    walk_support_subgraph,
+)
 from netqwalk.pipeline import (
     CciConfig,
     ExperimentConfig,
+    _EXACT_TIE_WALKERS,
+    SWEEPS,
     SweepResult,
-    _sweep_distributions,
     build_seed_target_sets,
     emit_cci_reports,
     emit_reports,
@@ -142,8 +148,6 @@ def test_config_validation():
         ExperimentConfig(**base, steps_max=0)
     with pytest.raises(ValueError, match="k_list"):
         ExperimentConfig(**base, k_list=())
-    with pytest.raises(ValueError, match="rwr_mode"):
-        ExperimentConfig(**base, rwr_mode="both")
     with pytest.raises(ValueError, match="collapse"):
         ExperimentConfig(**base, walker="rwr", collapse_times=(1.0,))
     with pytest.raises(ValueError, match="increasing"):
@@ -164,10 +168,6 @@ def test_grid_points_per_walker():
     assert kind == "steps" and grid == tuple(range(1, 8))
     kind, grid = ExperimentConfig(**base, walker="rwr").grid_points()
     assert kind == "steady" and grid == (0.0,)
-    kind, grid = ExperimentConfig(
-        **base, walker="rwr", rwr_mode="iterations", steps_max=4
-    ).grid_points()
-    assert kind == "iterations" and grid == (1, 2, 3, 4)
 
 
 def test_time_grid_is_robust_to_float_step_accumulation():
@@ -232,73 +232,91 @@ def test_pipeline_matches_direct_library_calls_exactly(fixture_paths):
         assert result.records[3].ap[i] == average_precision_at_k(ranking, {"c", "d"}, k)
 
 
-def _fixture_start(gp):
-    """Greatest component of the fixture and the uniform seed distribution."""
-    gc = greatest_component(read_edge_list(gp))
-    p0 = np.zeros(gc.n)
-    for s in ("a", "b"):
-        p0[gc.index(s)] = 0.5
-    return gc, p0
-
-
-def _ranking(p, gc):
-    return rank_by_probability(p, labels=gc.labels, exclude=["a", "b"])
-
-
 def _digest(ranking):
     return hashlib.sha256("\n".join(ranking.items).encode()).hexdigest()
 
 
-def test_dtrw_and_dtqrw_sweeps_match_library(fixture_paths):
-    # each grid point continues from the previous one; every point must
-    # still equal a walk run from the start for that many steps
-    gp, sp, tp = fixture_paths
-    gc, p0 = _fixture_start(gp)
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "data"
+
+
+def _ctqrw_replay(config, gc, p0, t):
+    phases = None
+    if config.hamiltonian == "chiral":
+        phases = ctqrw.random_chiral_phases(gc, config.rng_seed)
+    h = ctqrw.build_hamiltonian(gc, config.hamiltonian, phases)
+    psi0 = ctqrw.initial_state_from_scores(p0)
+    times = [tc for tc in config.collapse_times if tc < t]
+    return ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, times))
+
+
+def _dtqrw_from_start(config, gc, p0, steps):
     arcs = dtqrw.arc_basis(gc)
-    for walker in ("dtrw", "dtqrw"):
+    psi = dtqrw.evolve(arcs, dtqrw.arc_state_from_scores(arcs, p0), steps)
+    return dtqrw.node_probabilities(arcs, psi)
+
+
+#: walker -> the public one-point call that its sweep must equal at each grid value
+_SINGLE_SHOT = {
+    "rwr": lambda config, gc, p0, _: classical.rwr_steady_state(gc, p0, config.alpha),
+    "ctrw": lambda config, gc, p0, t: classical.ctrw_evolve(gc, p0, t),
+    "dtrw": lambda config, gc, p0, steps: classical.dtrw_evolve(gc, p0, steps),
+    "ctqrw": _ctqrw_replay,
+    "dtqrw": _dtqrw_from_start,
+}
+
+#: ctqrw runs with and without collapses; one collapse falls between grid
+#: points and one exactly on a grid point, where it must not act yet
+_VARIANTS = {"ctqrw": (
+    {},
+    {"collapse_times": (0.75, 1.0)},
+    {"hamiltonian": "chiral", "rng_seed": 5, "collapse_times": (0.75, 1.0)},
+)}
+
+
+@pytest.mark.parametrize("walker", list(SWEEPS))
+def test_every_sweep_yields_the_single_shot_distribution_at_each_grid_value(walker):
+    # each grid point continues from the previous one (or from the latest
+    # collapse); every point must still equal the one-point call exactly,
+    # and the records of a prioritization run must rank those distributions
+    assert set(_SINGLE_SHOT) == set(SWEEPS)
+    paths = dict(
+        graph_path=DATA / "synthetic_ppi.tsv",
+        scores_path=DATA / "synthetic_scores.tsv",
+        targets_path=DATA / "synthetic_targets.tsv",
+    )
+    gc = greatest_component(read_edge_list(paths["graph_path"]))
+    for variant in _VARIANTS.get(walker, ({},)):
         config = ExperimentConfig(
-            graph_path=gp, scores_path=sp, targets_path=tp,
-            walker=walker, steps_max=4, k_list=(3,),
+            **paths, walker=walker, t_max=2.0, t_step=0.5, steps_max=4, k_list=(10,),
+            **variant,
         )
         result = run_prioritization(config)
         _, grid = config.grid_points()
-        swept = list(_sweep_distributions(config, gc, p0, grid))
-        assert [r.grid_value for r in result.records] == [1.0, 2.0, 3.0, 4.0]
-        for steps, swept_p, record in zip(grid, swept, result.records):
-            if walker == "dtrw":
-                p = classical.dtrw_evolve(gc, p0, steps)
+        assert [r.grid_value for r in result.records] == [float(v) for v in grid]
+        st = build_seed_target_sets(
+            read_score_table(config.scores_path), config.seed_thresh,
+            read_score_table(config.targets_path), config.target_thresh,
+        )
+        seeds = [s for s in st.seeds if s in gc]
+        targets = {t for t in st.targets if t in gc}
+        p0 = np.zeros(gc.n)
+        p0[[gc.index(s) for s in seeds]] = 1.0
+        p0 /= p0.sum()
+        swept = list(SWEEPS[walker][1](gc, p0, grid, config))
+        assert len(swept) == len(grid)
+        for value, p, record in zip(grid, swept, result.records):
+            assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
+            ref = _SINGLE_SHOT[walker](config, gc, p0, value)
+            assert np.array_equal(p, ref), (variant, value)
+            if walker in _EXACT_TIE_WALKERS:  # ROADMAP item 1
+                ranking = _rank(ref, gc.labels, [gc.index(s) for s in seeds], 0.0, 0.0)
             else:
-                psi = dtqrw.evolve(arcs, dtqrw.arc_state_from_scores(arcs, p0), steps)
-                p = dtqrw.node_probabilities(arcs, psi)
-            assert np.array_equal(swept_p, p)
-            ranking = _ranking(p, gc)
-            assert record.ranking_sha256 == _digest(ranking)
-            assert record.ap[0] == average_precision_at_k(ranking, {"c", "d"}, 3)
+                ranking = rank_by_probability(ref, labels=gc.labels, exclude=seeds)
+            assert record.ranking_sha256 == _digest(ranking), (variant, value)
+            assert record.ap[0] == average_precision_at_k(ranking, targets, 10)
 
 
-def test_collapse_sweep_matches_definition_at_every_point(fixture_paths):
-    # one collapse falls between grid points and one exactly on a grid
-    # point, where it must not act yet (collapse times strictly below t)
-    gp, sp, tp = fixture_paths
-    config = ExperimentConfig(
-        graph_path=gp, scores_path=sp, targets_path=tp,
-        walker="ctqrw", t_max=2.0, t_step=0.5, collapse_times=(0.75, 1.0), k_list=(3,),
-    )
-    result = run_prioritization(config)
-    gc, p0 = _fixture_start(gp)
-    h = ctqrw.build_hamiltonian(gc, "adjacency")
-    psi0 = ctqrw.initial_state_from_scores(p0)
-    _, grid = config.grid_points()
-    swept = list(_sweep_distributions(config, gc, p0, grid))
-    assert [r.grid_value for r in result.records] == [0.0, 0.5, 1.0, 1.5, 2.0]
-    for t, p, record in zip(grid, swept, result.records):
-        times = [tc for tc in config.collapse_times if tc < t]
-        ref = ctqrw.measure(ctqrw.evolve_with_collapses(h, psi0, t, times))
-        assert np.array_equal(p, ref)
-        assert record.ranking_sha256 == _digest(_ranking(ref, gc))
-
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def test_golden_digests_rank_structurally_equivalent_genes_by_index():
@@ -355,16 +373,15 @@ def test_rwr_steady_single_record_and_iteration_convergence(fixture_paths):
         )
     )
     assert len(steady.records) == 1
-    iterated = run_prioritization(
-        ExperimentConfig(
-            graph_path=gp, scores_path=sp, targets_path=tp,
-            walker="rwr", rwr_mode="iterations", steps_max=60, k_list=(3,),
-        )
-    )
-    assert len(iterated.records) == 60
     # the truncated iteration converges to the steady-state ranking
-    assert iterated.records[-1].ranking_sha256 == steady.records[0].ranking_sha256
-    assert iterated.records[-1].ap == steady.records[0].ap
+    gc = greatest_component(read_edge_list(gp))
+    p0 = np.zeros(gc.n)
+    p0[[gc.index("a"), gc.index("b")]] = 0.5
+    iterated = rank_by_probability(
+        classical.rwr_iterate(gc, p0, 0.85, 60), labels=gc.labels, exclude=["a", "b"]
+    )
+    assert _digest(iterated) == steady.records[0].ranking_sha256
+    assert average_precision_at_k(iterated, {"c", "d"}, 3) == steady.records[0].ap[0]
 
 
 def test_no_usable_seeds_or_targets_raises(tmp_path, fixture_paths):
