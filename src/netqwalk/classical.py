@@ -1,11 +1,14 @@
 """Classical walk baselines: restart walks, diffusion, coin-toss walks.
 
 All walkers map a probability vector over nodes to another probability
-vector.  The restart walk uses the column-stochastic normalized adjacency
-(dangling columns teleport fully to the restart distribution); the
-discrete-time walk uses the row-stochastic transition matrix (dangling
-nodes hold their mass); continuous-time diffusion integrates
-``dp/dt = -L p`` through the shared exponential kernels.
+vector.  The restart walk and the discrete-time walk step with one
+matrix, the row-normalized adjacency of :func:`row_stochastic`.  The
+rows of dangling nodes (no outgoing weight) are empty, and its
+``dangling`` mask marks them; each walker applies its own rule to the
+mass on those nodes.  The discrete-time walk holds it in place, and
+the restart walk sends it to the restart distribution.
+Continuous-time diffusion integrates ``dp/dt = -L p`` through the
+shared exponential kernels.
 """
 
 from __future__ import annotations
@@ -26,74 +29,39 @@ _DIRECT_DENSE_LIMIT = 2000
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Nonnegative matrix tagged with its stochasticity orientation.
+    """Row-normalized transition matrix and the mask of its dangling nodes.
 
-    ``orientation`` is "column" (columns sum to 1) or "row" (rows sum
-    to 1); the tagged axis is validated to sum to 1 within 1e-12.
+    ``matrix`` is nonnegative.  Each row sums to 1 within 1e-12, except
+    the rows of the nodes flagged in ``dangling``, which sum to 0: a
+    dangling node has no outgoing weight.  The walkers decide where its
+    mass goes: :func:`dtrw_evolve` holds it in place, and the restart
+    walk sends it to the restart distribution.
     """
 
     matrix: sp.csr_matrix
-    orientation: str
+    dangling: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.orientation not in ("column", "row"):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-        axis = 0 if self.orientation == "column" else 1
         m = sp.csr_matrix(self.matrix)
+        dangling = np.asarray(self.dangling, dtype=bool)
         if m.nnz and (m.data < 0).any():
             raise ValueError("transition matrix must be nonnegative")
-        sums = np.asarray(m.sum(axis=axis)).reshape(-1)
-        bad = np.abs(sums - 1.0) > 1e-12
-        if np.any(bad & (np.abs(sums) > 1e-12)):
-            raise ValueError("tagged axis must sum to 1 for non-dangling nodes")
+        sums = np.asarray(m.sum(axis=1)).reshape(-1)
+        if np.any(np.abs(sums[~dangling] - 1.0) > 1e-12):
+            raise ValueError("rows must sum to 1 for non-dangling nodes")
+        if sums[dangling].any():
+            raise ValueError("rows of dangling nodes must sum to 0")
         object.__setattr__(self, "matrix", m)
-
-
-def normalize_column_stochastic(g: LabeledGraph, p0) -> TransitionMatrix:
-    """Column-normalized adjacency with full-teleport dangling columns.
-
-    Column ``j`` is ``A[:, j] / deg(j)`` when ``deg(j) > 0`` and the
-    restart distribution ``p0`` otherwise, so every column is a
-    distribution and all eigenvalues have modulus <= 1.
-    """
-    p0 = as_probability_vector(p0, n=g.n)
-    # adjacency rows index the tail node, so transpose puts each node's
-    # outgoing weights into its own column before normalizing
-    a = adjacency_matrix(g).transpose().tocsc()
-    colsum = np.asarray(a.sum(axis=0)).reshape(-1)
-    nonzero = colsum > 0
-    scale = np.zeros(g.n)
-    scale[nonzero] = 1.0 / colsum[nonzero]
-    m = (a @ sp.diags(scale)).tocsr()
-    dangling = np.flatnonzero(~nonzero)
-    if dangling.size:
-        support = np.flatnonzero(p0 > 0)
-        cols = sp.csr_matrix(
-            (
-                np.tile(p0[support], dangling.size),
-                (
-                    np.tile(support, dangling.size),
-                    np.repeat(dangling, support.size),
-                ),
-            ),
-            shape=(g.n, g.n),
-        )
-        m = m + cols
-    return TransitionMatrix(m, "column")
+        object.__setattr__(self, "dangling", dangling)
 
 
 def row_stochastic(g: LabeledGraph) -> TransitionMatrix:
-    """Row-normalized adjacency; dangling nodes hold their mass (P_ii = 1)."""
+    """Row-normalized adjacency ``D^-1 A``; the rows of dangling nodes stay empty."""
     a = adjacency_matrix(g)
     rowsum = np.asarray(a.sum(axis=1)).reshape(-1)
-    nonzero = rowsum > 0
-    scale = np.zeros(g.n)
-    scale[nonzero] = 1.0 / rowsum[nonzero]
-    m = sp.diags(scale) @ a
-    hold = np.zeros(g.n)
-    hold[~nonzero] = 1.0
-    m = (m + sp.diags(hold)).tocsr()
-    return TransitionMatrix(m, "row")
+    dangling = rowsum == 0
+    scale = np.divide(1.0, rowsum, out=np.zeros(g.n), where=~dangling)
+    return TransitionMatrix((sp.diags(scale) @ a).tocsr(), dangling)
 
 
 def _finalize_distribution(p: np.ndarray) -> np.ndarray:
@@ -102,12 +70,19 @@ def _finalize_distribution(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
+def _restart_step(walk: TransitionMatrix, p0: np.ndarray, alpha: float):
+    """The restart walk's update ``p -> alpha (P^T p + d p0) + (1 - alpha) p0``,
+    where ``d`` is the mass on dangling nodes: it restarts at the seeds."""
+    wt, dangling = walk.matrix.transpose(), walk.dangling
+    return lambda p: alpha * (wt @ p + p[dangling].sum() * p0) + (1.0 - alpha) * p0
+
+
 def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
     """Steady state of the random walk with restart.
 
-    Solves ``p = alpha * M p + (1 - alpha) * p0`` for the column-stochastic
-    ``M`` of :func:`normalize_column_stochastic`, equivalently
-    ``p = (1 - alpha) (I - alpha M)^{-1} p0``.
+    Solves ``p = alpha * M p + (1 - alpha) * p0``, equivalently
+    ``p = (1 - alpha) (I - alpha M)^{-1} p0``, where ``M`` is the transpose
+    of :func:`row_stochastic` with ``p0`` in each dangling column.
 
     Parameters
     ----------
@@ -123,14 +98,19 @@ def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if alpha == 0.0:
         return p0.copy()
-    m = normalize_column_stochastic(g, p0).matrix
+    walk = row_stochastic(g)
     if g.n <= _DIRECT_DENSE_LIMIT:
-        system = sp.eye(g.n, format="csc") - alpha * m.tocsc()
-        p = np.linalg.solve(system.toarray(), (1.0 - alpha) * p0)
+        # I - alpha M in place; the plain expression holds three n x n arrays
+        system = walk.matrix.transpose().toarray()
+        system[:, walk.dangling] = p0[:, None]
+        system *= -alpha
+        system.flat[:: g.n + 1] += 1.0
+        p = np.linalg.solve(system, (1.0 - alpha) * p0)
     else:
+        step = _restart_step(walk, p0, alpha)
         p = p0.copy()
         for _ in range(POWER_MAX_ITER):
-            nxt = alpha * (m @ p) + (1.0 - alpha) * p0
+            nxt = step(p)
             if np.abs(nxt - p).sum() < POWER_TOL:
                 p = nxt
                 break
@@ -149,10 +129,10 @@ def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     if n_iter < 0:
         raise ValueError("iteration count must be >= 0")
-    m = normalize_column_stochastic(g, p0).matrix
+    step = _restart_step(row_stochastic(g), p0, alpha)
     p = p0.copy()
     for _ in range(n_iter):
-        p = alpha * (m @ p) + (1.0 - alpha) * p0
+        p = step(p)
     return _finalize_distribution(p)
 
 
@@ -168,14 +148,13 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
     from that column alone.
     """
     walk = g if isinstance(g, TransitionMatrix) else row_stochastic(g)
-    if walk.orientation != "row":
-        raise ValueError("dtrw steps with a row-stochastic transition matrix")
-    wt = walk.matrix.transpose()
+    wt, dangling = walk.matrix.transpose(), walk.dangling
     p = as_probability_columns(p0, n=wt.shape[0])
     if steps < 0:
         raise ValueError("step count must be >= 0")
     for _ in range(steps):
-        p = wt @ p
+        p, held = wt @ p, p[dangling]
+        p[dangling] += held
     return _finalize_distribution(p)
 
 

@@ -28,7 +28,6 @@ from .graphs import (
     LabeledGraph,
     PartitionedCciGraph,
     build_cci_graph,
-    degree_vector,
     graph_stats,
     greatest_component,
     parse_label_pairs,
@@ -196,6 +195,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        for name in ("t_max", "t_step"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_step <= 0 or self.t_max < 0:
             raise ValueError("time grid requires t_step > 0 and t_max >= 0")
         if self.steps_max < 1:
@@ -496,8 +498,8 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
         cci.graph.index(t)  # raises KeyError for unknown labels
     sym = symmetrized_view(cci)
     n = sym.n
-    isolated = degree_vector(sym) == 0
     walk = classical.row_stochastic(sym)
+    isolated = walk.dangling
     arcs = dtqrw.arc_basis(sym)
     starts = {"dtrw": np.arange(n), "dtqrw": np.flatnonzero(~isolated)}
     walkers = {}

@@ -28,6 +28,7 @@ from netqwalk.graphs import (
 from netqwalk.metrics import average_precision_at_k
 from netqwalk.pipeline import CciConfig, run_cci_analysis
 from netqwalk.states import delta_distribution
+from walk_oracles import restart_matrix
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -222,7 +223,7 @@ def test_criterion_05_restart_walk(monkeypatch):
         p0 /= p0.sum()
         alpha = float(rng.uniform(0.05, 0.95))
         p = classical.rwr_steady_state(g, p0, alpha)
-        m = classical.normalize_column_stochastic(g, p0).matrix
+        m = restart_matrix(g, p0)
         worst_res = max(
             worst_res,
             float(np.max(np.abs(p - alpha * (m @ p) - (1 - alpha) * p0))),

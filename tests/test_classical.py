@@ -3,8 +3,12 @@
 Restart-walk oracles are worked out by hand on the 2-node and triangle
 graphs and frozen as exact fractions; the residual of the fixed-point
 equation is also checked directly so correctness does not rest on any one
-solver path.
+solver path.  The restart walk and the discrete-time walk are also checked
+against the definition oracles of ``walk_oracles``, which are built from
+the dense adjacency alone, on graphs with dangling and isolated nodes.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +21,18 @@ from netqwalk.classical import (
     ctrw_evolve,
     dtrw_evolve,
     dtrw_transition_profile,
-    normalize_column_stochastic,
     row_stochastic,
     rwr_iterate,
     rwr_steady_state,
 )
 from netqwalk.graphs import graph_from_edges, load_edge_list
 from netqwalk.states import delta_distribution
+from walk_oracles import (
+    dtrw_oracle,
+    restart_matrix,
+    rwr_iterate_oracle,
+    rwr_oracle,
+)
 
 
 def random_connected_graph(rng, n):
@@ -40,40 +49,46 @@ def random_connected_graph(rng, n):
 # ---------------------------------------------------------------------------
 
 
-def test_transition_matrix_validates_orientation_and_sign():
-    m = sp.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    TransitionMatrix(m, "column")
-    TransitionMatrix(m, "row")
-    with pytest.raises(ValueError, match="orientation"):
-        TransitionMatrix(m, "diagonal")
+def test_transition_matrix_validates_sign_and_row_sums():
+    m = sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 0.0]]))
+    TransitionMatrix(m, [False, True])
     with pytest.raises(ValueError, match="nonnegative"):
-        TransitionMatrix(sp.csr_matrix(np.array([[1.5, 0.0], [-0.5, 1.0]])), "column")
+        TransitionMatrix(sp.csr_matrix(np.array([[1.5, -0.5], [0.0, 1.0]])), [False, False])
     with pytest.raises(ValueError, match="sum to 1"):
-        TransitionMatrix(sp.csr_matrix(np.array([[0.7, 0.0], [0.7, 1.0]])), "column")
+        TransitionMatrix(m, [False, False])
+    with pytest.raises(ValueError, match="sum to 0"):
+        TransitionMatrix(sp.csr_matrix(np.array([[0.5, 0.5], [0.0, 0.3]])), [False, True])
 
 
 def test_column_normalization_on_path():
+    # the restart walk steps with the transpose of the row normalization,
+    # which on a graph without dangling nodes is the column normalization
     g = graph_from_edges([("a", "b"), ("b", "c")])
-    m = normalize_column_stochastic(g, np.full(3, 1 / 3)).matrix.toarray()
+    m = row_stochastic(g).matrix.T.toarray()
     # node b has degree 2, so its column splits evenly
     expected = np.array([[0.0, 0.5, 0.0], [1.0, 0.0, 1.0], [0.0, 0.5, 0.0]])
     assert np.allclose(m, expected, atol=1e-15)
+    assert np.array_equal(m, restart_matrix(g, np.full(3, 1 / 3)))
 
 
 def test_dangling_column_teleports_to_restart():
-    # directed edge a -> b leaves b with no outgoing neighbors
+    # directed edge a -> b leaves b with no outgoing neighbors, so one
+    # restart step sends b's mass to the restart distribution
     g = load_edge_list("a\tb", directed=True)
     p0 = np.array([0.25, 0.75])
-    m = normalize_column_stochastic(g, p0).matrix.toarray()
-    assert np.allclose(m[:, 1], p0, atol=1e-15)
-    assert np.allclose(m[:, 0], [0.0, 1.0], atol=1e-15)
+    alpha = 0.6
+    hop = np.array([0.0, 0.25]) + 0.75 * p0
+    expected = alpha * hop + (1 - alpha) * p0
+    assert np.max(np.abs(rwr_iterate(g, p0, alpha, 1) - expected)) < 1e-15
 
 
-def test_row_stochastic_holding_diagonal():
+def test_row_stochastic_leaves_dangling_rows_empty():
     g = load_edge_list("a\tb", directed=True)
-    m = row_stochastic(g).matrix.toarray()
-    # a hops to b; dangling b holds its mass
-    assert np.allclose(m, np.array([[0.0, 1.0], [0.0, 1.0]]), atol=1e-15)
+    walk = row_stochastic(g)
+    # a hops to b; dangling b has an empty row, and the walkers decide
+    # where its mass goes
+    assert np.array_equal(walk.matrix.toarray(), np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert walk.dangling.tolist() == [False, True]
 
 
 def test_row_stochastic_rows_sum_to_one():
@@ -114,7 +129,7 @@ def test_rwr_fixed_point_residual():
         p0 /= p0.sum()
         alpha = float(rng.uniform(0.05, 0.95))
         p = rwr_steady_state(g, p0, alpha)
-        m = normalize_column_stochastic(g, p0).matrix
+        m = restart_matrix(g, p0)
         residual = p - alpha * (m @ p) - (1.0 - alpha) * p0
         assert np.max(np.abs(residual)) < 1e-10
         assert abs(p.sum() - 1.0) < 1e-10
@@ -151,7 +166,7 @@ def test_rwr_iterate_recurrence_and_limit():
     g = graph_from_edges([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
     p0 = delta_distribution(4, 0)
     alpha = 0.6
-    m = normalize_column_stochastic(g, p0).matrix
+    m = restart_matrix(g, p0)
     # n_iter = 0 is the restart distribution itself
     assert np.array_equal(rwr_iterate(g, p0, alpha, 0), p0)
     # each iteration applies exactly one update
@@ -217,9 +232,8 @@ def test_dtrw_zero_steps_identity_and_validation():
 def test_dtrw_transition_profile_matches_matrix_power():
     rng = np.random.default_rng(45)
     g = random_connected_graph(rng, 12)
-    w = row_stochastic(g).matrix.toarray()
     for steps in (0, 1, 3, 6):
-        ref = np.linalg.matrix_power(w.T, steps) @ delta_distribution(g.n, 2)
+        ref = dtrw_oracle(g, delta_distribution(g.n, 2), steps)
         got = dtrw_transition_profile(g, 2, steps)
         assert np.max(np.abs(got - ref)) < 1e-12
 
@@ -270,6 +284,78 @@ def test_dtrw_dangling_node_absorbs():
     g = load_edge_list("a\tb", directed=True)
     p = dtrw_evolve(g, delta_distribution(2, 0), 10)
     assert np.allclose(p, [0.0, 1.0], atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# definition oracles, on graphs with dangling and isolated nodes
+# ---------------------------------------------------------------------------
+
+
+def oracle_cases():
+    """Undirected graphs with two isolated nodes and directed graphs with
+    sinks and isolated nodes, each with a restart distribution that has
+    zeros and puts mass on dangling nodes."""
+    rng = np.random.default_rng(49)
+    for n in (6, 17, 40):
+        labels = [f"v{j}" for j in range(n)]
+        edges = [(labels[j], labels[j + 1]) for j in range(n - 3)]
+        edges += [(labels[j], labels[k]) for j, k in rng.integers(0, n - 2, size=(n, 2)) if j != k]
+        for g in (graph_from_edges(edges, nodes=labels), graph_with_dangling_and_isolated(rng, n)):
+            p0 = rng.random(g.n) * (rng.random(g.n) < 0.6)
+            p0[[0, g.n - 1]] += 0.5
+            yield g, p0 / p0.sum()
+
+
+@pytest.mark.parametrize("branch, tol", [("dense", 1e-14), ("power", 1e-11)])
+def test_rwr_matches_the_dense_restart_oracle(branch, tol, monkeypatch):
+    if branch == "power":
+        # a size limit below every node count selects power iteration
+        monkeypatch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
+    for g, p0 in oracle_cases():
+        for alpha in (0.3, 0.85):
+            got = rwr_steady_state(g, p0, alpha)
+            assert np.max(np.abs(got - rwr_oracle(g, p0, alpha))) < tol
+
+
+def test_rwr_iterate_matches_the_truncated_series():
+    for g, p0 in oracle_cases():
+        for n_iter in (0, 1, 4, 9):
+            got = rwr_iterate(g, p0, 0.85, n_iter)
+            assert np.max(np.abs(got - rwr_iterate_oracle(g, p0, 0.85, n_iter))) < 1e-14
+
+
+def test_dtrw_matches_the_holding_matrix_power():
+    rng = np.random.default_rng(50)
+    for g, p0 in oracle_cases():
+        block = np.column_stack([p0, rng.dirichlet(np.ones(g.n), size=3).T])
+        for steps in (0, 1, 5, 12):
+            for start in (p0, block):
+                got = dtrw_evolve(g, start, steps)
+                assert np.max(np.abs(got - dtrw_oracle(g, start, steps))) < 1e-14
+
+
+def _traced_peak(walk) -> int:
+    tracemalloc.start()
+    try:
+        walk()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_rwr_dangling_mass_takes_no_copies_of_the_restart_vector():
+    # a 3,000-node path plus 1,000 isolated nodes, with a uniform p0: a
+    # matrix holding p0 in each dangling column has 4 million entries
+    labels = [f"v{j}" for j in range(4000)]
+    g = graph_from_edges(zip(labels[:2999], labels[1:3000]), nodes=labels)
+    p0 = np.full(g.n, 1 / g.n)
+    assert _traced_peak(lambda: rwr_steady_state(g, p0, 0.85)) < 8e6
+    assert _traced_peak(lambda: rwr_iterate(g, p0, 0.85, 5)) < 8e6
+    # the dense branch builds its n x n system in one array
+    small = graph_from_edges(zip(labels[:1499], labels[1:1500]), nodes=labels[:2000])
+    assert small.n == classical._DIRECT_DENSE_LIMIT
+    q0 = np.full(small.n, 1 / small.n)
+    assert _traced_peak(lambda: rwr_steady_state(small, q0, 0.85)) < 1.5 * 8 * small.n**2
 
 
 # ---------------------------------------------------------------------------

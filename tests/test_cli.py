@@ -127,6 +127,23 @@ def test_prioritize_collapse_flag_parses_comma_floats(data):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag", ["--t-max", "--t-step"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_prioritize_non_finite_time_grid_is_exit_1(data, capsys, flag, value):
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"],
+        "--walker", "ctrw", flag, value, "--out", data["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {field} must be finite")
+    assert "Traceback" not in err
+    assert not (Path(data["out"]) / "sweep.csv").exists()
+
+
 def test_prioritize_collapse_past_the_grid_is_exit_1(data, capsys):
     # the grid ends at t = 2, so collapses at 5 and 7 would change no point
     code = cli.main([

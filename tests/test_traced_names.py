@@ -9,8 +9,8 @@ same way, without installing the tracer.  The tracer also patches
 ``scipy.linalg.eigh_tridiagonal`` calls as ``expm.krylov_iters``; the next
 tests count those calls in one continuous sweep each.  The last tests count
 the component labellings of one prioritization, the transition-matrix
-builds of a dtrw sweep and the walker calls of one CCI run, which evolves
-its start nodes in column blocks.
+builds of an rwr and of a dtrw sweep and the walker calls of one CCI run,
+which evolves its start nodes in column blocks.
 """
 
 import importlib.util
@@ -111,6 +111,15 @@ def test_prioritization_labels_the_components_once(monkeypatch):
     _count_calls(monkeypatch, csgraph, "connected_components", calls)
     _run_fixture(walker="rwr")
     assert len(calls) == 1
+
+
+def test_rwr_steady_state_builds_one_transition_matrix(monkeypatch):
+    # the restart walk steps with the dtrw matrix and builds it once
+    built = []
+    _count_calls(monkeypatch, classical, "row_stochastic", built)
+    result = _run_fixture(walker="rwr")
+    assert len(result.records) == 1
+    assert len(built) == 1
 
 
 def test_dtrw_sweep_builds_one_transition_matrix(monkeypatch):
