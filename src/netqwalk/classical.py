@@ -24,7 +24,6 @@ from .states import as_probability_columns, as_probability_vector, delta_distrib
 
 POWER_MAX_ITER = 100_000
 POWER_TOL = 1e-12
-_DIRECT_DENSE_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -70,66 +69,51 @@ def _finalize_distribution(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def _restart_step(walk: TransitionMatrix, p0: np.ndarray, alpha: float):
-    """The restart walk's update ``p -> alpha (P^T p + d p0) + (1 - alpha) p0``,
-    where ``d`` is the mass on dangling nodes: it restarts at the seeds."""
+def _restart_update(g: LabeledGraph, p0, alpha: float):
+    """Check ``p0`` and ``alpha``; return ``p0`` as a vector and the restart
+    walk's update ``p -> alpha (P^T p + d p0) + (1 - alpha) p0``, where ``d``
+    is the mass on dangling nodes: it restarts at the seeds."""
+    p0 = as_probability_vector(p0, n=g.n)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    walk = row_stochastic(g)
     wt, dangling = walk.matrix.transpose(), walk.dangling
-    return lambda p: alpha * (wt @ p + p[dangling].sum() * p0) + (1.0 - alpha) * p0
+    return p0, lambda p: alpha * (wt @ p + p[dangling].sum() * p0) + (1.0 - alpha) * p0
 
 
 def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
     """Steady state of the random walk with restart.
 
-    Solves ``p = alpha * M p + (1 - alpha) * p0``, equivalently
-    ``p = (1 - alpha) (I - alpha M)^{-1} p0``, where ``M`` is the transpose
-    of :func:`row_stochastic` with ``p0`` in each dangling column.
+    Solves ``p = alpha * M p + (1 - alpha) * p0``, where ``M`` is the
+    transpose of :func:`row_stochastic` with ``p0`` in each dangling column,
+    by iterating the update from ``p0`` until one step changes ``p`` by less
+    than ``POWER_TOL`` in the 1-norm.  The update contracts by ``alpha``, so
+    the result lies within ``alpha / (1 - alpha) * POWER_TOL`` of the steady
+    state.  At ``alpha = 0`` the first update returns ``p0`` exactly.
 
     Parameters
     ----------
     alpha : float
         Continuation probability in [0, 1); ``1 - alpha`` is the restart
         probability per step.
-
-    Graphs of up to ``_DIRECT_DENSE_LIMIT`` nodes take a dense linear
-    solve, larger ones power iteration; the two agree within 1e-8.
     """
-    p0 = as_probability_vector(p0, n=g.n)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    if alpha == 0.0:
-        return p0.copy()
-    walk = row_stochastic(g)
-    if g.n <= _DIRECT_DENSE_LIMIT:
-        # I - alpha M in place; the plain expression holds three n x n arrays
-        system = walk.matrix.transpose().toarray()
-        system[:, walk.dangling] = p0[:, None]
-        system *= -alpha
-        system.flat[:: g.n + 1] += 1.0
-        p = np.linalg.solve(system, (1.0 - alpha) * p0)
-    else:
-        step = _restart_step(walk, p0, alpha)
-        p = p0.copy()
-        for _ in range(POWER_MAX_ITER):
-            nxt = step(p)
-            if np.abs(nxt - p).sum() < POWER_TOL:
-                p = nxt
-                break
-            p = nxt
-        else:
-            raise ConvergenceError(
-                f"restart walk power iteration did not converge in {POWER_MAX_ITER} steps"
-            )
-    return _finalize_distribution(p)
+    p0, step = _restart_update(g, p0, alpha)
+    p = p0.copy()
+    for _ in range(POWER_MAX_ITER):
+        nxt = step(p)
+        if np.abs(nxt - p).sum() < POWER_TOL:
+            return _finalize_distribution(nxt)
+        p = nxt
+    raise ConvergenceError(
+        f"restart walk power iteration did not converge in {POWER_MAX_ITER} steps"
+    )
 
 
 def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
     """Restart walk truncated after exactly ``n_iter`` update steps."""
-    p0 = as_probability_vector(p0, n=g.n)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    p0, step = _restart_update(g, p0, alpha)
     if n_iter < 0:
         raise ValueError("iteration count must be >= 0")
-    step = _restart_step(row_stochastic(g), p0, alpha)
     p = p0.copy()
     for _ in range(n_iter):
         p = step(p)

@@ -58,6 +58,9 @@ SWEEPS = {
 }
 WALKERS = tuple(SWEEPS)
 
+#: Largest sweep grid a configuration may ask for.
+MAX_GRID_POINTS = 100_000
+
 SWEEP_CSV = "sweep.csv"
 SUMMARY_JSON = "summary.json"
 MANIFEST_JSON = "manifest.json"
@@ -137,8 +140,9 @@ def build_seed_target_sets(
     """
     if not scores or not target_table:
         raise ValueError("score tables must be nonempty")
-    if seed_thresh <= 0 or target_thresh <= 0:
-        raise ValueError("thresholds must be positive")
+    for name, thresh in (("seed_thresh", seed_thresh), ("target_thresh", target_thresh)):
+        if not thresh > 0:  # NaN fails this test too
+            raise ValueError(f"{name} must be positive, got {thresh:g}")
     seeds = {label for label, p in scores.items() if p < seed_thresh}
     raw_targets = {label for label, p in target_table.items() if p < target_thresh}
     if not seeds:
@@ -147,6 +151,10 @@ def build_seed_target_sets(
         )
     overlap = seeds & raw_targets
     targets = raw_targets - overlap
+    if not targets:
+        raise ValueError(
+            f"no targets outside the seed set pass the threshold p < {target_thresh:g}"
+        )
     logger.info(
         "selected %d seeds (p < %g) and %d targets (p < %g, %d overlapping removed)",
         len(seeds), seed_thresh, len(targets), target_thresh, len(overlap),
@@ -202,6 +210,12 @@ class ExperimentConfig:
             raise ValueError("time grid requires t_step > 0 and t_max >= 0")
         if self.steps_max < 1:
             raise ValueError("steps_max must be >= 1")
+        # bound the grid before grid_points builds it; the float ratio catches inf
+        kind = SWEEPS[self.walker][0]
+        if kind == "time" and self.t_max / self.t_step + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"t_max / t_step gives more than {MAX_GRID_POINTS} grid points")
+        if kind == "steps" and self.steps_max > MAX_GRID_POINTS:
+            raise ValueError(f"steps_max gives more than {MAX_GRID_POINTS} grid points")
         if not self.k_list or any(k < 1 for k in self.k_list):
             raise ValueError("k_list must be nonempty with every K >= 1")
         if self.collapse_times and self.walker != "ctqrw":
@@ -284,9 +298,7 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
         read_score_table(config.targets_path),
         config.target_thresh,
     )
-    gc_labels = set(gc.labels)
-    graph_labels = set(g.labels)
-    seeds_in_gc = [s for s in st.seeds if s in gc_labels]
+    seeds_in_gc = [s for s in st.seeds if s in gc]
     dropped = len(st.seeds) - len(seeds_in_gc)
     if dropped:
         logger.warning(
@@ -295,23 +307,23 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
         )
     if not seeds_in_gc:
         raise ValueError("no seed genes fall inside the greatest component")
-    targets_in_gc = [t for t in st.targets if t in gc_labels]
+    targets_in_gc = [t for t in st.targets if t in gc]
     if not targets_in_gc:
         raise ValueError("no target genes fall inside the greatest component")
 
-    module = set(st.seeds) | set(st.targets)
-    module_in_graph = module & graph_labels
-    module_in_gc = module & gc_labels
+    # seeds and targets are disjoint, and some seed lies in the component
+    seeds_in_graph = sum(1 for s in st.seeds if s in g)
+    targets_in_graph = sum(1 for t in st.targets if t in g)
     module_summary = {
         "seeds_total": len(st.seeds),
         "targets_total": len(st.targets),
         "intersection_removed": st.intersection_removed,
-        "seeds_in_graph": sum(1 for s in st.seeds if s in graph_labels),
+        "seeds_in_graph": seeds_in_graph,
         "seeds_in_gc": len(seeds_in_gc),
-        "targets_in_graph": sum(1 for t in st.targets if t in graph_labels),
+        "targets_in_graph": targets_in_graph,
         "targets_in_gc": len(targets_in_gc),
         "gc_module_fraction": (
-            len(module_in_gc) / len(module_in_graph) if module_in_graph else 0.0
+            (len(seeds_in_gc) + len(targets_in_gc)) / (seeds_in_graph + targets_in_graph)
         ),
     }
 

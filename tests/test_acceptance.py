@@ -28,7 +28,7 @@ from netqwalk.graphs import (
 from netqwalk.metrics import average_precision_at_k
 from netqwalk.pipeline import CciConfig, run_cci_analysis
 from netqwalk.states import delta_distribution
-from walk_oracles import restart_matrix
+from walk_oracles import restart_matrix, rwr_oracle
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -212,7 +212,7 @@ def test_criterion_04_real_symmetry_and_chiral_asymmetry():
     _report(4, f"transition symmetry (real {worst:.1e}, chiral asym {asym:.2f})", failures)
 
 
-def test_criterion_05_restart_walk(monkeypatch):
+def test_criterion_05_restart_walk():
     failures = []
     rng = np.random.default_rng(105)
     worst_res = 0.0
@@ -228,15 +228,12 @@ def test_criterion_05_restart_walk(monkeypatch):
             worst_res,
             float(np.max(np.abs(p - alpha * (m @ p) - (1 - alpha) * p0))),
         )
-        with monkeypatch.context() as patch:
-            # a size limit below every node count selects power iteration
-            patch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
-            q = classical.rwr_steady_state(g, p0, alpha)
+        q = rwr_oracle(g, p0, alpha)
         worst_agree = max(worst_agree, float(np.max(np.abs(p - q))))
     if worst_res > 1e-8:
         failures.append(f"fixed-point residual {worst_res:g} > 1e-8")
     if worst_agree > 1e-8:
-        failures.append(f"direct-vs-power gap {worst_agree:g} > 1e-8")
+        failures.append(f"dense-oracle gap {worst_agree:g} > 1e-8")
     p = classical.rwr_steady_state(
         graph_from_edges([("a", "b")]), delta_distribution(2, 0), 0.5
     )

@@ -9,13 +9,13 @@ the dense adjacency alone, on graphs with dangling and isolated nodes.
 """
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from netqwalk import classical
 from netqwalk.classical import (
     TransitionMatrix,
     ctrw_evolve,
@@ -25,7 +25,7 @@ from netqwalk.classical import (
     rwr_iterate,
     rwr_steady_state,
 )
-from netqwalk.graphs import graph_from_edges, load_edge_list
+from netqwalk.graphs import graph_from_edges, greatest_component, load_edge_list, read_edge_list
 from netqwalk.states import delta_distribution
 from walk_oracles import (
     dtrw_oracle,
@@ -33,6 +33,8 @@ from walk_oracles import (
     rwr_iterate_oracle,
     rwr_oracle,
 )
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def random_connected_graph(rng, n):
@@ -135,15 +137,24 @@ def test_rwr_fixed_point_residual():
         assert abs(p.sum() - 1.0) < 1e-10
 
 
-def test_rwr_direct_and_power_agree(monkeypatch):
+def test_rwr_direct_and_power_agree():
     rng = np.random.default_rng(42)
     g = random_connected_graph(rng, 25)
     p0 = np.full(g.n, 1 / g.n)
-    direct = rwr_steady_state(g, p0, 0.85)
-    # a size limit below the graph's node count selects power iteration
-    monkeypatch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
     power = rwr_steady_state(g, p0, 0.85)
-    assert np.max(np.abs(direct - power)) < 1e-8
+    assert np.max(np.abs(rwr_oracle(g, p0, 0.85) - power)) < 1e-8
+
+
+def test_rwr_steady_state_takes_no_linear_solve(monkeypatch):
+    gc = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
+    p0 = delta_distribution(gc.n, 0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rwr_steady_state called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    p = rwr_steady_state(gc, p0, 0.85)
+    assert abs(p.sum() - 1.0) < 1e-10
 
 
 def test_rwr_alpha_zero_returns_restart_distribution():
@@ -306,15 +317,11 @@ def oracle_cases():
             yield g, p0 / p0.sum()
 
 
-@pytest.mark.parametrize("branch, tol", [("dense", 1e-14), ("power", 1e-11)])
-def test_rwr_matches_the_dense_restart_oracle(branch, tol, monkeypatch):
-    if branch == "power":
-        # a size limit below every node count selects power iteration
-        monkeypatch.setattr(classical, "_DIRECT_DENSE_LIMIT", 0)
+def test_rwr_matches_the_dense_restart_oracle():
     for g, p0 in oracle_cases():
         for alpha in (0.3, 0.85):
             got = rwr_steady_state(g, p0, alpha)
-            assert np.max(np.abs(got - rwr_oracle(g, p0, alpha))) < tol
+            assert np.max(np.abs(got - rwr_oracle(g, p0, alpha))) < 1e-11
 
 
 def test_rwr_iterate_matches_the_truncated_series():
@@ -351,11 +358,10 @@ def test_rwr_dangling_mass_takes_no_copies_of_the_restart_vector():
     p0 = np.full(g.n, 1 / g.n)
     assert _traced_peak(lambda: rwr_steady_state(g, p0, 0.85)) < 8e6
     assert _traced_peak(lambda: rwr_iterate(g, p0, 0.85, 5)) < 8e6
-    # the dense branch builds its n x n system in one array
+    # a 2,000-node graph takes no n x n array (one would hold 32 MB)
     small = graph_from_edges(zip(labels[:1499], labels[1:1500]), nodes=labels[:2000])
-    assert small.n == classical._DIRECT_DENSE_LIMIT
     q0 = np.full(small.n, 1 / small.n)
-    assert _traced_peak(lambda: rwr_steady_state(small, q0, 0.85)) < 1.5 * 8 * small.n**2
+    assert _traced_peak(lambda: rwr_steady_state(small, q0, 0.85)) < 1e6
 
 
 # ---------------------------------------------------------------------------

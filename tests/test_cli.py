@@ -14,6 +14,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -184,6 +185,36 @@ def test_prioritize_repeated_k_is_exit_1(data, capsys):
 
 
 FIXTURES = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (("--walker", "rwr", "--target-thresh", "1e-10"), "p < 1e-10"),
+        # p < nan is false for every gene, so a NaN threshold selects nothing
+        (("--walker", "rwr", "--target-thresh", "nan"), "target_thresh"),
+        (("--walker", "rwr", "--seed-thresh", "nan"), "seed_thresh"),
+        (("--walker", "ctrw", "--t-max", "1e308", "--t-step", "1e-10"), "t_max / t_step"),
+        (("--walker", "ctrw", "--t-step", "1e-9"), "t_max / t_step"),
+        (("--walker", "dtrw", "--steps-max", "100000000"), "steps_max"),
+    ],
+    ids=["target-1e-10", "target-nan", "seed-nan", "t-ratio-inf", "t-step-1e-9", "steps-1e8"],
+)
+def test_empty_gene_sets_and_oversized_grids_are_exit_1(tmp_path, capsys, flags, named):
+    # an oversized grid is refused before it is built, so each exits at once
+    started = time.monotonic()
+    code = cli.main([
+        "prioritize",
+        "--graph", str(FIXTURES / "synthetic_ppi.tsv"),
+        "--scores", str(FIXTURES / "synthetic_scores.tsv"),
+        "--targets", str(FIXTURES / "synthetic_targets.tsv"),
+        *flags, "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1 and time.monotonic() - started < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 def _child_env(**extra):

@@ -32,6 +32,7 @@ from netqwalk.metrics import (
 from netqwalk.pipeline import (
     CciConfig,
     ExperimentConfig,
+    MAX_GRID_POINTS,
     _EXACT_TIE_WALKERS,
     SWEEPS,
     SweepResult,
@@ -127,6 +128,14 @@ def test_seed_target_selection_errors():
         build_seed_target_sets({"a": 0.5}, 0.0, {"a": 0.5}, 0.1)
     with pytest.raises(ValueError, match="no seeds"):
         build_seed_target_sets({"a": 0.5}, 0.01, {"a": 1e-9}, 0.1)
+    # p < nan is false for every gene, so NaN is refused by name
+    with pytest.raises(ValueError, match="target_thresh must be positive, got nan"):
+        build_seed_target_sets({"a": 0.001}, 0.01, {"b": 1e-9}, float("nan"))
+    with pytest.raises(ValueError, match="p < 1e-10"):
+        build_seed_target_sets({"a": 0.001}, 0.01, {"b": 1e-9}, 1e-10)
+    # a target that is also a seed stays a seed, which can leave no targets
+    with pytest.raises(ValueError, match="outside the seed set"):
+        build_seed_target_sets({"a": 0.001}, 0.01, {"a": 1e-9}, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +177,23 @@ def test_grid_points_per_walker():
     assert kind == "steps" and grid == tuple(range(1, 8))
     kind, grid = ExperimentConfig(**base, walker="rwr").grid_points()
     assert kind == "steady" and grid == (0.0,)
+
+
+def test_grid_of_the_configured_walker_is_bounded():
+    base = dict(graph_path="g", scores_path="s", targets_path="t")
+    _, grid = ExperimentConfig(**base, walker="dtrw", steps_max=MAX_GRID_POINTS).grid_points()
+    assert len(grid) == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="steps_max"):
+        ExperimentConfig(**base, walker="dtqrw", steps_max=MAX_GRID_POINTS + 1)
+    _, grid = ExperimentConfig(
+        **base, walker="ctrw", t_max=MAX_GRID_POINTS - 1.0, t_step=1.0
+    ).grid_points()
+    assert len(grid) == MAX_GRID_POINTS
+    for t_max, t_step in ((float(MAX_GRID_POINTS), 1.0), (1e308, 1e-10)):
+        with pytest.raises(ValueError, match="t_max / t_step"):
+            ExperimentConfig(**base, walker="ctqrw", t_max=t_max, t_step=t_step)
+    # the restart walk builds neither grid, so neither is bounded for it
+    ExperimentConfig(**base, walker="rwr", t_step=1e-12, steps_max=10**9)
 
 
 def test_time_grid_is_robust_to_float_step_accumulation():
