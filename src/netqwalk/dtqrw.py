@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LabeledGraph
+from .graphs import LabeledGraph, adjacency_matrix
 from .states import as_amplitude_columns
 
 __all__ = [
@@ -77,17 +77,12 @@ def arc_basis(g: LabeledGraph) -> ArcIndex:
             "build a symmetrized view first"
         )
     n = g.n
-    if g.edge_count:
-        e = g.edges
-        tails = np.concatenate([e[:, 0], e[:, 1]])
-        heads = np.concatenate([e[:, 1], e[:, 0]])
-    else:
-        tails = np.empty(0, dtype=np.int64)
-        heads = np.empty(0, dtype=np.int64)
-    order = np.lexsort((heads, tails))
-    tails = tails[order]
-    heads = heads[order]
-    node_ptr = np.searchsorted(tails, np.arange(n + 1))
+    # the CSR rows of the symmetric adjacency are the arcs in (tail, head)
+    # order; a zero-weight edge keeps its entries, and int64 keeps tails * n exact
+    a = adjacency_matrix(g)
+    node_ptr = a.indptr.astype(np.int64)
+    heads = a.indices.astype(np.int64)
+    tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(node_ptr))
     keys = tails * n + heads
     reverse = np.searchsorted(keys, heads * n + tails)
     n_arcs = tails.shape[0]

@@ -5,8 +5,10 @@ Schroedinger evolution (``exp(-iHt) v``) and symmetric PSD Laplacians
 driving classical diffusion (``exp(-Lt) p``).  Only the action on a
 vector is ever formed, never the full exponential.
 
-Backends
---------
+Kernels
+-------
+The graph size alone picks the kernel; neither entry point takes options.
+
 dense
     Eigendecomposition of the dense matrix (LAPACK divide and conquer,
     ``driver="evd"``), cached on the :class:`SparseHermitian` wrapper.
@@ -18,7 +20,7 @@ dense
 lanczos
     Lanczos (Krylov) action with full reorthogonalization on a basis
     stored as the rows of one C-contiguous array, grown until the
-    a-posteriori error estimate drops below the tolerance.  Long
+    a-posteriori error estimate drops below ``DEFAULT_TOL``.  Long
     evolutions are split into substeps bounded by ``norm(H) * dt <=
     SPLIT_BOUND``; if a substep reaches ``_MAX_KRYLOV`` vectors, the
     action is retried with twice as many substeps.
@@ -64,9 +66,9 @@ class SparseHermitian:
 
     matrix: sp.csr_matrix
     _eig: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
-    _norm: float | None = field(default=None, repr=False, compare=False)
+    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = sp.csr_matrix(self.matrix, dtype=np.complex128)
@@ -219,10 +221,9 @@ def _lanczos_apply(
     return None
 
 
-def _krylov_action(
-    op: SparseHermitian, v: np.ndarray, unit: complex, t: float, tol: float
-) -> np.ndarray:
+def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, t: float) -> np.ndarray:
     """Split exp(unit * t * H) v into substeps with norm(H) * dt bounded."""
+    tol = DEFAULT_TOL
     rho = op.norm_estimate() * abs(t)
     n_sub = max(1, int(np.ceil(rho / SPLIT_BOUND)))
     for _ in range(4):
@@ -240,33 +241,21 @@ def _krylov_action(
             return cur
         n_sub *= 2
     raise ConvergenceError(
-        f"Lanczos action did not converge (n={op.n}, t={t}, tol={tol})"
+        f"Lanczos action did not converge to {tol:g} (n={op.n}, t={t})"
     )
 
 
-def _action(
-    op: SparseHermitian, v: np.ndarray, unit: complex, t: float, tol: float, backend: str
-) -> np.ndarray:
-    """``exp(unit * t * H) v`` on the named backend; ``"auto"`` picks it by size."""
+def _action(op: SparseHermitian, v: np.ndarray, unit: complex, t: float) -> np.ndarray:
+    """``exp(unit * t * H) v``: dense up to ``DENSE_LIMIT`` nodes, Lanczos beyond."""
     if t == 0.0 or op.matrix.nnz == 0:
         return v.copy()
-    if backend == "auto":
-        backend = "dense" if op.n <= DENSE_LIMIT else "lanczos"
-    if backend == "dense":
+    if op.n <= DENSE_LIMIT:
         return _dense_apply(op, v, unit * t)
-    if backend == "lanczos":
-        with _one_blas_thread():
-            return _krylov_action(op, v, unit, t, tol)
-    raise ValueError(f"unknown backend {backend!r}")
+    with _one_blas_thread():
+        return _krylov_action(op, v, unit, t)
 
 
-def expm_action(
-    hamiltonian,
-    v,
-    t: float,
-    tol: float = DEFAULT_TOL,
-    backend: str = "auto",
-) -> np.ndarray:
+def expm_action(hamiltonian, v, t: float) -> np.ndarray:
     """Apply the unitary propagator: return ``exp(-i H t) v``.
 
     Parameters
@@ -277,15 +266,11 @@ def expm_action(
         Nonzero complex vector.
     t : float
         Evolution time (may be negative).
-    tol : float
-        Accuracy target in (0, 1e-4]; the returned vector matches the
-        exact action within ~tol and preserves the 2-norm within 10*tol.
-    backend : {"auto", "dense", "lanczos"}
-        "auto" uses the cached dense eigendecomposition up to
-        ``DENSE_LIMIT`` nodes and the Lanczos action beyond.
+
+    Up to ``DENSE_LIMIT`` nodes the action comes from the cached dense
+    eigendecomposition; beyond, the Lanczos action matches the exact one
+    within about ``DEFAULT_TOL`` and keeps the 2-norm within ten times that.
     """
-    if not (0.0 < tol <= 1e-4):
-        raise ValueError(f"tol must lie in (0, 1e-4], got {tol}")
     op = as_hermitian(hamiltonian)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)
     if v.shape[0] != op.n:
@@ -294,7 +279,7 @@ def expm_action(
         raise ValueError("state vector has non-finite entries")
     if np.linalg.norm(v) == 0.0:
         raise ValueError("state vector must be nonzero")
-    return _action(op, v, -1j, t, tol, backend)
+    return _action(op, v, -1j, t)
 
 
 def real_expm_action(generator, p, t: float) -> np.ndarray:
@@ -311,7 +296,7 @@ def real_expm_action(generator, p, t: float) -> np.ndarray:
         raise ValueError("diffusion time must be >= 0")
     p = as_probability_vector(p, n=op.n)
     # real on the dense path; the Lanczos path returns a complex vector
-    out = _action(op, p, -1.0, t, DEFAULT_TOL, "auto").real
+    out = _action(op, p, -1.0, t).real
     if out.min() < -1e-6:
         raise ConvergenceError(
             f"diffusion produced a negative probability {out.min():g}"

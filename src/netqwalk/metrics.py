@@ -64,7 +64,7 @@ def rank_by_probability(p, labels=None, exclude=()) -> RankedList:
 
     ``exclude`` removes nodes (indices, or labels when ``labels`` is
     given) from the ranking entirely, which is how seed genes are kept
-    out of a prioritized list.
+    out of a prioritized list; an index outside ``[0, n)`` raises.
     """
     return _rank(p, labels, exclude, TIE_RTOL, TIE_ATOL)
 
@@ -81,10 +81,12 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
             if labels is None:
                 raise ValueError("label exclusions require labels")
             excluded.add(list(labels).index(e))
-        else:
+        elif 0 <= int(e) < n:
             excluded.add(int(e))
+        else:
+            raise ValueError(f"excluded node index {e} is out of range for {n} nodes")
     keep = np.ones(n, dtype=bool)
-    keep[[i for i in excluded if 0 <= i < n]] = False
+    keep[list(excluded)] = False
     nodes = np.flatnonzero(keep)
     by_value = np.argsort(-p[nodes], kind="stable")
     values = p[nodes][by_value]
@@ -187,7 +189,8 @@ def walk_support_subgraph(
     profiles : ndarray of shape (n, n)
         Row ``u`` is the walker's node distribution when started at ``u``.
     targets : iterable of node labels or indices
-        Receiver-side endpoints of the paths of interest (must be nonempty).
+        Receiver-side endpoints of the paths of interest (must be nonempty);
+        an index outside ``[0, n)`` raises.
     epsilon : float
         Per-hop probability threshold in (0, 1).
     """
@@ -196,7 +199,11 @@ def walk_support_subgraph(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
     def to_index(x) -> int:
-        return g.index(x) if isinstance(x, str) else int(x)
+        if isinstance(x, str):
+            return g.index(x)
+        if not 0 <= int(x) < g.n:
+            raise ValueError(f"target node index {x} is out of range for {g.n} nodes")
+        return int(x)
 
     target_set = {to_index(t) for t in targets}
     if not target_set:

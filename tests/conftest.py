@@ -1,10 +1,25 @@
 """Shared test inputs."""
 
+import math
+
 import numpy as np
 import pytest
 
+from netqwalk import expm
 from netqwalk.graphs import CCI_LAYERS
 from netqwalk.pipeline import _CCI_CHUNK
+
+
+@pytest.fixture
+def expm_kernel(monkeypatch):
+    """``expm_kernel(kernel, tol)`` makes every later action take ``kernel``,
+    ``"dense"`` or ``"lanczos"``, whatever the matrix size.  The Lanczos
+    action then aims at ``tol`` (``expm.DEFAULT_TOL`` when omitted)."""
+    def use(kernel: str, tol: float = expm.DEFAULT_TOL) -> None:
+        monkeypatch.setattr(expm, "DENSE_LIMIT", {"dense": math.inf, "lanczos": 0}[kernel])
+        monkeypatch.setattr(expm, "DEFAULT_TOL", tol)
+
+    return use
 
 
 @pytest.fixture

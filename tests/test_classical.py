@@ -16,22 +16,27 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from netqwalk import classical
 from netqwalk.classical import (
     TransitionMatrix,
     ctrw_evolve,
+    ctrw_sweep,
     dtrw_evolve,
     dtrw_transition_profile,
     row_stochastic,
     rwr_iterate,
     rwr_steady_state,
 )
+from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import graph_from_edges, greatest_component, load_edge_list, read_edge_list
 from netqwalk.states import delta_distribution
 from walk_oracles import (
+    ctrw_oracle,
     dtrw_oracle,
     restart_matrix,
     rwr_iterate_oracle,
     rwr_oracle,
+    weighted_graph_with_isolated_node,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -171,6 +176,13 @@ def test_rwr_validation():
             rwr_steady_state(g, p0, alpha)
     with pytest.raises(ValueError, match="sums"):
         rwr_steady_state(g, np.array([0.9, 0.9]), 0.5)
+
+
+def test_rwr_steady_state_raises_when_power_iteration_runs_out(monkeypatch):
+    monkeypatch.setattr(classical, "POWER_MAX_ITER", 3)
+    g = graph_from_edges([("a", "b"), ("b", "c")])
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        rwr_steady_state(g, np.array([1.0, 0.0, 0.0]), 0.85)
 
 
 def test_rwr_iterate_recurrence_and_limit():
@@ -396,3 +408,14 @@ def test_ctrw_uniform_limit_on_connected_graph():
     g = random_connected_graph(rng, 10)
     p = ctrw_evolve(g, delta_distribution(g.n, 0), 200.0)
     assert np.max(np.abs(p - 1.0 / g.n)) < 1e-9
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_ctrw_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
+    expm_kernel(kernel)
+    g = weighted_graph_with_isolated_node()
+    p0 = np.zeros(g.n)
+    p0[[0, 2, 5, g.n - 1]] = (0.3, 0.1, 0.2, 0.4)
+    grid = [0.25 * i for i in range(13)]
+    for t, p in zip(grid, ctrw_sweep(g, p0, grid, None), strict=True):
+        assert np.max(np.abs(p - ctrw_oracle(g, p0, t))) < tol, t

@@ -8,12 +8,14 @@ and collapse of ``(sqrt(.8), sqrt(.2))`` gives ``(.8, .2)/sqrt(.68)``.
 
 import hashlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from netqwalk.ctqrw import (
     CollapseSchedule,
+    _check_drift,
     build_hamiltonian,
     collapse,
     evolve,
@@ -21,10 +23,12 @@ from netqwalk.ctqrw import (
     initial_state_from_scores,
     measure,
     random_chiral_phases,
+    sweep,
     transition_probability,
     transition_rate,
     uniform_chiral_phases,
 )
+from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import (
     graph_from_edges,
     greatest_component,
@@ -33,6 +37,7 @@ from netqwalk.graphs import (
 )
 from netqwalk.metrics import TIE_ATOL, TIE_RTOL, rank_by_probability
 from netqwalk.states import delta_distribution
+from walk_oracles import ctqrw_oracle, hamiltonian, weighted_graph_with_isolated_node
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -485,3 +490,54 @@ def test_delocalization_on_path_graph():
     p = measure(evolve(h, unit_state(5, 0), 1.5))
     assert p[0] < 0.8
     assert abs(p.sum() - 1.0) < 1e-12
+
+
+def test_check_drift_renormalizes_small_drift_and_rejects_large():
+    # drift up to 1e-12 passes untouched, up to 1e-8 is renormalized away
+    exact = unit_state(3, 1)
+    assert _check_drift(exact) is exact
+    for drift in (1e-10, -1e-10, 5e-9):
+        psi = exact * (1.0 + drift)
+        out = _check_drift(psi)
+        assert np.array_equal(out, psi / np.linalg.norm(psi))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-15
+    for drift in (2e-8, -1e-7, 1e-3):
+        with pytest.raises(ConvergenceError, match="unitarity"):
+            _check_drift(exact * (1.0 + drift))
+
+
+# ---------------------------------------------------------------------------
+# definition oracle: dense H, scipy's expm, the collapses replayed
+# ---------------------------------------------------------------------------
+
+
+def directed_weighted_graph():
+    """Directed graph with an antiparallel pair, a 3-cycle and a source node."""
+    pairs = [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 0), (2, 5), (6, 4)]
+    weights = np.random.default_rng(52).uniform(0.5, 2.0, len(pairs))
+    labels = [f"u{j}" for j in range(7)]
+    edges = [(labels[j], labels[k], w) for (j, k), w in zip(pairs, weights)]
+    return graph_from_edges(edges, directed=True, nodes=labels)
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
+    # collapses at 0.6 and at 1.5, which is also a grid point: a point at a
+    # collapse time is measured before that collapse
+    expm_kernel(kernel)
+    grid = [0.25 * i for i in range(13)]
+    collapses = (0.6, 1.5)
+    undirected = weighted_graph_with_isolated_node()
+    for g, kind in (
+        (undirected, "adjacency"),
+        (undirected, "laplacian"),
+        (undirected, "chiral"),
+        (directed_weighted_graph(), "chiral"),
+    ):
+        p0 = np.zeros(g.n)
+        p0[[0, 2, 5, g.n - 1]] = (0.3, 0.1, 0.2, 0.4)
+        config = SimpleNamespace(hamiltonian=kind, rng_seed=5, collapse_times=collapses)
+        phases = random_chiral_phases(g, 5) if kind == "chiral" else None
+        h = hamiltonian(g, kind, phases)
+        for t, p in zip(grid, sweep(g, p0, grid, config), strict=True):
+            assert np.max(np.abs(p - ctqrw_oracle(h, p0, t, collapses))) < tol, (kind, t)

@@ -101,6 +101,26 @@ def test_arc_basis_isolated_node_has_empty_segment():
         initial_arc_state(arcs, 2)
 
 
+def test_arc_basis_of_an_edgeless_graph_has_no_arcs():
+    arcs = arc_basis(graph_from_edges([], nodes=["a", "b", "c"]))
+    assert arcs.n_arcs == 0
+    assert arcs.node_ptr.tolist() == [0, 0, 0, 0]
+    assert arcs.incidence.shape == (3, 0)
+    for index in (arcs.tails, arcs.heads, arcs.node_ptr, arcs.reverse):
+        assert index.dtype == np.int64
+
+
+def test_arc_basis_keeps_the_arcs_of_a_zero_weight_edge():
+    # the coined walk ignores weights, so a zero weight leaves both arcs
+    weighted = arc_basis(graph_from_edges([("a", "b", 0.0), ("b", "c", 2.5)]))
+    plain = arc_basis(graph_from_edges([("a", "b"), ("b", "c")]))
+    got = list(zip(weighted.tails.tolist(), weighted.heads.tolist()))
+    assert got == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    for name in ("tails", "heads", "node_ptr", "reverse"):
+        assert np.array_equal(getattr(weighted, name), getattr(plain, name))
+        assert getattr(weighted, name).dtype == np.int64
+
+
 # ---------------------------------------------------------------------------
 # coins
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ full dense matrix; the library itself never forms the exponential, so
 agreement is a genuine cross-check rather than a tautology.
 """
 
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +126,10 @@ def test_chiral_generator_keeps_complex_eigenvectors():
 
 
 @pytest.mark.parametrize("real_h", [True, False])
-def test_dense_action_matches_expm_for_real_complex_and_strided_vectors(real_h):
+def test_dense_action_matches_expm_for_real_complex_and_strided_vectors(
+    real_h, expm_kernel
+):
+    expm_kernel("dense")
     rng = np.random.default_rng(13)
     n = 40
     h = as_hermitian(random_hermitian(rng, n, density=0.2, real=real_h))
@@ -139,7 +143,7 @@ def test_dense_action_matches_expm_for_real_complex_and_strided_vectors(real_h):
     }
     for t in (0.3, -1.1, 2.7):
         for name, v in vectors.items():
-            got = expm_action(h, v, t, backend="dense")
+            got = expm_action(h, v, t)
             ref = oracle_expm(h.matrix, v, -1j * t)
             assert np.max(np.abs(got - ref)) < 1e-12, (name, t)
 
@@ -182,7 +186,8 @@ def test_as_hermitian_passthrough_preserves_cache():
 # ---------------------------------------------------------------------------
 
 
-def test_dense_backend_matches_scipy_oracle():
+def test_dense_backend_matches_scipy_oracle(expm_kernel):
+    expm_kernel("dense")
     rng = np.random.default_rng(20)
     for _ in range(25):
         n = int(rng.integers(2, 24))
@@ -190,12 +195,13 @@ def test_dense_backend_matches_scipy_oracle():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         t = float(rng.uniform(-3.0, 3.0))
-        got = expm_action(h, v, t, backend="dense")
+        got = expm_action(h, v, t)
         ref = oracle_expm(h, v, -1j * t)
         assert np.max(np.abs(got - ref)) < 1e-10
 
 
-def test_lanczos_backend_matches_scipy_oracle():
+def test_lanczos_backend_matches_scipy_oracle(expm_kernel):
+    expm_kernel("lanczos", 1e-11)
     rng = np.random.default_rng(21)
     for _ in range(10):
         n = int(rng.integers(8, 40))
@@ -203,18 +209,20 @@ def test_lanczos_backend_matches_scipy_oracle():
         v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         v /= np.linalg.norm(v)
         t = float(rng.uniform(0.1, 5.0))
-        got = expm_action(h, v, t, backend="lanczos", tol=1e-11)
+        got = expm_action(h, v, t)
         ref = oracle_expm(h, v, -1j * t)
         assert np.max(np.abs(got - ref)) < 1e-8
 
 
-def test_backends_agree_with_each_other():
+def test_backends_agree_with_each_other(expm_kernel):
     rng = np.random.default_rng(22)
     h = random_hermitian(rng, 30)
     v = rng.standard_normal(30) + 1j * rng.standard_normal(30)
     v /= np.linalg.norm(v)
-    a = expm_action(h, v, 2.5, backend="dense")
-    b = expm_action(h, v, 2.5, backend="lanczos", tol=1e-12)
+    expm_kernel("dense")
+    a = expm_action(h, v, 2.5)
+    expm_kernel("lanczos", 1e-12)
+    b = expm_action(h, v, 2.5)
     assert np.max(np.abs(a - b)) < 1e-9
 
 
@@ -266,19 +274,20 @@ def test_negative_time_inverts_evolution():
     assert np.max(np.abs(back - v)) < 1e-10
 
 
-def test_long_time_lanczos_splitting():
+def test_long_time_lanczos_splitting(expm_kernel):
     # norm(H)*t well beyond one Krylov substep
     rng = np.random.default_rng(27)
     h = random_hermitian(rng, 20)
     v = rng.standard_normal(20) + 1j * rng.standard_normal(20)
     v /= np.linalg.norm(v)
     t = 60.0
-    got = expm_action(h, v, t, backend="lanczos", tol=1e-10)
+    expm_kernel("lanczos", 1e-10)
+    got = expm_action(h, v, t)
     ref = oracle_expm(h, v, -1j * t)
     assert np.max(np.abs(got - ref)) < 1e-7
 
 
-def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(monkeypatch):
+def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(expm_kernel, monkeypatch):
     # 490 nodes: the subspace stops well short of n, and t = 5 and 10 split
     # into substeps; the per-action iteration counts pin the stopping rule
     g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
@@ -294,26 +303,28 @@ def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
     for t, iterations in ((0.5, 20), (2.0, 37), (5.0, 102), (10.0, 190)):
         calls.clear()
-        got = expm_action(h, v, t, backend="lanczos")
+        expm_kernel("lanczos")
+        got = expm_action(h, v, t)
         assert len(calls) == iterations
-        assert np.max(np.abs(got - expm_action(h, v, t, backend="dense"))) < 1e-9
+        expm_kernel("dense")
+        assert np.max(np.abs(got - expm_action(h, v, t))) < 1e-9
 
 
 def test_expm_action_input_validation():
     rng = np.random.default_rng(28)
     h = random_hermitian(rng, 4)
-    v = np.ones(4) / 2.0
     with pytest.raises(ValueError, match="length"):
         expm_action(h, np.ones(3), 1.0)
     with pytest.raises(ValueError, match="finite"):
         expm_action(h, np.array([1.0, np.nan, 0, 0]), 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         expm_action(h, np.zeros(4), 1.0)
-    with pytest.raises(ValueError, match="backend"):
-        expm_action(h, v, 1.0, backend="magic")
-    for bad in (0.0, -1e-9, 1e-3, np.inf):
-        with pytest.raises(ValueError, match="tol"):
-            expm_action(h, v, 1.0, tol=bad)
+
+
+def test_expm_action_and_wrapper_take_no_options():
+    # the matrix size alone picks the kernel, at the module's tolerance
+    assert list(inspect.signature(expm_action).parameters) == ["hamiltonian", "v", "t"]
+    assert list(inspect.signature(SparseHermitian).parameters) == ["matrix"]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +409,7 @@ def test_diffusion_zero_time_exact():
     assert np.array_equal(out, p0)
 
 
-def test_lanczos_action_runs_on_one_blas_thread_and_restores_it(monkeypatch):
+def test_lanczos_action_runs_on_one_blas_thread_and_restores_it(expm_kernel, monkeypatch):
     calls = expm._openblas_threads()
     if calls is None:
         pytest.skip("numpy's OpenBLAS thread calls are not available")
@@ -417,7 +428,8 @@ def test_lanczos_action_runs_on_one_blas_thread_and_restores_it(monkeypatch):
     threads = get()
     put(2)
     try:
-        out = expm_action(h, v, 3.0, backend="lanczos")
+        expm_kernel("lanczos")
+        out = expm_action(h, v, 3.0)
         assert seen and set(seen) == {1}
         assert get() == 2
         with pytest.raises(RuntimeError), expm._one_blas_thread():

@@ -94,6 +94,21 @@ def test_labeled_graph_rejects_repeated_labels_and_indexes_unique_ones():
     assert "b" in g and "d" not in g
 
 
+def test_labeled_graph_rejects_malformed_edge_arrays():
+    labels = ("a", "b", "c")
+    for fields, message in (
+        ({"edges": [[0, 3]]}, "out of range"),
+        ({"edges": [[-1, 2]]}, "out of range"),
+        ({"edges": [[1, 1]]}, "self-loops"),
+        ({"edges": [[2, 0]]}, "j < k"),
+        ({"edges": [[0, 1]], "weights": [1.0, 2.0]}, "weights length"),
+    ):
+        with pytest.raises(GraphFormatError, match=message):
+            LabeledGraph(labels, **fields)
+    # a directed edge may run from a higher index to a lower one
+    assert LabeledGraph(labels, [[2, 0]], directed=True).edge_count == 1
+
+
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         graph_from_edges([("a", "b", -1.0)])
@@ -278,6 +293,11 @@ def test_cci_rejects_unknown_layer_and_label():
         build_cci_graph([("X", "mystery")], [])
     with pytest.raises(CciValidationError):
         build_cci_graph(CCI_NODES, [("S1", "NOPE")])
+
+
+def test_cci_rejects_duplicate_node_label():
+    with pytest.raises(CciValidationError, match="duplicate node label 'S1'"):
+        build_cci_graph(CCI_NODES + [("S1", "ligand")], CCI_EDGES)
 
 
 def test_symmetrized_view_same_nodes_undirected():

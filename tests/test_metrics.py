@@ -14,6 +14,7 @@ from netqwalk.metrics import (
     average_precision_at_k,
     pairwise_distance_matrix,
     precision_at_k,
+    rank_by_probability,
     walk_support_subgraph,
 )
 
@@ -50,6 +51,13 @@ def test_ranked_list_validation():
 # ---------------------------------------------------------------------------
 # precision
 # ---------------------------------------------------------------------------
+
+
+def test_rank_rejects_an_excluded_index_outside_the_vector():
+    assert rank_by_probability([0.1, 0.4, 0.5], exclude=(2,)).items == (1, 0)
+    for bad in (7, 3, -1):
+        with pytest.raises(ValueError, match=f"index {bad} is out of range for 3 nodes"):
+            rank_by_probability([0.1, 0.4, 0.5], exclude=(bad,))
 
 
 def test_precision_hand_cases():
@@ -293,3 +301,13 @@ def test_support_validation():
         walk_support_subgraph(cci, np.zeros((2, 2)), targets=["C1"], epsilon=0.5)
     with pytest.raises(KeyError):
         walk_support_subgraph(cci, prof, targets=["NOPE"], epsilon=0.5)
+
+
+def test_support_rejects_an_integer_target_outside_the_graph():
+    chain = [("S", "sender"), ("L", "ligand"), ("R", "receptor"), ("C", "receiver")]
+    cci = build_cci_graph(chain, [("S", "L"), ("L", "R"), ("R", "C")])
+    prof = np.full((4, 4), 0.5)
+    assert len(walk_support_subgraph(cci, prof, targets=[3], epsilon=0.1).edges) == 3
+    for bad in (99, 4, -1):
+        with pytest.raises(ValueError, match=f"index {bad} is out of range for 4 nodes"):
+            walk_support_subgraph(cci, prof, targets=[bad], epsilon=0.1)

@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.sparse import csgraph
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk import classical, ctqrw, dtqrw, expm
+from netqwalk import classical, ctqrw, dtqrw
 from netqwalk.pipeline import (
     _CCI_CHUNK,
     CciConfig,
@@ -87,12 +87,12 @@ def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
     assert len(calls) == 1
 
 
-def test_chiral_collapse_sweep_reaches_the_krylov_counter(monkeypatch):
+def test_chiral_collapse_sweep_reaches_the_krylov_counter(expm_kernel, monkeypatch):
     # the benchmark's must-hit ``expm.krylov_iters`` counts
-    # scipy.linalg.eigh_tridiagonal calls; with the dense backend switched
-    # off, the fixture runs the krylov-collapse command shape: one action
+    # scipy.linalg.eigh_tridiagonal calls; with the Lanczos kernel forced,
+    # the fixture runs the krylov-collapse command shape: one action
     # per grid point (51) plus one per collapse (4)
-    monkeypatch.setattr(expm, "DENSE_LIMIT", 0)
+    expm_kernel("lanczos")
     iterations, actions = [], []
     _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", iterations)
     _count_calls(monkeypatch, ctqrw, "expm_action", actions)

@@ -1,14 +1,16 @@
-"""Definition oracles for the restart walk and the discrete-time walk.
+"""Definition oracles for the classical and the continuous quantum walks.
 
-Each is built from the dense adjacency alone, not from
-``netqwalk.classical``, so a test that compares the two does not share
-the kernels' normalization or their rule for dangling nodes (nodes with
-no outgoing weight).
+Each is built from the dense adjacency (or the edge arrays) alone, not
+from ``netqwalk.classical``, ``netqwalk.ctqrw`` or ``netqwalk.expm``, so
+a test that compares the two does not share the kernels' normalization,
+their rule for dangling nodes (nodes with no outgoing weight), their
+Hamiltonian assembly or their exponential.
 """
 
 import numpy as np
+import scipy.linalg
 
-from netqwalk.graphs import adjacency_matrix
+from netqwalk.graphs import adjacency_matrix, graph_from_edges
 
 
 def _outgoing(g):
@@ -50,3 +52,47 @@ def dtrw_oracle(g, p0, steps):
     """``steps`` discrete-time walk steps from ``p0`` (a vector or a block of
     columns), as the matrix power ``(P^T)^steps p0``."""
     return np.linalg.matrix_power(holding_matrix(g).T, steps) @ p0
+
+
+def weighted_graph_with_isolated_node():
+    """Undirected graph on nine nodes with weights in [0.5, 2]: a cycle with
+    chords on ``v0``-``v7``, and ``v8`` without edges."""
+    rng = np.random.default_rng(51)
+    pairs = [(j, (j + 1) % 8) for j in range(8)] + [(0, 4), (1, 6), (2, 5), (3, 7)]
+    edges = [(f"v{j}", f"v{k}", w) for (j, k), w in zip(pairs, rng.uniform(0.5, 2.0, 12))]
+    return graph_from_edges(edges, nodes=[f"v{j}" for j in range(9)])
+
+
+def _laplacian(a):
+    return np.diag(a.sum(axis=1)) - a
+
+
+def ctrw_oracle(g, p0, t):
+    """Diffusion ``expm(-L t) p0`` with ``L = D - A`` from the dense adjacency."""
+    return scipy.linalg.expm(-t * _laplacian(adjacency_matrix(g).toarray())) @ p0
+
+
+def hamiltonian(g, kind, phases=None):
+    """Dense walk Hamiltonian: ``A``, ``D - A``, or (chiral) the sum over the
+    stored edges ``(j, k)`` of weight ``w`` and angle ``phi`` of
+    ``w exp(i phi)`` at ``(j, k)`` and ``w exp(-i phi)`` at ``(k, j)``."""
+    if kind == "adjacency":
+        return adjacency_matrix(g).toarray()
+    if kind == "laplacian":
+        return _laplacian(adjacency_matrix(g).toarray())
+    h = np.zeros((g.n, g.n), dtype=np.complex128)
+    for (j, k), w, phi in zip(g.edges.tolist(), g.weights, phases):
+        h[j, k] += w * np.exp(1j * phi)
+        h[k, j] += w * np.exp(-1j * phi)
+    return h
+
+
+def ctqrw_oracle(h, p0, t, collapses=()):
+    """Node distribution at ``t`` of the walk ``expm(-i H t)`` from the
+    amplitudes ``p0 / |p0|_2``, collapsed at each time of ``collapses``
+    before ``t``: the state becomes ``|psi|^2`` over its 2-norm."""
+    psi, start = np.asarray(p0, dtype=np.complex128) / np.linalg.norm(p0), 0.0
+    for tc in [c for c in collapses if c < t]:
+        psi = np.abs(scipy.linalg.expm(-1j * (tc - start) * h) @ psi) ** 2
+        psi, start = psi / np.linalg.norm(psi), tc
+    return np.abs(scipy.linalg.expm(-1j * (t - start) * h) @ psi) ** 2
