@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .expm import ConvergenceError, as_hermitian, real_expm_action
+from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
 from .graphs import LabeledGraph, adjacency_matrix, laplacian
 from .states import as_probability_columns, as_probability_vector, delta_distribution
 
@@ -158,10 +158,10 @@ def rwr_sweep(g: LabeledGraph, p0, grid, config):
 
 
 def ctrw_sweep(g: LabeledGraph, p0, grid, config):
-    """Diffusion from ``p0`` at each ``grid`` time; the Laplacian is decomposed once."""
+    """Diffusion from ``p0`` at each ``grid`` time: one decomposition, one action per block."""
     lap = as_hermitian(laplacian(g))
-    for t in grid:
-        yield real_expm_action(lap, p0, t)
+    for block in time_blocks(grid, g.n):
+        yield from real_expm_action(lap, p0, block)
 
 
 def dtrw_sweep(g: LabeledGraph, p0, grid, config):

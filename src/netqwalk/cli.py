@@ -14,6 +14,7 @@ in ``ExperimentConfig`` or ``CciConfig``.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -139,7 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _config(cls, args):
     """``cls`` built from the namespace attributes that name its fields."""
     names = {field.name for field in fields(cls)}
-    return cls(**{k: v for k, v in vars(args).items() if k in names})
+    config = cls(**{k: v for k, v in vars(args).items() if k in names})
+    if os.path.exists(args.out) and not os.path.isdir(args.out):  # fail before the run
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    return config
 
 
 def _run_prioritize(args) -> int:

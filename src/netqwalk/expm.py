@@ -12,18 +12,19 @@ The graph size alone picks the kernel; neither entry point takes options.
 dense
     Eigendecomposition of the dense matrix (LAPACK divide and conquer,
     ``driver="evd"``), cached on the :class:`SparseHermitian` wrapper.
-    Used for n <= ``DENSE_LIMIT``.  A real generator (adjacency,
-    Laplacian) is decomposed in real arithmetic and its real orthogonal
-    eigenvectors are applied to the real and imaginary parts of a state
-    as two real columns, so no n x n complex array is formed; only a
-    complex generator (chiral phases) has complex eigenvectors.
+    Used for n <= ``DENSE_LIMIT``.  The state is projected once, ``coef =
+    V^dagger v``, and a block of T times is one product ``V @ (exp(scale *
+    outer(w, times)) * coef)``.  A real generator (adjacency, Laplacian) is
+    decomposed in real arithmetic and its real orthogonal eigenvectors act
+    on the ``2T`` real columns of the states' real and imaginary parts, so
+    no n x n complex array is formed.
 lanczos
     Lanczos (Krylov) action with full reorthogonalization on a basis
     stored as the rows of one C-contiguous array, grown until the
     a-posteriori error estimate drops below ``DEFAULT_TOL``.  Long
     evolutions are split into substeps bounded by ``norm(H) * dt <=
     SPLIT_BOUND``; if a substep reaches ``_MAX_KRYLOV`` vectors, the
-    action is retried with twice as many substeps.
+    action is retried with twice as many substeps.  Times go one by one.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
 SPLIT_BOUND = 20.0
 _MAX_KRYLOV = 120
+_BLOCK_BYTES = 4 << 20  # the largest block of complex states of one dense action
 
 
 class HermiticityError(ValueError):
@@ -133,21 +135,31 @@ def as_hermitian(matrix) -> SparseHermitian:
 def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``m @ x`` for a real matrix ``m`` without casting ``m`` to complex.
 
-    A complex ``x`` is multiplied as the (n, 2) float64 columns of its
-    real and imaginary parts, a view of the contiguous vector.
+    A complex ``x``, a vector or an (n, T) block, is multiplied as the
+    float64 columns of its real and imaginary parts, a view of ``x``.
     """
     if not np.iscomplexobj(x):
         return m @ x
-    cols = np.ascontiguousarray(x).view(np.float64).reshape(-1, 2)
-    return (m @ cols).view(np.complex128).reshape(-1)
+    cols = np.ascontiguousarray(x).view(np.float64).reshape(x.shape[0], -1)
+    return (m @ cols).view(np.complex128).reshape(x.shape)
 
 
-def _dense_apply(op: SparseHermitian, v: np.ndarray, scale: complex) -> np.ndarray:
+def _dense_apply(op: SparseHermitian, v: np.ndarray, unit: complex, times) -> np.ndarray:
+    """The columns ``exp(unit * t * H) v`` of ``times``: one projection, one product."""
     w, vec = op.eigendecomposition()
+    phase = np.exp(np.outer(w, unit * times))
     if np.iscomplexobj(vec):
         # V^dagger v without materialising the conjugate transpose of V
-        return vec @ (np.exp(scale * w) * (vec.T @ v.conj()).conj())
-    return _real_matmul(vec, np.exp(scale * w) * _real_matmul(vec.T, v))
+        return vec @ (phase * (vec.T @ v.conj()).conj()[:, None])
+    return _real_matmul(vec, phase * _real_matmul(vec.T, v)[:, None])
+
+
+def time_blocks(times, n: int) -> list[np.ndarray]:
+    """``times`` in blocks of at most ``_BLOCK_BYTES`` of complex states, or of
+    one time above ``DENSE_LIMIT``, where Lanczos shares no work across times."""
+    times = np.asarray(times, dtype=np.float64)
+    size = max(1, _BLOCK_BYTES // (16 * n)) if n <= DENSE_LIMIT else 1
+    return [times[i:i + size] for i in range(0, times.size, size)]
 
 
 @cache
@@ -245,17 +257,23 @@ def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, t: float) 
     )
 
 
-def _action(op: SparseHermitian, v: np.ndarray, unit: complex, t: float) -> np.ndarray:
-    """``exp(unit * t * H) v``: dense up to ``DENSE_LIMIT`` nodes, Lanczos beyond."""
-    if t == 0.0 or op.matrix.nnz == 0:
-        return v.copy()
-    if op.n <= DENSE_LIMIT:
-        return _dense_apply(op, v, unit * t)
-    with _one_blas_thread():
-        return _krylov_action(op, v, unit, t)
+def _action(op: SparseHermitian, v: np.ndarray, unit: complex, t) -> np.ndarray:
+    """``exp(unit * t * H) v``, a row per time of an array ``t``: dense or Lanczos by size."""
+    times = np.asarray(t, dtype=np.float64).reshape(-1)
+    if op.matrix.nnz == 0 or not times.any():
+        out = np.tile(v, (times.size, 1))
+    elif op.n <= DENSE_LIMIT:
+        out = np.ascontiguousarray(_dense_apply(op, v, unit, times).T)
+    else:
+        out = np.empty((times.size, op.n), dtype=np.complex128)
+        with _one_blas_thread():
+            for i in np.flatnonzero(times):
+                out[i] = _krylov_action(op, v, unit, float(times[i]))
+    out[times == 0.0] = v
+    return out if np.ndim(t) else out[0]
 
 
-def expm_action(hamiltonian, v, t: float) -> np.ndarray:
+def expm_action(hamiltonian, v, t) -> np.ndarray:
     """Apply the unitary propagator: return ``exp(-i H t) v``.
 
     Parameters
@@ -264,8 +282,8 @@ def expm_action(hamiltonian, v, t: float) -> np.ndarray:
         Hermitian generator; matrix-like input is validated on the fly.
     v : array-like
         Nonzero complex vector.
-    t : float
-        Evolution time (may be negative).
+    t : float or 1-D array of floats
+        Evolution time (may be negative); an array gives one row per time.
 
     Up to ``DENSE_LIMIT`` nodes the action comes from the cached dense
     eigendecomposition; beyond, the Lanczos action matches the exact one
@@ -282,17 +300,18 @@ def expm_action(hamiltonian, v, t: float) -> np.ndarray:
     return _action(op, v, -1j, t)
 
 
-def real_expm_action(generator, p, t: float) -> np.ndarray:
+def real_expm_action(generator, p, t) -> np.ndarray:
     """Apply the diffusion kernel: return ``exp(-L t) p``.
 
     ``generator`` must be real symmetric with zero row sums (a graph
     Laplacian) and ``p`` a probability vector.  The result is clipped of
-    sub-1e-12 negative round-off and keeps unit sum to ~1e-10.
+    sub-1e-12 negative round-off and keeps unit sum to ~1e-10.  An array
+    ``t`` gives one row per time.
     """
     op = as_hermitian(generator)
     if not op.is_real:
         raise HermiticityError("diffusion generator must be a real symmetric matrix")
-    if t < 0:
+    if np.min(t) < 0:
         raise ValueError("diffusion time must be >= 0")
     p = as_probability_vector(p, n=op.n)
     # real on the dense path; the Lanczos path returns a complex vector

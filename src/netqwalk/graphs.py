@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -80,7 +81,11 @@ class LabeledGraph:
         index = dict(zip(labels, range(n)))
         if len(index) != n:
             raise GraphFormatError("node labels must be unique")
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        edges = np.asarray(self.edges)
+        whole = edges.dtype.kind != "f" or np.isfinite(edges) & (edges == np.trunc(edges))
+        if not np.all(whole):
+            raise GraphFormatError(f"edge index {edges[~whole][0]} is not an integer")
+        edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError("edge indices out of range")
         if edges.size and np.any(edges[:, 0] == edges[:, 1]):
@@ -282,10 +287,19 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     return _indexed_graph(fields[:, :2].ravel().tolist(), weights, directed)
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``; a GraphFormatError names the file and line of a bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
+
+
 def read_edge_list(path) -> LabeledGraph:
     """Read an undirected edge-list TSV file (UTF-8)."""
-    with open(path, encoding="utf-8") as fh:
-        return load_edge_list(fh.read())
+    return load_edge_list(read_text(path))
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def rank_by_probability(p, labels=None, exclude=()) -> RankedList:
     return _rank(p, labels, exclude, TIE_RTOL, TIE_ATOL)
 
 
+def _node_index(x, n: int, what: str) -> int:
+    """``x`` as a node index in ``[0, n)``; a ValueError names any other value."""
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{what} {x} is not an integer")
+    if not 0 <= int(x) < n:
+        raise ValueError(f"{what} {x} is out of range for {n} nodes")
+    return int(x)
+
+
 def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     """``rank_by_probability`` with tie tolerances ``rtol`` and ``atol``."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
@@ -81,10 +90,8 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
             if labels is None:
                 raise ValueError("label exclusions require labels")
             excluded.add(list(labels).index(e))
-        elif 0 <= int(e) < n:
-            excluded.add(int(e))
         else:
-            raise ValueError(f"excluded node index {e} is out of range for {n} nodes")
+            excluded.add(_node_index(e, n, "excluded node index"))
     keep = np.ones(n, dtype=bool)
     keep[list(excluded)] = False
     nodes = np.flatnonzero(keep)
@@ -199,11 +206,7 @@ def walk_support_subgraph(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
     def to_index(x) -> int:
-        if isinstance(x, str):
-            return g.index(x)
-        if not 0 <= int(x) < g.n:
-            raise ValueError(f"target node index {x} is out of range for {g.n} nodes")
-        return int(x)
+        return g.index(x) if isinstance(x, str) else _node_index(x, g.n, "target node index")
 
     target_set = {to_index(t) for t in targets}
     if not target_set:

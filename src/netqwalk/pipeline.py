@@ -34,6 +34,7 @@ from .graphs import (
     parse_node_layers,
     read_edge_list,
     read_table,
+    read_text,
     symmetrized_view,
 )
 from .metrics import (
@@ -108,7 +109,7 @@ def parse_score_table(text: str) -> dict[str, float]:
 
 def read_score_table(path) -> dict[str, float]:
     """Read a ``label<TAB>p-value`` table (UTF-8) from ``path``."""
-    return parse_score_table(Path(path).read_text(encoding="utf-8"))
+    return parse_score_table(read_text(path))
 
 
 @dataclass(frozen=True)
@@ -503,8 +504,8 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     and ``dtqrw.transition_profile`` exactly.
     """
     cci = build_cci_graph(
-        parse_node_layers(Path(config.nodes_path).read_text(encoding="utf-8")),
-        parse_label_pairs(Path(config.edges_path).read_text(encoding="utf-8")),
+        parse_node_layers(read_text(config.nodes_path)),
+        parse_label_pairs(read_text(config.edges_path)),
     )
     for t in config.targets:
         cci.graph.index(t)  # raises KeyError for unknown labels

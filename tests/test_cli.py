@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netqwalk import cli
+from netqwalk import cli, expm
 from netqwalk.pipeline import WALKERS, CciConfig, ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -171,6 +171,36 @@ def test_prioritize_validation_error_is_exit_1(data, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("table", ["graph", "scores"])
+def test_undecodable_input_is_exit_1_naming_the_file_and_line(data, capsys, table):
+    path = Path(data[table])
+    path.write_bytes(path.read_bytes().replace(b"b\t", b"b\xff\t", 1))
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--out", data["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("command", ["prioritize", "cci"])
+def test_an_out_path_that_is_a_file_fails_before_the_run(data, capsys, monkeypatch, command):
+    def never(config):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_prioritization", never)
+    monkeypatch.setattr(cli, "run_cci_analysis", never)
+    Path(data["out"]).write_text("")
+    inputs = {
+        "prioritize": ["--graph", data["graph"], "--scores", data["scores"],
+                       "--targets", data["targets"]],
+        "cci": ["--nodes", data["nodes"], "--edges", data["edges"], "--targets", "C1"],
+    }[command]
+    assert cli.main([command, *inputs, "--out", data["out"]]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{data['out']}'\n"
+
+
 def test_prioritize_repeated_k_is_exit_1(data, capsys):
     # a repeated K would write its sweep.csv columns twice and one summary key
     code = cli.main([
@@ -214,7 +244,7 @@ def test_empty_gene_sets_and_oversized_grids_are_exit_1(tmp_path, capsys, flags,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    assert not (tmp_path / "out").exists()  # a failed run creates no --out
 
 
 def _child_env(**extra):
@@ -255,6 +285,35 @@ def test_prioritize_sweep_is_independent_of_blas_threads(tmp_path, walker_args):
             env=env, check=True, capture_output=True,
         )
         sweeps.append((out / "sweep.csv").read_bytes())
+    assert sweeps[0] == sweeps[1]
+
+
+@pytest.mark.parametrize(
+    "walker_args", [(), ("--hamiltonian", "chiral", "--collapse", "0.75,1")],
+    ids=["adjacency", "chiral-collapse"],
+)
+def test_ctqrw_block_sweep_is_independent_of_blas_threads(tmp_path, walker_args):
+    # a continuous sweep evolves a block of grid times in one matrix product,
+    # which OpenBLAS splits over its threads
+    calls = expm._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's OpenBLAS thread calls are not available")
+    get, put = calls
+    threads, sweeps = get(), []
+    try:
+        for count in (1, 2):
+            put(count)
+            out = tmp_path / f"threads{count}"
+            assert cli.main([
+                "prioritize",
+                "--graph", str(FIXTURES / "synthetic_ppi.tsv"),
+                "--scores", str(FIXTURES / "synthetic_scores.tsv"),
+                "--targets", str(FIXTURES / "synthetic_targets.tsv"),
+                "--walker", "ctqrw", *walker_args, "--out", str(out),
+            ]) == 0
+            sweeps.append((out / "sweep.csv").read_bytes())
+    finally:
+        put(threads)
     assert sweeps[0] == sweeps[1]
 
 

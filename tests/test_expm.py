@@ -242,6 +242,40 @@ def test_zero_hamiltonian_returns_exact_copy():
     assert np.array_equal(out, v)
 
 
+@pytest.mark.parametrize("kernel", ["dense", "lanczos"])
+def test_an_array_of_times_gives_one_row_per_time(expm_kernel, kernel):
+    # a block differs from the one-time actions only by the rounding of one
+    # matrix product, and its rows at t == 0 are the start state bitwise
+    expm_kernel(kernel)
+    rng = np.random.default_rng(29)
+    times = np.array([0.0, 0.4, 1.3, 0.0, 2.5])
+    g = graph_from_edges([(f"v{j}", f"v{(j + 1) % 9}") for j in range(9)] + [("v0", "v4")])
+    p0 = rng.random(g.n)
+    p0 /= p0.sum()
+    for real in (True, False):
+        h = as_hermitian(random_hermitian(rng, 16, real=real))
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        rows = expm_action(h, v, times)
+        assert rows.shape == (5, 16)
+        for row, t in zip(rows, times):
+            assert np.max(np.abs(row - expm_action(h, v, t))) < 1e-14
+        assert np.array_equal(rows[0], v) and np.array_equal(rows[3], v)
+    rows = real_expm_action(laplacian(g), p0, times)
+    assert rows.shape == (5, g.n)
+    for row, t in zip(rows, times):
+        assert np.max(np.abs(row - real_expm_action(laplacian(g), p0, t))) < 1e-14
+    assert np.array_equal(rows[0], p0) and np.array_equal(rows[3], p0)
+
+
+def test_time_blocks_cap_a_dense_block_and_give_lanczos_one_time_each():
+    blocks = list(expm.time_blocks(range(100_000), 2000))
+    assert np.array_equal(np.concatenate(blocks), np.arange(100_000))
+    assert max(b.size for b in blocks) * 16 * 2000 <= expm._BLOCK_BYTES
+    assert blocks[0].size == expm._BLOCK_BYTES // (16 * 2000)
+    beyond = list(expm.time_blocks(range(5), expm.DENSE_LIMIT + 1))
+    assert [b.tolist() for b in beyond] == [[0.0], [1.0], [2.0], [3.0], [4.0]]
+
+
 def test_unitarity_preserves_norm():
     rng = np.random.default_rng(24)
     for _ in range(20):

@@ -102,11 +102,15 @@ def test_labeled_graph_rejects_malformed_edge_arrays():
         ({"edges": [[1, 1]]}, "self-loops"),
         ({"edges": [[2, 0]]}, "j < k"),
         ({"edges": [[0, 1]], "weights": [1.0, 2.0]}, "weights length"),
+        ({"edges": [[0.7, 2.9]]}, "edge index 0.7 is not an integer"),
+        ({"edges": [[0.0, np.nan]]}, "edge index nan is not an integer"),
     ):
         with pytest.raises(GraphFormatError, match=message):
             LabeledGraph(labels, **fields)
     # a directed edge may run from a higher index to a lower one
     assert LabeledGraph(labels, [[2, 0]], directed=True).edge_count == 1
+    # an integral float index is that integer
+    assert LabeledGraph(labels, [[0.0, 2.0]]).edges.tolist() == [[0, 2]]
 
 
 def test_negative_weight_rejected():

@@ -55,8 +55,11 @@ def test_ranked_list_validation():
 
 def test_rank_rejects_an_excluded_index_outside_the_vector():
     assert rank_by_probability([0.1, 0.4, 0.5], exclude=(2,)).items == (1, 0)
-    for bad in (7, 3, -1):
+    for bad in (7, 3, -1, 10**400):
         with pytest.raises(ValueError, match=f"index {bad} is out of range for 3 nodes"):
+            rank_by_probability([0.1, 0.4, 0.5], exclude=(bad,))
+    for bad in (1.9, -0.5, np.nan):
+        with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
             rank_by_probability([0.1, 0.4, 0.5], exclude=(bad,))
 
 
@@ -310,4 +313,7 @@ def test_support_rejects_an_integer_target_outside_the_graph():
     assert len(walk_support_subgraph(cci, prof, targets=[3], epsilon=0.1).edges) == 3
     for bad in (99, 4, -1):
         with pytest.raises(ValueError, match=f"index {bad} is out of range for 4 nodes"):
+            walk_support_subgraph(cci, prof, targets=[bad], epsilon=0.1)
+    for bad in (2.5, np.inf):
+        with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
             walk_support_subgraph(cci, prof, targets=[bad], epsilon=0.1)

@@ -303,8 +303,12 @@ _VARIANTS = {"ctqrw": (
 @pytest.mark.parametrize("walker", list(SWEEPS))
 def test_every_sweep_yields_the_single_shot_distribution_at_each_grid_value(walker):
     # each grid point continues from the previous one (or from the latest
-    # collapse); every point must still equal the one-point call exactly,
-    # and the records of a prioritization run must rank those distributions
+    # collapse); every point must still equal the one-point call, and the
+    # records of a prioritization run must rank those distributions.  The
+    # continuous walkers evolve a block of grid times in one matrix product,
+    # which rounds differently from the one-point call, so they agree within
+    # metrics.TIE_ATOL; the others agree exactly
+    atol = 1e-14 if walker in ("ctrw", "ctqrw") else 0.0
     assert set(_SINGLE_SHOT) == set(SWEEPS)
     paths = dict(
         graph_path=DATA / "synthetic_ppi.tsv",
@@ -334,7 +338,7 @@ def test_every_sweep_yields_the_single_shot_distribution_at_each_grid_value(walk
         for value, p, record in zip(grid, swept, result.records):
             assert p.min() >= 0.0 and abs(p.sum() - 1.0) < 1e-12
             ref = _SINGLE_SHOT[walker](config, gc, p0, value)
-            assert np.array_equal(p, ref), (variant, value)
+            assert np.abs(p - ref).max() <= atol, (variant, value)
             if walker in _EXACT_TIE_WALKERS:  # ROADMAP item 1
                 ranking = _rank(ref, gc.labels, [gc.index(s) for s in seeds], 0.0, 0.0)
             else:

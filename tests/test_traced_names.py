@@ -79,12 +79,16 @@ def _run_fixture(**fields):
 @pytest.mark.parametrize("walker", ["ctqrw", "ctrw"])
 def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
     # the benchmark's must-hit ``expm.spectral`` span wraps scipy.linalg.eigh,
-    # and the sweep must reuse one cached decomposition for every grid point
-    calls = []
+    # and the sweep must reuse one cached decomposition for every grid point;
+    # its 21 points fit one block, which one ``expm.action`` call evolves
+    calls, actions = [], []
     _count_calls(monkeypatch, scipy.linalg, "eigh", calls)
+    _count_calls(monkeypatch, ctqrw, "expm_action", actions)
+    _count_calls(monkeypatch, classical, "real_expm_action", actions)
     result = _run_fixture(walker=walker, t_max=2.0)
     assert len(result.records) == 21
     assert len(calls) == 1
+    assert len(actions) == 1
 
 
 def test_chiral_collapse_sweep_reaches_the_krylov_counter(expm_kernel, monkeypatch):
