@@ -55,11 +55,17 @@ class TransitionMatrix:
 
 
 def row_stochastic(g: LabeledGraph) -> TransitionMatrix:
-    """Row-normalized adjacency ``D^-1 A``; the rows of dangling nodes stay empty."""
+    """Row-normalized adjacency ``D^-1 A``; the rows of dangling nodes stay
+    empty, and a node whose out-weight is too small to invert is an error."""
     a = adjacency_matrix(g)
     rowsum = np.asarray(a.sum(axis=1)).reshape(-1)
     dangling = rowsum == 0
-    scale = np.divide(1.0, rowsum, out=np.zeros(g.n), where=~dangling)
+    with np.errstate(over="ignore"):
+        scale = np.divide(1.0, rowsum, out=np.zeros(g.n), where=~dangling)
+    if not np.isfinite(scale).all():
+        i = np.argmin(np.isfinite(scale))
+        weight = float(rowsum[i])
+        raise ValueError(f"node {g.labels[i]!r} has out-weight {weight}, too small to invert")
     return TransitionMatrix((sp.diags(scale) @ a).tocsr(), dangling)
 
 

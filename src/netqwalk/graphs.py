@@ -7,7 +7,7 @@ summing their weights.  All walk modules operate on these graphs through
 the sparse matrix views built here (adjacency, degree, Laplacian).
 
 Input tables are parsed whole, a column at a time, by :func:`read_table`;
-a table that fails its checks is read again row by row to name the line.
+its lines end at ``\\n``, so an error names the line an editor shows.
 
 Cell-cell interaction (CCI) networks are handled by
 :class:`PartitionedCciGraph`, a directed four-partite graph whose layers
@@ -173,71 +173,60 @@ def graph_from_edges(
     return _indexed_graph(ends, weights, directed, map(str, nodes or ()))
 
 
-def table_rows(text: str, widths, form: str, table: str, sep: str | None = "\t"):
-    """Yield ``(line number, fields)`` for each data row of a headerless table.
-
-    Lines starting with ``#`` and blank lines are skipped.  Fields are split
-    on ``sep`` (any whitespace when ``None``) and whitespace-trimmed.  This
-    line-numbered reader runs only to name the bad line of a table that
-    :func:`read_table` rejected.
-
-    Raises
-    ------
-    GraphFormatError
-        On a row whose field count is not in ``widths`` or that has an
-        empty field (naming its line and the expected ``form``), or when
-        ``table`` has no data rows.
-    """
-    empty = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] == "#":
-            continue
-        fields = [f.strip() for f in line.split(sep)]
-        if len(fields) not in widths or "" in fields:
-            raise GraphFormatError(
-                f"line {lineno}: expected {form!r} with nonempty fields, got {raw!r}"
-            )
-        empty = False
-        yield lineno, fields
-    if empty:
-        raise GraphFormatError(f"empty {table}: no data rows found")
-
-
 def read_table(text: str, widths, form: str, table: str, sep="\t", number=None, unique=False):
-    """Fields of a headerless table, split as :func:`table_rows` splits it;
-    ``sep`` is a tab, or ``None`` for any run of whitespace.
+    """Fields of a headerless table; ``sep`` is a tab, or ``None`` for any
+    run of whitespace.  Lines end at ``\\n``; ``#`` lines and blank lines
+    are skipped, and lines and fields are trimmed, a ``\\r`` included.
 
     Returns a ``(rows, max(widths))`` object array (``None`` past the end of
     a short row), each row's field count, and the values of the column
-    ``number = (column, what, upper)`` checked as by :func:`parse_nonnegative`.
-    With ``unique``, first fields may not repeat.  A table that fails a check
-    is read again by :func:`table_rows`, so the error names its first bad line.
+    ``number = (column, what, upper)`` checked by :func:`parse_nonnegative`.
+    A table with no rows, or a row whose field count is not in ``widths``,
+    that has an empty field, repeats a first field (with ``unique``) or
+    fails its number check, is a :class:`GraphFormatError` naming the line.
     """
-    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
-    if sep is None and rows:
+    rows = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
+    if not rows:
+        raise GraphFormatError(f"empty {table}: no data rows found")
+    if sep is None:
         rows = _BLANKS.sub("\t", "\n".join(rows)).split("\n")
     width = np.fromiter(map(str.count, rows, repeat("\t")), np.int64, len(rows)) + 1
+    start = np.concatenate(([0], np.cumsum(width)))
     flat = list(map(str.strip, "\t".join(rows).split("\t")))
-    if rows and "" not in flat and np.isin(width, widths).all():
-        fields = np.full((len(rows), max(widths)), None, dtype=object)
-        row = np.repeat(np.arange(len(rows)), width)
-        col = np.arange(row.size) - np.repeat(np.cumsum(width) - width, width)
-        fields[row, col] = np.array(flat, dtype=object)
-        values = ()
-        if number:
-            j, _, upper = number
-            values = _nonnegative_column(fields[width > j, j], upper)
-        if values is not None and not (unique and len(set(fields[:, 0].tolist())) < len(rows)):
-            return fields, width, values
-    seen = set()
-    for lineno, f in table_rows(text, widths, form, table, sep):
-        if unique and f[0] in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate label {f[0]!r}")
-        seen.add(f[0])
-        if number and len(f) > number[0]:
-            parse_nonnegative(f[number[0]], lineno, *number[1:])
-    raise AssertionError(f"the row reader accepts a {table} that read_table rejects")
+    # the first row of a bad shape; the later checks read only the rows before it
+    bad = np.append(~np.isin(width, widths), True)
+    if "" in flat:
+        bad[np.searchsorted(start, flat.index(""), side="right") - 1] = True
+    stop = dup = int(bad.argmax())
+    fields = np.full((stop, max(widths)), None, dtype=object)
+    row = np.repeat(np.arange(stop), width[:stop])
+    fields[row, np.arange(row.size) - start[row]] = np.array(flat, dtype=object)[: start[stop]]
+    if unique and len(set(labels := fields[:, 0].tolist())) < stop:
+        first = {}
+        dup = next(k for k, label in enumerate(labels) if first.setdefault(label, k) != k)
+    values, fine = (), True
+    if number:
+        j, what, upper = number
+        column = fields[width[:stop] > j, j]
+        try:
+            values = np.fromiter(map(float, column), np.float64, len(column))
+            fine = np.all(np.isfinite(values) & (values >= 0.0) & (values <= upper))
+        except ValueError:
+            fine = False
+    if dup == len(rows) and fine:
+        return fields, width, values
+    # name the first bad row; within a row, shape goes before a repeat and a
+    # repeat before its number
+    lines = text.split("\n")
+    lineno = [i for i, line in enumerate(map(str.strip, lines), 1) if line and line[0] != "#"]
+    for k in np.flatnonzero(width[:dup] > j) if number else ():
+        parse_nonnegative(fields[k, j], lineno[k], what, upper)
+    if dup < stop:
+        raise GraphFormatError(f"line {lineno[dup]}: duplicate label {fields[dup, 0]!r}")
+    raw = lines[lineno[stop] - 1].removesuffix("\r")
+    raise GraphFormatError(
+        f"line {lineno[stop]}: expected {form!r} with nonempty fields, got {raw!r}"
+    )
 
 
 def parse_nonnegative(field: str, lineno: int, what: str, upper: float) -> float:
@@ -255,15 +244,6 @@ def parse_nonnegative(field: str, lineno: int, what: str, upper: float) -> float
             f"line {lineno}: {what} must be finite and >= 0{bound}, got {x}"
         )
     return x
-
-
-def _nonnegative_column(fields, upper: float) -> np.ndarray | None:
-    """:func:`parse_nonnegative` of a column, or ``None`` if a field fails it."""
-    try:
-        x = np.fromiter(map(float, fields), np.float64, len(fields))
-    except ValueError:
-        return None
-    return x if np.all(np.isfinite(x) & (x >= 0.0) & (x <= upper)) else None
 
 
 def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:

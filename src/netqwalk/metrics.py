@@ -152,27 +152,20 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
 
 
 def pairwise_distance_matrix(profiles) -> np.ndarray:
-    """Euclidean distance between every pair of profiles.
-
-    ``profiles`` is a matrix with one distribution per row; all rows must
-    share the same dimension.  The result is symmetric with a zero
-    diagonal.
+    """Euclidean distance between every pair of rows of the 2-D array
+    ``profiles``, one distribution per row.  The result is symmetric with a
+    zero diagonal.
     """
-    rows = [np.asarray(p, dtype=np.float64).reshape(-1) for p in profiles]
-    if not rows:
-        raise ValueError("at least one profile is required")
-    dim = rows[0].shape[0]
-    for i, row in enumerate(rows):
-        if row.shape[0] != dim:
-            raise ValueError(
-                f"profile {i} has dimension {row.shape[0]}, expected {dim}"
-            )
+    try:
+        mat = np.asarray(profiles, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"profiles must be rows of one dimension: {exc}") from None
+    if mat.ndim != 2 or not mat.shape[0]:
+        raise ValueError(f"at least one profile is required, as 2-D rows; got shape {mat.shape}")
     # imported here so that only ``cci``, which measures distances, pays for it
     from scipy.spatial.distance import cdist
 
-    mat = np.vstack(rows)
     d = cdist(mat, mat)
-    d = 0.5 * (d + d.T)
     np.fill_diagonal(d, 0.0)
     return d
 

@@ -171,6 +171,27 @@ def test_prioritize_validation_error_is_exit_1(data, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("walker", WALKERS)
+def test_a_subnormal_out_weight_is_exit_1_for_the_classical_walks(data, capsys, walker):
+    # 1 / 1e-320 overflows, so the row of A cannot be normalized; the other
+    # walkers never normalize rows and take the weight as it is
+    Path(data["graph"]).write_text("A\tB\t1e-320\nB\tC\t1\nC\tD\t1\n")
+    Path(data["scores"]).write_text("A\t0.001\n")
+    Path(data["targets"]).write_text("D\t1e-9\n")
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--walker", walker, "--out", data["out"],
+    ])
+    err = capsys.readouterr().err
+    if walker in ("rwr", "dtrw"):
+        assert code == 1
+        assert err == "error: node 'A' has out-weight 1e-320, too small to invert\n"
+    else:
+        assert code == 0 and err == ""
+
+
 @pytest.mark.parametrize("table", ["graph", "scores"])
 def test_undecodable_input_is_exit_1_naming_the_file_and_line(data, capsys, table):
     path = Path(data[table])
