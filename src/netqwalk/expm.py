@@ -21,10 +21,10 @@ dense
 lanczos
     Lanczos (Krylov) action with full reorthogonalization on a basis
     stored as the rows of one C-contiguous array, grown until the
-    a-posteriori error estimate drops below ``DEFAULT_TOL``.  Long
-    evolutions are split into substeps bounded by ``norm(H) * dt <=
-    SPLIT_BOUND``; if a substep reaches ``_MAX_KRYLOV`` vectors, the
-    action is retried with twice as many substeps.  Times go one by one.
+    a-posteriori error estimate drops below ``DEFAULT_TOL``.  A block's
+    longest time is split into substeps with ``norm(H) * dt <= SPLIT_BOUND``,
+    and one basis per substep gives its times and the state at its end; if
+    one reaches ``_MAX_KRYLOV`` vectors, the substeps are doubled.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
 SPLIT_BOUND = 20.0
 _MAX_KRYLOV = 120
-_BLOCK_BYTES = 4 << 20  # the largest block of complex states of one dense action
+_BLOCK_BYTES = 4 << 20  # the largest block of complex states of one action
 
 
 class HermiticityError(ValueError):
@@ -155,10 +155,10 @@ def _dense_apply(op: SparseHermitian, v: np.ndarray, unit: complex, times) -> np
 
 
 def time_blocks(times, n: int) -> list[np.ndarray]:
-    """``times`` in blocks of at most ``_BLOCK_BYTES`` of complex states, or of
-    one time above ``DENSE_LIMIT``, where Lanczos shares no work across times."""
+    """``times`` in blocks of at most ``_BLOCK_BYTES`` of complex states, the
+    rows of one action of either kernel."""
     times = np.asarray(times, dtype=np.float64)
-    size = max(1, _BLOCK_BYTES // (16 * n)) if n <= DENSE_LIMIT else 1
+    size = max(1, _BLOCK_BYTES // (16 * n))
     return [times[i:i + size] for i in range(0, times.size, size)]
 
 
@@ -191,9 +191,9 @@ def _one_blas_thread():
 
 
 def _lanczos_apply(
-    a: sp.csr_matrix, v: np.ndarray, scale: complex, tol: float
+    a: sp.csr_matrix, v: np.ndarray, scales: np.ndarray, tol: float
 ) -> np.ndarray | None:
-    """One Lanczos solve of exp(scale * A) v; None if the subspace cap is hit.
+    """Rows exp(s * A) v, one per s of ``scales``, from one basis; None if the cap is hit.
 
     A is Hermitian so the projected matrix is a real symmetric tridiagonal;
     full reorthogonalization keeps the basis usable at tight tolerances.
@@ -219,47 +219,58 @@ def _lanczos_apply(
         beta = float(np.linalg.norm(w))
         betas.append(beta)
         ew, ev = scipy.linalg.eigh_tridiagonal(alphas, betas[:-1])
-        coef = ev @ (np.exp(scale * ew) * ev[0])
-        err = beta0 * beta * abs(coef[-1])
+        coef = ev @ (np.exp(np.outer(ew, scales)) * ev[0][:, None])
+        err = beta0 * beta * np.abs(coef[-1])
         if coef_prev is not None:
             delta = coef.copy()
             delta[: coef_prev.shape[0]] -= coef_prev
-            err = max(err, beta0 * float(np.linalg.norm(delta)))
+            err = np.maximum(err, beta0 * np.linalg.norm(delta, axis=0))
         happy = beta <= 1e-14 * max(beta0, 1.0)
-        if happy or err <= tol * max(beta0, 1.0):
-            return beta0 * (coef @ basis)
+        if happy or err.max() <= tol * max(beta0, 1.0):
+            return beta0 * (coef.T @ basis)
         coef_prev = coef
         q[j + 1] = w / beta
     return None
 
 
-def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, t: float) -> np.ndarray:
-    """Split exp(unit * t * H) v into substeps with norm(H) * dt bounded."""
-    tol = DEFAULT_TOL
-    rho = op.norm_estimate() * abs(t)
-    n_sub = max(1, int(np.ceil(rho / SPLIT_BOUND)))
-    for _ in range(4):
-        sub_tol = max(tol / n_sub, 1e-14)
-        dt = t / n_sub
-        cur = v
-        ok = True
-        for _step in range(n_sub):
-            nxt = _lanczos_apply(op.matrix, cur, unit * dt, sub_tol)
-            if nxt is None:
-                ok = False
+def _substeps(a, v, unit: complex, span, n_sub: int, out, rows) -> bool:
+    """Write exp(unit * span[i] * A) v into ``out[rows[i]]``, one basis per
+    substep; False if a basis hits the cap."""
+    dt = span.max() / n_sub
+    step = np.minimum((span / dt).astype(np.int64), n_sub - 1)
+    cur = v
+    for k in range(step.max() + 1):
+        mine = step == k
+        scales = unit * np.append(span[mine] - k * dt, dt)  # the end starts substep k + 1
+        got = _lanczos_apply(a, cur, scales, max(DEFAULT_TOL / n_sub, 1e-14))
+        if got is None:
+            return False
+        out[rows[mine]] = got[: mine.sum()]
+        cur = got[-1]
+    return True
+
+
+def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, times, out) -> None:
+    """Write exp(unit * t * H) v into ``out[i]`` for each nonzero ``t = times[i]``:
+    one pass per sign, each time in the substep of integer index ``|t| // dt``."""
+    for sign in np.unique(np.sign(times[times != 0])):
+        rows = np.flatnonzero(np.sign(times) == sign)
+        span = sign * times[rows]
+        n_sub = max(1, int(np.ceil(op.norm_estimate() * span.max() / SPLIT_BOUND)))
+        for _ in range(4):
+            if _substeps(op.matrix, v, sign * unit, span, n_sub, out, rows):
                 break
-            cur = nxt
-        if ok:
-            return cur
-        n_sub *= 2
-    raise ConvergenceError(
-        f"Lanczos action did not converge to {tol:g} (n={op.n}, t={t})"
-    )
+            n_sub *= 2
+        else:
+            raise ConvergenceError(f"Lanczos action did not converge to {DEFAULT_TOL:g} "
+                                   f"(n={op.n}, t={sign * span.max()})")
 
 
 def _action(op: SparseHermitian, v: np.ndarray, unit: complex, t) -> np.ndarray:
     """``exp(unit * t * H) v``, a row per time of an array ``t``: dense or Lanczos by size."""
     times = np.asarray(t, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"evolution times must be finite, got {times[~np.isfinite(times)][0]}")
     if op.matrix.nnz == 0 or not times.any():
         out = np.tile(v, (times.size, 1))
     elif op.n <= DENSE_LIMIT:
@@ -267,8 +278,7 @@ def _action(op: SparseHermitian, v: np.ndarray, unit: complex, t) -> np.ndarray:
     else:
         out = np.empty((times.size, op.n), dtype=np.complex128)
         with _one_blas_thread():
-            for i in np.flatnonzero(times):
-                out[i] = _krylov_action(op, v, unit, float(times[i]))
+            _krylov_action(op, v, unit, times, out)
     out[times == 0.0] = v
     return out if np.ndim(t) else out[0]
 

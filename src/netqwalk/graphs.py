@@ -151,6 +151,9 @@ def _indexed_graph(ends, weights, directed: bool, nodes=()) -> LabeledGraph:
     index = dict(zip(labels, range(len(labels))))
     ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
     edges, merged, n_loops = _merge_edges(ids.reshape(-1, 2), weights, directed)
+    if not np.all(np.isfinite(merged)):
+        u, v = edges[~np.isfinite(merged)][0]
+        raise GraphFormatError(f"edge {labels[u]!r}-{labels[v]!r}: merged weight is not finite")
     if n_loops:
         logger.warning("dropped %d self-loop(s) during graph construction", n_loops)
     return LabeledGraph(labels, edges, directed=directed, weights=merged)
@@ -268,12 +271,13 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of ``path``; a GraphFormatError names the file and line of a bad byte."""
-    data = Path(path).read_bytes()
+    """The UTF-8 text of ``path`` less a leading byte-order mark; a
+    GraphFormatError names the file and line of a bad byte."""
     try:
-        return data.decode("utf-8")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # ``exc.object`` is the input after any byte-order mark, which holds no newline
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise GraphFormatError(f"{path}: line {line}: not UTF-8 ({exc.reason})") from None
 
 

@@ -205,6 +205,42 @@ def test_undecodable_input_is_exit_1_naming_the_file_and_line(data, capsys, tabl
     assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 (invalid start byte)\n"
 
 
+def test_a_leading_byte_order_mark_is_dropped(data, capsys):
+    # the BOM must neither hide the seed label a nor turn a comment into a row
+    Path(data["scores"]).write_text("\ufeffa\t0.001\nb\t0.5\n", encoding="utf-8")
+    Path(data["graph"]).write_text("\ufeff# interactome\n" + GRAPH, encoding="utf-8")
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--out", data["out"],
+    ])
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
+    assert manifest["module"]["seeds_in_gc"] == 1
+    assert manifest["graph"]["graph"]["edges"] == 8
+
+
+def test_a_bad_byte_after_a_byte_order_mark_names_its_line(data, capsys):
+    Path(data["graph"]).write_bytes(b"\xef\xbb\xbfa\tb\nb\xff\tc\n")
+    assert cli.main(["graph-stats", "--graph", data["graph"]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {data['graph']}: line 2: not UTF-8 (invalid start byte)\n"
+
+
+def test_merged_weights_that_overflow_are_exit_1_naming_the_edge(data, capsys):
+    Path(data["graph"]).write_text("A\tB\t1e308\nA\tB\t1e308\nB\tC\t1\n")
+    Path(data["scores"]).write_text("A\t0.001\n")
+    Path(data["targets"]).write_text("C\t1e-9\n")
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--out", data["out"],
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: edge 'A'-'B': merged weight is not finite\n"
+
+
 @pytest.mark.parametrize("command", ["prioritize", "cci"])
 def test_an_out_path_that_is_a_file_fails_before_the_run(data, capsys, monkeypatch, command):
     def never(config):

@@ -244,36 +244,70 @@ def test_zero_hamiltonian_returns_exact_copy():
 
 @pytest.mark.parametrize("kernel", ["dense", "lanczos"])
 def test_an_array_of_times_gives_one_row_per_time(expm_kernel, kernel):
-    # a block differs from the one-time actions only by the rounding of one
-    # matrix product, and its rows at t == 0 are the start state bitwise
+    # a dense block differs from the one-time actions only by the rounding of
+    # one matrix product; a Lanczos block reads its times from shared bases, so
+    # its rows are held to the kernel's 1e-10 against the dense oracle; rows at
+    # t == 0 are the start state bitwise
     expm_kernel(kernel)
     rng = np.random.default_rng(29)
     times = np.array([0.0, 0.4, 1.3, 0.0, 2.5])
     g = graph_from_edges([(f"v{j}", f"v{(j + 1) % 9}") for j in range(9)] + [("v0", "v4")])
     p0 = rng.random(g.n)
     p0 /= p0.sum()
+
+    def agrees(row, single, exact):
+        if kernel == "dense":
+            return np.max(np.abs(row - single)) < 1e-14
+        return np.max(np.abs(row - exact)) < 1e-10
+
     for real in (True, False):
         h = as_hermitian(random_hermitian(rng, 16, real=real))
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         rows = expm_action(h, v, times)
         assert rows.shape == (5, 16)
         for row, t in zip(rows, times):
-            assert np.max(np.abs(row - expm_action(h, v, t))) < 1e-14
+            assert agrees(row, expm_action(h, v, t), oracle_expm(h.matrix, v, -1j * t))
         assert np.array_equal(rows[0], v) and np.array_equal(rows[3], v)
-    rows = real_expm_action(laplacian(g), p0, times)
+    lap = laplacian(g)
+    rows = real_expm_action(lap, p0, times)
     assert rows.shape == (5, g.n)
     for row, t in zip(rows, times):
-        assert np.max(np.abs(row - real_expm_action(laplacian(g), p0, t))) < 1e-14
+        assert agrees(row, real_expm_action(lap, p0, t), oracle_expm(lap, p0, -t))
     assert np.array_equal(rows[0], p0) and np.array_equal(rows[3], p0)
 
 
-def test_time_blocks_cap_a_dense_block_and_give_lanczos_one_time_each():
-    blocks = list(expm.time_blocks(range(100_000), 2000))
-    assert np.array_equal(np.concatenate(blocks), np.arange(100_000))
-    assert max(b.size for b in blocks) * 16 * 2000 <= expm._BLOCK_BYTES
-    assert blocks[0].size == expm._BLOCK_BYTES // (16 * 2000)
+def test_a_lanczos_block_takes_negative_unsorted_and_repeated_times(expm_kernel):
+    # each sign is its own pass, and a horizon beyond two substeps puts
+    # several times in one substep and leaves one substep with no time
+    expm_kernel("lanczos")
+    rng = np.random.default_rng(32)
+    h = as_hermitian(random_hermitian(rng, 24))
+    v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+    horizon = 2.5 * expm.SPLIT_BOUND / h.norm_estimate()
+    times = np.array([-1.5, 0.7, 0.0, 3.0, -0.2, 0.7, horizon, -0.0, -horizon])
+    rows = expm_action(h, v, times)
+    for row, t in zip(rows, times):
+        assert np.max(np.abs(row - oracle_expm(h.matrix, v, -1j * t))) < 1e-10, t
+    assert all(np.array_equal(rows[i], v) for i in np.flatnonzero(times == 0))
+    g = graph_from_edges([(f"v{j}", f"v{(j + 1) % 30}") for j in range(30)] + [("v0", "v15")])
+    lap = laplacian(g)
+    p0 = rng.random(g.n)
+    p0 /= p0.sum()
+    times = np.abs(times[::-1]) * 4.0
+    rows = real_expm_action(lap, p0, times)
+    for row, t in zip(rows, times):
+        assert np.max(np.abs(row - oracle_expm(lap, p0, -t))) < 1e-10, t
+    assert all(np.array_equal(rows[i], p0) for i in np.flatnonzero(times == 0))
+
+
+def test_time_blocks_cap_a_block_of_either_kernel():
+    for n in (2000, expm.DENSE_LIMIT + 1, 4000):
+        blocks = list(expm.time_blocks(range(100_000), n))
+        assert np.array_equal(np.concatenate(blocks), np.arange(100_000))
+        assert max(b.size for b in blocks) * 16 * n <= expm._BLOCK_BYTES
+        assert blocks[0].size == expm._BLOCK_BYTES // (16 * n)
     beyond = list(expm.time_blocks(range(5), expm.DENSE_LIMIT + 1))
-    assert [b.tolist() for b in beyond] == [[0.0], [1.0], [2.0], [3.0], [4.0]]
+    assert [b.tolist() for b in beyond] == [[0.0, 1.0, 2.0, 3.0, 4.0]]
 
 
 def test_unitarity_preserves_norm():
@@ -353,6 +387,19 @@ def test_expm_action_input_validation():
         expm_action(h, np.array([1.0, np.nan, 0, 0]), 1.0)
     with pytest.raises(ValueError, match="nonzero"):
         expm_action(h, np.zeros(4), 1.0)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lanczos"])
+def test_non_finite_times_are_rejected_by_both_kernels(expm_kernel, kernel):
+    # a NaN or infinite time is named, never turned into NaN rows
+    expm_kernel(kernel)
+    h = random_hermitian(np.random.default_rng(33), 6)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="times must be finite"):
+            expm_action(h, np.ones(6), [0.5, bad])
+    g = graph_from_edges([("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="times must be finite"):
+        real_expm_action(laplacian(g), np.array([1.0, 0.0, 0.0]), [np.nan])
 
 
 def test_expm_action_and_wrapper_take_no_options():

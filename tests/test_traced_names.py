@@ -94,8 +94,8 @@ def test_one_dense_eigendecomposition_per_continuous_sweep(walker, monkeypatch):
 def test_chiral_collapse_sweep_reaches_the_krylov_counter(expm_kernel, monkeypatch):
     # the benchmark's must-hit ``expm.krylov_iters`` counts
     # scipy.linalg.eigh_tridiagonal calls; with the Lanczos kernel forced,
-    # the fixture runs the krylov-collapse command shape: one action
-    # per grid point (51) plus one per collapse (4)
+    # the fixture runs the krylov-collapse command shape: one action per
+    # segment between collapses (5) plus one per collapse (4)
     expm_kernel("lanczos")
     iterations, actions = [], []
     _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", iterations)
@@ -105,7 +105,27 @@ def test_chiral_collapse_sweep_reaches_the_krylov_counter(expm_kernel, monkeypat
     )
     assert len(result.records) == 51
     assert len(iterations) >= 1
-    assert len(actions) == 55
+    assert len(actions) == 9
+
+
+@pytest.mark.parametrize(
+    ("fields", "points", "iterations"),
+    [
+        (dict(hamiltonian="chiral", t_max=5.0, collapse_times=(1, 2, 3, 4)), 51, 243),
+        (dict(t_max=10.0), 101, 275),
+    ],
+    ids=["chiral-collapses", "adjacency-t10"],
+)
+def test_a_lanczos_sweep_builds_one_basis_per_substep_not_per_time(
+    expm_kernel, monkeypatch, fields, points, iterations
+):
+    # a block of grid times is read from the bases of its substeps; one basis
+    # per grid time would take 1,109 and 14,145 eigh_tridiagonal calls here
+    expm_kernel("lanczos")
+    calls = []
+    _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", calls)
+    assert len(_run_fixture(walker="ctqrw", **fields).records) == points
+    assert len(calls) == iterations
 
 
 def test_prioritization_labels_the_components_once(monkeypatch):
