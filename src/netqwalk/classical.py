@@ -164,10 +164,13 @@ def rwr_sweep(g: LabeledGraph, p0, grid, config):
 
 
 def ctrw_sweep(g: LabeledGraph, p0, grid, config):
-    """Diffusion from ``p0`` at each ``grid`` time: one decomposition, one action per block."""
+    """Diffusion from ``p0`` at each ``grid`` time, each block of times continuing from the last."""
     lap = as_hermitian(laplacian(g))
+    p, start = p0, 0.0
     for block in time_blocks(grid, g.n):
-        yield from real_expm_action(lap, p0, block)
+        for p in real_expm_action(lap, p, block - start):
+            yield p
+        p, start = p / p.sum(), block[-1]  # the next action checks the sum
 
 
 def dtrw_sweep(g: LabeledGraph, p0, grid, config):

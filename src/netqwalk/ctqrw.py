@@ -250,18 +250,17 @@ def measure(psi) -> np.ndarray:
 
 
 def sweep(g: LabeledGraph, p0, grid, config):
-    """Measured walk from ``p0`` at each time of ``grid``, with ``config``'s collapses."""
+    """Measured walk from ``p0`` at each time of ``grid``, with ``config``'s collapses;
+    each block of times and each collapse evolves from the last state computed."""
     chiral = config.hamiltonian == "chiral"
     phases = random_chiral_phases(g, config.rng_seed) if chiral else None
     h = build_hamiltonian(g, config.hamiltonian, phases)
-    # each block of grid times between two collapses evolves in one call from the
-    # state after the earlier collapse, which repeats the operations of a replay from 0
     psi, start = initial_state_from_scores(p0), 0.0
-    pending = list(config.collapse_times)
-    for segment in np.split(grid, np.searchsorted(grid, pending, side="right")):
+    cuts = np.searchsorted(grid, config.collapse_times, side="right")
+    for segment, tc in zip(np.split(grid, cuts), (*config.collapse_times, None)):
         for block in time_blocks(segment, h.n):
-            while pending and pending[0] < block[0]:
-                tc = pending.pop(0)
-                psi = collapse(evolve_with_collapses(h, psi, tc - start))
-                start = tc
-            yield from map(measure, evolve_with_collapses(h, psi, block - start))
+            for psi in evolve_with_collapses(h, psi, block - start):
+                yield measure(psi)
+            psi, start = psi.copy(), block[-1]  # the copy frees the block
+        if tc is not None:
+            psi, start = collapse(evolve(h, psi, tc - start)), tc

@@ -156,7 +156,8 @@ def _dense_apply(op: SparseHermitian, v: np.ndarray, unit: complex, times) -> np
 
 def time_blocks(times, n: int) -> list[np.ndarray]:
     """``times`` in blocks of at most ``_BLOCK_BYTES`` of complex states, the
-    rows of one action of either kernel."""
+    rows of one action of either kernel; a sweep evolves each block from the
+    last row of the block before it."""
     times = np.asarray(times, dtype=np.float64)
     size = max(1, _BLOCK_BYTES // (16 * n))
     return [times[i:i + size] for i in range(0, times.size, size)]

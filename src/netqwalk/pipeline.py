@@ -204,6 +204,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("t_max", "t_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from netqwalk import classical
+from netqwalk import classical, expm
 from netqwalk.classical import (
     TransitionMatrix,
     ctrw_evolve,
@@ -410,12 +410,28 @@ def test_ctrw_uniform_limit_on_connected_graph():
     assert np.max(np.abs(p - 1.0 / g.n)) < 1e-9
 
 
-@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
-def test_ctrw_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
-    expm_kernel(kernel)
+def assert_ctrw_sweep_matches_the_oracle(grid, tol):
     g = weighted_graph_with_isolated_node()
     p0 = np.zeros(g.n)
     p0[[0, 2, 5, g.n - 1]] = (0.3, 0.1, 0.2, 0.4)
-    grid = [0.25 * i for i in range(13)]
     for t, p in zip(grid, ctrw_sweep(g, p0, grid, None), strict=True):
         assert np.max(np.abs(p - ctrw_oracle(g, p0, t))) < tol, t
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_ctrw_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
+    expm_kernel(kernel)
+    assert_ctrw_sweep_matches_the_oracle([0.25 * i for i in range(13)], tol)
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_a_ctrw_sweep_in_blocks_of_three_times_matches_the_oracle(
+    kernel, tol, expm_kernel, monkeypatch
+):
+    # each block starts from the last row of the block before it
+    expm_kernel(kernel)
+    n = weighted_graph_with_isolated_node().n
+    monkeypatch.setattr(expm, "_BLOCK_BYTES", 16 * n * 3)
+    grid = [0.25 * i for i in range(17)]
+    assert [b.size for b in expm.time_blocks(grid, n)] == [3, 3, 3, 3, 3, 2]
+    assert_ctrw_sweep_matches_the_oracle(grid, tol)

@@ -171,6 +171,23 @@ def test_prioritize_validation_error_is_exit_1(data, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "walker_args",
+    [("--walker", w) for w in WALKERS] + [("--walker", "ctqrw", "--hamiltonian", "chiral")],
+)
+def test_a_negative_rng_seed_is_exit_1_naming_the_flag(data, capsys, walker_args):
+    # the chiral phases would fail in numpy with a message that names no flag
+    code = cli.main([
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], *walker_args, "--rng-seed", "-1",
+        "--out", data["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: rng_seed must be >= 0, got -1\n"
+    assert not Path(data["out"]).exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("walker", WALKERS)
 def test_a_subnormal_out_weight_is_exit_1_for_the_classical_walks(data, capsys, walker):

@@ -28,6 +28,7 @@ from netqwalk.ctqrw import (
     transition_rate,
     uniform_chiral_phases,
 )
+from netqwalk import expm
 from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import (
     graph_from_edges,
@@ -520,13 +521,7 @@ def directed_weighted_graph():
     return graph_from_edges(edges, directed=True, nodes=labels)
 
 
-@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
-def test_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
-    # collapses at 0.6 and at 1.5, which is also a grid point: a point at a
-    # collapse time is measured before that collapse
-    expm_kernel(kernel)
-    grid = [0.25 * i for i in range(13)]
-    collapses = (0.6, 1.5)
+def assert_sweep_matches_the_oracle(grid, collapses, tol):
     undirected = weighted_graph_with_isolated_node()
     for g, kind in (
         (undirected, "adjacency"),
@@ -541,3 +536,30 @@ def test_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
         h = hamiltonian(g, kind, phases)
         for t, p in zip(grid, sweep(g, p0, grid, config), strict=True):
             assert np.max(np.abs(p - ctqrw_oracle(h, p0, t, collapses))) < tol, (kind, t)
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_sweep_matches_the_dense_definition_oracle(kernel, tol, expm_kernel):
+    # collapses at 0.6 and at 1.5, which is also a grid point: a point at a
+    # collapse time is measured before that collapse
+    expm_kernel(kernel)
+    assert_sweep_matches_the_oracle([0.25 * i for i in range(13)], (0.6, 1.5), tol)
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-12), ("lanczos", 1e-10)])
+def test_a_sweep_in_blocks_of_three_times_matches_the_oracle(
+    kernel, tol, expm_kernel, monkeypatch
+):
+    # each block starts from the last row of the block before it, and each
+    # collapse from the last grid time at or before it.  The collapse at 0.5
+    # is on the grid time that closes a full block; 0.6 and 0.65 fall in one
+    # grid gap and leave an empty segment between them; 1.6 falls between
+    # two grid times, after a segment of two blocks; 2.0 is on the grid time
+    # that closes a block of two; the last segment runs through three blocks
+    expm_kernel(kernel)
+    n = weighted_graph_with_isolated_node().n
+    monkeypatch.setattr(expm, "_BLOCK_BYTES", 16 * n * 3)
+    grid = [0.25 * i for i in range(17)]
+    assert [b.size for b in expm.time_blocks(grid, n)] == [3, 3, 3, 3, 3, 2]
+    assert [b.size for b in expm.time_blocks(grid, directed_weighted_graph().n)][0] == 3
+    assert_sweep_matches_the_oracle(grid, (0.5, 0.6, 0.65, 1.6, 2.0), tol)

@@ -22,6 +22,7 @@ from netqwalk.dtqrw import (
     node_probabilities,
     step,
     step_inverse,
+    sweep,
     transition_profile,
 )
 from netqwalk.graphs import (
@@ -30,6 +31,7 @@ from netqwalk.graphs import (
     load_edge_list,
     read_edge_list,
 )
+from walk_oracles import dtqrw_oracle, weighted_graph_with_isolated_node
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -381,6 +383,20 @@ def test_transition_profile_against_dense_oracle():
         ref_psi = np.linalg.matrix_power(u, steps) @ initial_arc_state(arcs, 0)
         ref = np.bincount(arcs.tails, weights=np.abs(ref_psi) ** 2, minlength=arcs.n)
         assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_sweep_matches_the_coined_walk_oracle_at_every_step():
+    # the oracle has its own arc order, coin blocks and shift; the graphs
+    # have isolated nodes and degree-1 leaves, and the first one is weighted
+    rng = np.random.default_rng(70)
+    cases = [weighted_graph_with_isolated_node()]
+    cases += [graph_with_leaves_and_isolated(rng, int(rng.integers(6, 14))) for _ in range(4)]
+    grid = list(range(13))
+    for g in cases:
+        p0 = rng.random(g.n) * (np.bincount(g.edges.ravel(), minlength=g.n) > 0)
+        p0 /= p0.sum()
+        for steps, p in zip(grid, sweep(g, p0, grid, None), strict=True):
+            assert np.max(np.abs(p - dtqrw_oracle(g, p0, steps))) < 1e-12, steps
 
 
 def test_walk_spreads_ballistically_on_cycle():

@@ -44,6 +44,7 @@ from netqwalk.pipeline import (
     run_cci_analysis,
     run_prioritization,
 )
+from walk_oracles import dtqrw_oracle
 
 GRAPH = """\
 # two components: a 6-node core and a detached pair
@@ -677,6 +678,23 @@ def test_cci_analysis_matches_direct_library_calls(cci_paths, four_layer_cci):
             assert np.array_equal(out.support.edges, sub.edges)
         assert result.walkers["dtqrw"].zero_rows == tuple(sym.labels[j] for j in isolated)
         assert result.walkers["dtrw"].zero_rows == ()
+
+
+def test_cci_dtqrw_profiles_match_the_coined_walk_oracle(four_layer_cci):
+    # the oracle walks every launched node at once with its own dense unitary
+    *layered_paths, target = four_layer_cci
+    bundled = (str(DATA / "cci_nodes.tsv"), str(DATA / "cci_edges.tsv"))
+    for (nodes, edges), targets in ((bundled, ("C1",)), (layered_paths, (target,))):
+        for steps in (4, 5):
+            result = run_cci_analysis(
+                CciConfig(nodes, edges, steps=steps, targets=targets, epsilon=0.01)
+            )
+            sym = symmetrized_view(result.cci)
+            launched = np.unique(sym.edges)
+            ref = dtqrw_oracle(sym, np.eye(sym.n)[:, launched], steps)
+            profiles = result.walkers["dtqrw"].profiles
+            assert np.max(np.abs(profiles[launched] - ref.T)) < 1e-12
+            assert not np.delete(profiles, launched, axis=0).any()
 
 
 def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):

@@ -23,7 +23,7 @@ import scipy.linalg
 from scipy.sparse import csgraph
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk import classical, ctqrw, dtqrw
+from netqwalk import classical, ctqrw, dtqrw, expm
 from netqwalk.pipeline import (
     _CCI_CHUNK,
     CciConfig,
@@ -111,7 +111,7 @@ def test_chiral_collapse_sweep_reaches_the_krylov_counter(expm_kernel, monkeypat
 @pytest.mark.parametrize(
     ("fields", "points", "iterations"),
     [
-        (dict(hamiltonian="chiral", t_max=5.0, collapse_times=(1, 2, 3, 4)), 51, 243),
+        (dict(hamiltonian="chiral", t_max=5.0, collapse_times=(1, 2, 3, 4)), 51, 135),
         (dict(t_max=10.0), 101, 275),
     ],
     ids=["chiral-collapses", "adjacency-t10"],
@@ -120,12 +120,29 @@ def test_a_lanczos_sweep_builds_one_basis_per_substep_not_per_time(
     expm_kernel, monkeypatch, fields, points, iterations
 ):
     # a block of grid times is read from the bases of its substeps; one basis
-    # per grid time would take 1,109 and 14,145 eigh_tridiagonal calls here
+    # per grid time would take 1,109 and 14,145 eigh_tridiagonal calls here.
+    # Each collapse sits on a grid time and acts on the state already computed
+    # there; evolving it again from the collapse before would take 243 calls
     expm_kernel("lanczos")
     calls = []
     _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", calls)
     assert len(_run_fixture(walker="ctqrw", **fields).records) == points
     assert len(calls) == iterations
+
+
+def test_a_blocked_lanczos_sweep_continues_from_the_block_before(expm_kernel, monkeypatch):
+    # blocks of 10 grid times on the 490-node fixture component; each block
+    # evolves from the last row of the one before, so the blocks together take
+    # about as many Lanczos iterations as one block (275 calls).  Evolving
+    # every block from t = 0 would take 1,790
+    expm_kernel("lanczos")
+    monkeypatch.setattr(expm, "_BLOCK_BYTES", 16 * 490 * 10)
+    calls, actions = [], []
+    _count_calls(monkeypatch, scipy.linalg, "eigh_tridiagonal", calls)
+    _count_calls(monkeypatch, ctqrw, "expm_action", actions)
+    assert len(_run_fixture(walker="ctqrw", t_max=10.0).records) == 101
+    assert len(actions) == 11
+    assert len(calls) <= 1.5 * 275
 
 
 def test_prioritization_labels_the_components_once(monkeypatch):

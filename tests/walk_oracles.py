@@ -1,10 +1,11 @@
-"""Definition oracles for the classical and the continuous quantum walks.
+"""Definition oracles for the classical and the quantum walks.
 
 Each is built from the dense adjacency (or the edge arrays) alone, not
-from ``netqwalk.classical``, ``netqwalk.ctqrw`` or ``netqwalk.expm``, so
-a test that compares the two does not share the kernels' normalization,
-their rule for dangling nodes (nodes with no outgoing weight), their
-Hamiltonian assembly or their exponential.
+from ``netqwalk.classical``, ``netqwalk.ctqrw``, ``netqwalk.dtqrw`` or
+``netqwalk.expm``, so a test that compares the two does not share the
+kernels' normalization, their rule for dangling nodes (nodes with no
+outgoing weight), their Hamiltonian assembly, their exponential, or the
+coined walk's arc enumeration, coin and shift.
 """
 
 import numpy as np
@@ -96,3 +97,38 @@ def ctqrw_oracle(h, p0, t, collapses=()):
         psi = np.abs(scipy.linalg.expm(-1j * (tc - start) * h) @ psi) ** 2
         psi, start = psi / np.linalg.norm(psi), tc
     return np.abs(scipy.linalg.expm(-1j * (t - start) * h) @ psi) ** 2
+
+
+def coined_walk_unitary(g):
+    """Dense arc-space walk ``S C`` of an undirected graph, and the tail of each arc.
+
+    The arcs ``(j, k)`` are the nonzero entries of the dense adjacency,
+    listed by head and then by tail.  ``C`` is block diagonal, with the
+    Grover block ``2/d J - I`` on the ``d`` arcs leaving each node, and the
+    flip-flop shift ``S`` moves the amplitude of ``(j, k)`` onto ``(k, j)``.
+    """
+    heads, tails = np.nonzero(adjacency_matrix(g).toarray().T)
+    index = {(j, k): a for a, (j, k) in enumerate(zip(tails.tolist(), heads.tolist()))}
+    coin = np.zeros((len(index), len(index)))
+    for node in np.unique(tails):
+        out = np.flatnonzero(tails == node)
+        coin[np.ix_(out, out)] = 2.0 / out.size - np.eye(out.size)
+    shift = np.zeros_like(coin)
+    for (j, k), a in index.items():
+        shift[index[(k, j)], a] = 1.0
+    return shift @ coin, tails
+
+
+def dtqrw_oracle(g, p0, steps):
+    """Node distribution after ``steps`` coined-walk steps, as ``(S C)^steps``
+    on the start state whose arcs leaving node ``j`` each hold amplitude
+    ``sqrt(p0[j] / deg(j))``, over its 2-norm; the probability of a node sums
+    ``|psi|^2`` over the arcs leaving it.  ``p0`` may be a block of columns."""
+    u, tails = coined_walk_unitary(g)
+    degree = np.bincount(tails, minlength=g.n)
+    p = np.asarray(p0, dtype=np.float64).reshape(g.n, -1)
+    psi = np.sqrt(p[tails] / degree[tails, None])
+    psi = psi / np.linalg.norm(psi, axis=0)
+    prob = np.abs(np.linalg.matrix_power(u, steps) @ psi) ** 2
+    out = np.array([prob[tails == node].sum(axis=0) for node in range(g.n)])
+    return out.reshape(np.shape(p0))
