@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
-from .graphs import LabeledGraph, adjacency_matrix, laplacian
+from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
 from .states import as_probability_columns, as_probability_vector, delta_distribution
 
 POWER_MAX_ITER = 100_000
@@ -150,7 +150,7 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
 
 def dtrw_transition_profile(g: LabeledGraph, source: int, steps: int) -> np.ndarray:
     """Distribution after ``steps`` coin tosses starting from ``source``."""
-    return dtrw_evolve(g, delta_distribution(g.n, source), steps)
+    return dtrw_evolve(g, delta_distribution(g.n, node_index(source, g.n, "source node")), steps)
 
 
 def ctrw_evolve(g: LabeledGraph, p0, t: float) -> np.ndarray:

@@ -3,11 +3,8 @@
 Three subcommands: ``prioritize`` sweeps a walker over an interactome
 and scores the ranking against target genes, ``cci`` runs the discrete
 walkers over a cell-cell-interaction graph, and ``graph-stats`` prints
-connectivity statistics as JSON.  Every flag can also be supplied
-through an environment variable named ``NETQWALK_<FLAG>`` (dashes
-become underscores, e.g. ``NETQWALK_T_MAX``); explicit command-line
-values win, and a flag set neither way takes the default of its field
-in ``ExperimentConfig`` or ``CciConfig``.  Exit codes: 0 success,
+connectivity statistics as JSON.  A flag left unset takes the default
+of its field in ``ExperimentConfig`` or ``CciConfig``.  Exit codes: 0 success,
 1 validation or input error, 2 numerical failure.
 """
 
@@ -35,8 +32,6 @@ from .pipeline import (
 )
 from .ctqrw import HAMILTONIAN_KINDS
 
-ENV_PREFIX = "NETQWALK_"
-
 
 class _UsageError(Exception):
     """Raised instead of argparse's SystemExit so usage maps to code 1."""
@@ -47,39 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _add(parser, flag: str, **kwargs) -> None:
-    """``add_argument`` honoring the ``NETQWALK_`` environment override.
+def _comma_list(element, name: str):
+    """argparse type for a comma-separated list of ``element`` values; argparse
+    names a bad value by ``name``."""
+    def parse(text: str) -> tuple:
+        return tuple(element(part) for part in text.split(",") if part.strip())
 
-    An unset flag stays off the namespace, so the config dataclass's
-    default applies.
-    """
-    name = flag.lstrip("-").replace("-", "_").upper()
-    env_name = ENV_PREFIX + name
-    env_value = os.environ.get(env_name)
-    if env_value is None:
-        kwargs["default"] = argparse.SUPPRESS
-    else:
-        # argparse runs string defaults through `type`, so the raw
-        # environment string slots in as an overridable default.
-        kwargs["default"] = env_value
-        kwargs["required"] = False
-    if "dest" in kwargs:
-        kwargs["metavar"] = name
-    kwargs.setdefault("help", "")
-    kwargs["help"] += f" [env: {env_name}]"
-    parser.add_argument(flag, **kwargs)
-
-
-def _comma_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _comma_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _comma_labels(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    parse.__name__ = name
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,51 +59,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an unset flag stays off the namespace, so its config field's default applies
     pri = sub.add_parser(
-        "prioritize",
+        "prioritize", argument_default=argparse.SUPPRESS,
         help="sweep a walker over an interactome and rank candidate genes",
     )
-    _add(pri, "--graph", dest="graph_path", required=True, help="undirected edge list (TSV)")
-    _add(pri, "--scores", dest="scores_path", required=True, help="seed p-value table (TSV)")
-    _add(pri, "--targets", dest="targets_path", required=True, help="target p-value table (TSV)")
-    _add(pri, "--walker", choices=WALKERS, help="walk model")
-    _add(
-        pri, "--hamiltonian", choices=HAMILTONIAN_KINDS,
-        help="generator for the continuous quantum walk",
-    )
-    _add(pri, "--alpha", type=float, help="restart probability weight")
-    _add(pri, "--t-max", type=float, help="largest evolution time")
-    _add(pri, "--t-step", type=float, help="time grid spacing")
-    _add(pri, "--steps-max", type=int, help="largest step count for discrete walkers")
-    _add(
-        pri, "--collapse", dest="collapse_times", type=_comma_floats,
-        help="comma-separated collapse times (ctqrw only)",
-    )
-    _add(pri, "--k", dest="k_list", type=_comma_ints, help="K values for AP@K")
-    _add(pri, "--seed-thresh", type=float, help="seed p-value cutoff")
-    _add(pri, "--target-thresh", type=float, help="target p-value cutoff")
-    _add(pri, "--rng-seed", type=int, help="seed for random phases")
-    _add(pri, "--out", required=True, help="output directory")
+    pri.add_argument("--graph", dest="graph_path", metavar="GRAPH", required=True,
+                     help="undirected edge list (TSV)")
+    pri.add_argument("--scores", dest="scores_path", metavar="SCORES", required=True,
+                     help="seed p-value table (TSV)")
+    pri.add_argument("--targets", dest="targets_path", metavar="TARGETS", required=True,
+                     help="target p-value table (TSV)")
+    pri.add_argument("--walker", choices=WALKERS, help="walk model")
+    pri.add_argument("--hamiltonian", choices=HAMILTONIAN_KINDS,
+                     help="generator for the continuous quantum walk")
+    pri.add_argument("--alpha", type=float, help="restart probability weight")
+    pri.add_argument("--t-max", type=float, help="largest evolution time")
+    pri.add_argument("--t-step", type=float, help="time grid spacing")
+    pri.add_argument("--steps-max", type=int, help="largest step count for discrete walkers")
+    pri.add_argument("--collapse", dest="collapse_times", metavar="COLLAPSE",
+                     type=_comma_list(float, "comma-separated numbers"),
+                     help="comma-separated collapse times (ctqrw only)")
+    pri.add_argument("--k", dest="k_list", metavar="K",
+                     type=_comma_list(int, "comma-separated integers"), help="K values for AP@K")
+    pri.add_argument("--seed-thresh", type=float, help="seed p-value cutoff")
+    pri.add_argument("--target-thresh", type=float, help="target p-value cutoff")
+    pri.add_argument("--rng-seed", type=int, help="seed for random phases")
+    pri.add_argument("--out", required=True, help="output directory")
 
     cci = sub.add_parser(
-        "cci",
+        "cci", argument_default=argparse.SUPPRESS,
         help="walk a cell-cell-interaction graph and extract supported paths",
     )
-    _add(cci, "--nodes", dest="nodes_path", required=True, help="node-layer table (TSV)")
-    _add(cci, "--edges", dest="edges_path", required=True, help="directed edge list (TSV)")
-    _add(cci, "--steps", type=int, help="number of walk steps")
-    _add(
-        cci, "--targets", required=True, type=_comma_labels,
-        help="comma-separated target node labels",
-    )
-    _add(
-        cci, "--epsilon", type=float,
-        help="per-hop probability threshold for the support subgraph",
-    )
-    _add(cci, "--out", required=True, help="output directory")
+    cci.add_argument("--nodes", dest="nodes_path", metavar="NODES", required=True,
+                     help="node-layer table (TSV)")
+    cci.add_argument("--edges", dest="edges_path", metavar="EDGES", required=True,
+                     help="directed edge list (TSV)")
+    cci.add_argument("--steps", type=int, help="number of walk steps")
+    cci.add_argument("--targets", required=True,
+                     type=_comma_list(str.strip, "comma-separated labels"),
+                     help="comma-separated target node labels")
+    cci.add_argument("--epsilon", type=float,
+                     help="per-hop probability threshold for the support subgraph")
+    cci.add_argument("--out", required=True, help="output directory")
 
     stats = sub.add_parser("graph-stats", help="print connectivity statistics as JSON")
-    _add(stats, "--graph", required=True, help="undirected edge list (TSV)")
+    stats.add_argument("--graph", required=True, help="undirected edge list (TSV)")
     return parser
 
 

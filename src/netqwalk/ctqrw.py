@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expm import ConvergenceError, SparseHermitian, expm_action, time_blocks
-from .graphs import LabeledGraph, adjacency_matrix, laplacian
+from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
 from .states import as_amplitude_vector
 
 __all__ = [
@@ -195,6 +195,13 @@ def evolve_with_collapses(
     return out
 
 
+def _from_node(hamiltonian: SparseHermitian, node, t: float) -> np.ndarray:
+    """``expm(-i H t) |node>`` for a node index checked against ``H``."""
+    unit = np.zeros(hamiltonian.n, dtype=np.complex128)
+    unit[node_index(node, hamiltonian.n, "destination node")] = 1.0
+    return expm_action(hamiltonian, unit, t)
+
+
 def transition_probability(
     hamiltonian: SparseHermitian,
     source: int,
@@ -206,11 +213,8 @@ def transition_probability(
     This is ``|<source| expm(-i H t) |destination>|**2``, clipped to
     [0, 1] against rounding.
     """
-    n = hamiltonian.n
-    unit = np.zeros(n, dtype=np.complex128)
-    unit[destination] = 1.0
-    u = expm_action(hamiltonian, unit, t)
-    p = float(np.abs(u[source]) ** 2)
+    source = node_index(source, hamiltonian.n, "source node")
+    p = float(np.abs(_from_node(hamiltonian, destination, t)[source]) ** 2)
     return min(max(p, 0.0), 1.0)
 
 
@@ -226,10 +230,8 @@ def transition_rate(
     ``2 Re(conj(m) * m')`` where ``m' = <source| -i H expm(-i H t)
     |destination>``.
     """
-    n = hamiltonian.n
-    unit = np.zeros(n, dtype=np.complex128)
-    unit[destination] = 1.0
-    u = expm_action(hamiltonian, unit, t)
+    source = node_index(source, hamiltonian.n, "source node")
+    u = _from_node(hamiltonian, destination, t)
     m = u[source]
     m_dot = -1j * (hamiltonian.matrix @ u)[source]
     return float(2.0 * np.real(np.conj(m) * m_dot))

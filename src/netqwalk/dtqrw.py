@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LabeledGraph, adjacency_matrix
+from .graphs import LabeledGraph, adjacency_matrix, node_index
 from .states import as_amplitude_columns
 
 __all__ = [
@@ -142,6 +142,7 @@ def initial_arc_block(arcs: ArcIndex, nodes) -> np.ndarray:
     superposition over the outgoing arcs of ``nodes[c]``."""
     psi = np.zeros((arcs.n_arcs, len(nodes)))
     for c, node in enumerate(nodes):
+        node = node_index(node, arcs.n, "start node")
         lo, hi = arcs.node_ptr[node], arcs.node_ptr[node + 1]
         if hi == lo:
             raise ValueError(
@@ -209,7 +210,7 @@ def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     outgoing arcs.  ``source`` may be a node label or index.
     """
     arcs = arc_basis(g)
-    idx = g.index(source) if isinstance(source, str) else int(source)
+    idx = g.index(source) if isinstance(source, str) else source
     psi = evolve(arcs, initial_arc_state(arcs, idx), steps)
     return node_probabilities(arcs, psi)
 

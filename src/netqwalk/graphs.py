@@ -44,6 +44,15 @@ class CciValidationError(ValueError):
     """Edge set violates the four-partite layer constraints."""
 
 
+def node_index(x, n: int, what: str) -> int:
+    """``x`` as a node index in ``[0, n)``; a ValueError names any other value."""
+    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{what} {x} is not an integer")
+    if not 0 <= int(x) < n:
+        raise ValueError(f"{what} {x} is out of range for {n} nodes")
+    return int(x)
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LabeledGraph, PartitionedCciGraph
+from .graphs import LabeledGraph, PartitionedCciGraph, node_index
 
 #: Neighbouring probabilities ``a >= b`` in a ranking are tied unless
 #: ``a - b > TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Propagators return
@@ -69,15 +69,6 @@ def rank_by_probability(p, labels=None, exclude=()) -> RankedList:
     return _rank(p, labels, exclude, TIE_RTOL, TIE_ATOL)
 
 
-def _node_index(x, n: int, what: str) -> int:
-    """``x`` as a node index in ``[0, n)``; a ValueError names any other value."""
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
-        raise ValueError(f"{what} {x} is not an integer")
-    if not 0 <= int(x) < n:
-        raise ValueError(f"{what} {x} is out of range for {n} nodes")
-    return int(x)
-
-
 def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     """``rank_by_probability`` with tie tolerances ``rtol`` and ``atol``."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
@@ -91,7 +82,7 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
                 raise ValueError("label exclusions require labels")
             excluded.add(list(labels).index(e))
         else:
-            excluded.add(_node_index(e, n, "excluded node index"))
+            excluded.add(node_index(e, n, "excluded node index"))
     keep = np.ones(n, dtype=bool)
     keep[list(excluded)] = False
     nodes = np.flatnonzero(keep)
@@ -199,7 +190,7 @@ def walk_support_subgraph(
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
     def to_index(x) -> int:
-        return g.index(x) if isinstance(x, str) else _node_index(x, g.n, "target node index")
+        return g.index(x) if isinstance(x, str) else node_index(x, g.n, "target node index")
 
     target_set = {to_index(t) for t in targets}
     if not target_set:

@@ -1,10 +1,10 @@
 """Tests for the command-line interface.
 
-Everything runs in process through ``cli.main`` so exit codes, stdout and
-environment overrides can be asserted without subprocess overhead.  Three
-kinds of test need a fresh interpreter: the BLAS thread-count test, because
-OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once at import; the text-encoding
-test, which runs with ``EncodingWarning`` turned into an error; and the
+Everything runs in process through ``cli.main`` so exit codes and stdout
+can be asserted without subprocess overhead.  Three kinds of test need a
+fresh interpreter: the BLAS thread-count test, because OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` once at import; the text-encoding test, which
+runs with ``EncodingWarning`` turned into an error; and the
 import-set test.
 """
 
@@ -15,7 +15,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +47,13 @@ def data(tmp_path):
         paths[name] = str(p)
     paths["out"] = str(tmp_path / "out")
     return paths
+
+
+def _subparser(command):
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[command]
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +105,7 @@ def test_prioritize_writes_reports_and_summary_lines(data, capsys):
 
 def test_walker_list_is_one_list_and_the_rwr_mode_flag_is_gone(data, capsys):
     # the CLI choices, the sweep table and the README name the same walkers
-    sub = next(
-        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    walker = next(a for a in sub.choices["prioritize"]._actions if a.dest == "walker")
+    walker = next(a for a in _subparser("prioritize")._actions if a.dest == "walker")
     listed = re.search(r"`--walker` ([a-z|]+)", README.read_text()).group(1)
     assert tuple(walker.choices) == WALKERS == tuple(listed.split("|"))
     assert WALKERS == ("rwr", "ctrw", "dtrw", "ctqrw", "dtqrw")
@@ -321,6 +325,25 @@ def test_empty_gene_sets_and_oversized_grids_are_exit_1(tmp_path, capsys, flags,
     assert not (tmp_path / "out").exists()  # a failed run creates no --out
 
 
+def test_a_lanczos_action_that_does_not_converge_is_exit_2(tmp_path, capsys, expm_kernel,
+                                                         monkeypatch):
+    # a Krylov basis capped at 12 vectors fails every substep count tried
+    expm_kernel("lanczos")
+    monkeypatch.setattr(expm, "_MAX_KRYLOV", 12)
+    code = cli.main([
+        "prioritize",
+        "--graph", str(FIXTURES / "synthetic_ppi.tsv"),
+        "--scores", str(FIXTURES / "synthetic_scores.tsv"),
+        "--targets", str(FIXTURES / "synthetic_targets.tsv"),
+        "--walker", "ctqrw", "--hamiltonian", "chiral", "--t-max", "5",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "numerical failure: Lanczos action did not converge to 1e-10 (n=490, t=5.0)\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _child_env(**extra):
     """The environment plus ``extra``, with this checkout's ``src`` on the path."""
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -446,33 +469,6 @@ def test_usage_errors_are_exit_1_not_systemexit(capsys):
     assert cli.main([]) == 1
 
 
-def test_env_override_supplies_default(data, capsys, monkeypatch):
-    monkeypatch.setenv("NETQWALK_T_MAX", "1.0")
-    monkeypatch.setenv("NETQWALK_T_STEP", "0.5")
-    code = cli.main([
-        "prioritize",
-        "--graph", data["graph"], "--scores", data["scores"],
-        "--targets", data["targets"], "--k", "3", "--out", data["out"],
-    ])
-    assert code == 0
-    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
-    assert manifest["config"]["t_max"] == 1.0
-    assert manifest["config"]["t_step"] == 0.5
-
-
-def test_cli_flag_beats_environment(data, monkeypatch):
-    monkeypatch.setenv("NETQWALK_T_MAX", "9.0")
-    code = cli.main([
-        "prioritize",
-        "--graph", data["graph"], "--scores", data["scores"],
-        "--targets", data["targets"],
-        "--t-max", "1.0", "--t-step", "0.5", "--k", "3", "--out", data["out"],
-    ])
-    assert code == 0
-    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
-    assert manifest["config"]["t_max"] == 1.0
-
-
 def test_unset_flags_take_the_config_defaults(data, capsys):
     code = cli.main([
         "prioritize",
@@ -495,38 +491,71 @@ def test_unset_flags_take_the_config_defaults(data, capsys):
     assert manifest["config"] == json.loads(json.dumps(asdict(config)))
 
 
-def test_env_sets_flags_whose_field_name_differs(data, monkeypatch):
-    # --graph fills graph_path and --k fills k_list; the env names follow the flags
-    monkeypatch.setenv("NETQWALK_GRAPH", data["graph"])
-    monkeypatch.setenv("NETQWALK_K", "2,4")
-    code = cli.main([
-        "prioritize", "--scores", data["scores"], "--targets", data["targets"],
-        "--t-max", "1.0", "--t-step", "0.5", "--out", data["out"],
-    ])
-    assert code == 0
-    manifest = json.loads((Path(data["out"]) / "manifest.json").read_text())
-    assert manifest["config"]["graph_path"] == data["graph"]
-    assert manifest["config"]["k_list"] == [2, 4]
-
-
 def test_help_spells_flags_not_field_names(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["prioritize", "--help"])
-    text = capsys.readouterr().out
-    assert "--graph GRAPH" in text and "--k K" in text
-    assert "GRAPH_PATH" not in text and "K_LIST" not in text
+    # a flag whose field name differs (--graph sets graph_path) shows the flag's name
+    for command, flags in (
+        ("prioritize", ("graph", "scores", "targets", "collapse", "k")),
+        ("cci", ("nodes", "edges", "targets")),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        text = capsys.readouterr().out
+        for flag in flags:
+            assert f"--{flag} {flag.upper()}" in text
+        assert not re.search(r"_PATH|K_LIST|COLLAPSE_TIMES|\[env", text)
 
 
-def test_env_override_invalid_value_is_exit_1(data, capsys, monkeypatch):
-    monkeypatch.setenv("NETQWALK_WALKER", "teleport")
+@pytest.mark.parametrize(
+    "command, config", [("prioritize", ExperimentConfig), ("cci", CciConfig)]
+)
+def test_flags_and_config_fields_match_one_to_one(command, config):
+    # ``_config`` drops a namespace key that names no field, so a mistyped
+    # dest would run with the field's default
+    dests = [a.dest for a in _subparser(command)._actions if a.dest not in ("help", "out")]
+    assert sorted(dests) == sorted(field.name for field in fields(config))
+
+
+def test_netqwalk_environment_variables_change_nothing(data, tmp_path, capsys, monkeypatch):
+    # each setting has one source, its flag: a NETQWALK_TARGETS default would
+    # be a table path to prioritize but a label list to cci
+    args = [
+        "prioritize",
+        "--graph", data["graph"], "--scores", data["scores"],
+        "--targets", data["targets"], "--k", "3",
+    ]
+    assert cli.main([*args, "--out", str(tmp_path / "plain")]) == 0
+    elsewhere = tmp_path / "elsewhere"
+    monkeypatch.setenv("NETQWALK_T_MAX", "1.0")
+    monkeypatch.setenv("NETQWALK_OUT", str(elsewhere))
+    monkeypatch.setenv("NETQWALK_TARGETS", data["targets"])
+    assert cli.main([*args, "--out", str(tmp_path / "env")]) == 0
+    manifest = (tmp_path / "env" / "manifest.json").read_bytes()
+    assert manifest == (tmp_path / "plain" / "manifest.json").read_bytes()
+    assert not elsewhere.exists()
+    capsys.readouterr()
+    code = cli.main(["cci", "--nodes", data["nodes"], "--edges", data["edges"],
+                     "--out", str(tmp_path / "cci")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.endswith("the following arguments are required: --targets\n")
+    assert not (tmp_path / "cci").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--k", "1e3", "comma-separated integers"),
+     ("--collapse", "0.5,soon", "comma-separated numbers")],
+)
+def test_a_bad_comma_list_names_the_expected_input(data, capsys, flag, value, name):
     code = cli.main([
         "prioritize",
         "--graph", data["graph"], "--scores", data["scores"],
-        "--targets", data["targets"], "--k", "3", "--out", data["out"],
+        "--targets", data["targets"], flag, value, "--out", data["out"],
     ])
-    # choices are not rechecked on defaults, so the config layer rejects it
     assert code == 1
-    assert "walker" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"netqwalk prioritize: argument {flag}: invalid {name} value: '{value}'\n"
+    assert "_comma" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,16 @@ agreement is a genuine cross-check rather than a tautology.
 """
 
 import inspect
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from netqwalk import ctqrw, expm
+from netqwalk import classical, ctqrw, expm
 from netqwalk.expm import (
     ConvergenceError,
     HermiticityError,
@@ -355,12 +357,18 @@ def test_long_time_lanczos_splitting(expm_kernel):
     assert np.max(np.abs(got - ref)) < 1e-7
 
 
+def _fixture_chiral():
+    """The chiral Hamiltonian of the 490-node fixture component (phases at
+    rng seed 0) and the uniform start state."""
+    g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
+    h = ctqrw.build_hamiltonian(g, "chiral", ctqrw.random_chiral_phases(g, 0))
+    return h, np.ones(g.n) / np.sqrt(g.n)
+
+
 def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(expm_kernel, monkeypatch):
     # 490 nodes: the subspace stops well short of n, and t = 5 and 10 split
     # into substeps; the per-action iteration counts pin the stopping rule
-    g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
-    h = ctqrw.build_hamiltonian(g, "chiral", ctqrw.random_chiral_phases(g, 0))
-    v = np.ones(g.n) / np.sqrt(g.n)
+    h, v = _fixture_chiral()
     calls = []
     eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
 
@@ -376,6 +384,65 @@ def test_lanczos_matches_dense_on_the_fixture_chiral_hamiltonian(expm_kernel, mo
         assert len(calls) == iterations
         expm_kernel("dense")
         assert np.max(np.abs(got - expm_action(h, v, t))) < 1e-9
+
+
+@pytest.mark.parametrize("kernel", ["dense", "lanczos"])
+def test_continuous_sweeps_ignore_numpy_global_random_state(expm_kernel, kernel):
+    # the Lanczos norm estimate draws from its own generator; a kernel that
+    # drew from numpy's global state would tie the sweeps to it
+    g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
+    p0 = np.random.default_rng(3).random(g.n)
+    p0 /= p0.sum()
+    grid = np.linspace(0.0, 5.0, 51)
+    config = SimpleNamespace(hamiltonian="chiral", rng_seed=0, collapse_times=(1.0, 2.5, 4.0))
+    expm_kernel(kernel)
+    state, runs = np.random.get_state(), []
+    try:
+        for seed in (0, 1):
+            np.random.seed(seed)
+            runs.append((list(ctqrw.sweep(g, p0, grid, config)),
+                         list(classical.ctrw_sweep(g, p0, grid, config))))
+    finally:
+        np.random.set_state(state)
+    for first, second in zip(*runs):
+        assert np.array_equal(first, second)
+
+
+def _record_substeps(monkeypatch) -> list[int]:
+    """The substep count of every Lanczos pass from now on, in order."""
+    counts, substeps = [], expm._substeps
+
+    def recording(a, v, unit, span, n_sub, out, rows):
+        counts.append(n_sub)
+        return substeps(a, v, unit, span, n_sub, out, rows)
+
+    monkeypatch.setattr(expm, "_substeps", recording)
+    return counts
+
+
+@pytest.mark.parametrize("cap, passes", [(30, [3, 6]), (16, [3, 6, 12, 24])])
+def test_a_lanczos_basis_at_the_cap_doubles_the_substeps(expm_kernel, monkeypatch, cap, passes):
+    # t = 5 on the fixture takes 3 substeps of up to 102 iterations in all;
+    # with a cap of 30 vectors one basis runs out and the pass is redone
+    # with twice the substeps, with 16 three passes are redone
+    h, v = _fixture_chiral()
+    expm_kernel("lanczos")
+    monkeypatch.setattr(expm, "_MAX_KRYLOV", cap)
+    counts = _record_substeps(monkeypatch)
+    got = expm_action(h, v, 5.0)
+    assert counts == passes
+    assert np.max(np.abs(got - oracle_expm(h.matrix, v, -5j))) < 1e-11
+
+
+def test_a_lanczos_action_that_hits_the_cap_four_times_raises(expm_kernel, monkeypatch):
+    h, v = _fixture_chiral()
+    expm_kernel("lanczos")
+    monkeypatch.setattr(expm, "_MAX_KRYLOV", 12)
+    counts = _record_substeps(monkeypatch)
+    message = "Lanczos action did not converge to 1e-10 (n=490, t=5.0)"
+    with pytest.raises(ConvergenceError, match=re.escape(message)):
+        expm_action(h, v, 5.0)
+    assert counts == [3, 6, 12, 24]
 
 
 def test_expm_action_input_validation():

@@ -1,8 +1,11 @@
 """Tests for graph ingestion, components, and CCI validation."""
 
+import re
+
 import numpy as np
 import pytest
 
+from netqwalk import classical, ctqrw, dtqrw
 from netqwalk.graphs import (
     CciValidationError,
     GraphFormatError,
@@ -353,6 +356,41 @@ def test_load_edge_list_row_permutation_same_graph():
     pairs2 = {tuple(sorted((g2.labels[j], g2.labels[k]))) for j, k in g2.edges}
     assert pairs1 == pairs2
     assert set(g1.labels) == set(g2.labels)
+
+
+# ---------------------------------------------------------------------------
+# node indices
+# ---------------------------------------------------------------------------
+
+PATH4 = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+_H4 = ctqrw.build_hamiltonian(PATH4, "adjacency")
+_ARCS4 = dtqrw.arc_basis(PATH4)
+# every public walk function that takes a node index, called with ``i`` there
+WALK_CALLS = {
+    "probability-source": lambda i: ctqrw.transition_probability(_H4, i, 0, 1.0),
+    "probability-destination": lambda i: ctqrw.transition_probability(_H4, 0, i, 1.0),
+    "rate-source": lambda i: ctqrw.transition_rate(_H4, i, 0, 1.0),
+    "rate-destination": lambda i: ctqrw.transition_rate(_H4, 0, i, 1.0),
+    "dtrw-profile": lambda i: classical.dtrw_transition_profile(PATH4, i, 2),
+    "dtqrw-profile": lambda i: dtqrw.transition_profile(PATH4, i, 2),
+    "arc-state": lambda i: dtqrw.initial_arc_state(_ARCS4, i),
+    "arc-block": lambda i: dtqrw.initial_arc_block(_ARCS4, [0, i]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [-1, 4, 1.7])
+@pytest.mark.parametrize("call", WALK_CALLS.values(), ids=WALK_CALLS)
+def test_every_walk_function_rejects_a_bad_node_index(call, index):
+    # unchecked, numpy indexing wraps -1 to the last node and truncates 1.7
+    # to node 1, and 4 raises an IndexError that names no node
+    with pytest.raises(ValueError, match=rf"node {re.escape(str(index))} is "):
+        call(index)
+
+
+@pytest.mark.parametrize("call", WALK_CALLS.values(), ids=WALK_CALLS)
+def test_walk_functions_take_numpy_integer_node_indices(call):
+    assert np.array_equal(call(np.int64(3)), call(3))
 
 
 # ---------------------------------------------------------------------------
