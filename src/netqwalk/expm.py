@@ -36,7 +36,6 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .states import as_probability_vector
@@ -100,6 +99,8 @@ class SparseHermitian:
         real orthogonal float64 matrix; otherwise V is complex unitary.
         """
         if self._eig is None:
+            import scipy.linalg  # only the continuous walkers pay for it
+
             dense = self.matrix.real.toarray() if self.is_real else self.matrix.toarray()
             self._eig = scipy.linalg.eigh(dense, driver="evd")
         return self._eig
@@ -199,6 +200,8 @@ def _lanczos_apply(
     A is Hermitian so the projected matrix is a real symmetric tridiagonal;
     full reorthogonalization keeps the basis usable at tight tolerances.
     """
+    import scipy.linalg
+
     v = np.asarray(v, dtype=np.complex128)
     n = v.shape[0]
     beta0 = np.linalg.norm(v)

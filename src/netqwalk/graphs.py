@@ -26,7 +26,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 logger = logging.getLogger(__name__)
 
@@ -360,11 +359,32 @@ class ComponentDecomposition:
         return int(self.sizes.size)
 
 
+def weak_labels(n: int, edges: np.ndarray) -> np.ndarray:
+    """Weak-component id of each of ``n`` nodes joined by the index pairs
+    ``edges``; ids count up in the order of each component's smallest node.
+
+    Every edge hooks the larger of its ends' roots onto the smaller, and
+    pointers then jump to their roots, until the ends of every edge share
+    a root.
+    """
+    root = np.arange(n)
+    while True:
+        a, b = root[edges[:, 0]], root[edges[:, 1]]
+        split = a != b
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+
+
 def connected_components(g: LabeledGraph) -> ComponentDecomposition:
-    """Decompose ``g`` into (weakly) connected components, once per graph."""
+    """Decompose ``g`` into (weakly) connected components, once per graph.
+
+    Every stored edge joins its ends, whatever its weight or direction.
+    """
     if g._components is None:
-        a = adjacency_matrix(g)
-        _, comp = csgraph.connected_components(a, directed=g.directed, connection="weak")
+        comp = weak_labels(g.n, g.edges)
         sizes = np.sort(np.bincount(comp))[::-1]
         object.__setattr__(g, "_components", ComponentDecomposition(comp, sizes))
     return g._components

@@ -5,7 +5,7 @@ can be asserted without subprocess overhead.  Three kinds of test need a
 fresh interpreter: the BLAS thread-count test, because OpenBLAS reads
 ``OPENBLAS_NUM_THREADS`` once at import; the text-encoding test, which
 runs with ``EncodingWarning`` turned into an error; and the
-import-set test.
+import-set tests.
 """
 
 import argparse
@@ -441,17 +441,64 @@ def test_every_file_is_read_and_written_as_utf8(command, tmp_path):
     assert "Warning" not in proc.stderr
 
 
+LINALG = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
 def test_cli_import_leaves_scipy_spatial_and_special_unloaded():
-    # only ``cci`` measures distances, so only it pays for scipy.spatial
+    # only ``cci`` measures distances, so only it pays for scipy.spatial,
+    # and only the commands that run a kernel load scipy's linear algebra
     probe = (
         "import sys, netqwalk.cli; "
-        "print([m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules])"
+        f"print([m for m in ('scipy.spatial', 'scipy.special', *{LINALG}) if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=_child_env(), capture_output=True, text=True, check=True,
     )
     assert proc.stdout == "[]\n"
+
+
+# One process runs every command in turn, the continuous walkers in the
+# order of its last argument, and its last line of output holds, after
+# each command, the modules of ``LINALG`` loaded so far.  "lanczos" is a
+# ctqrw run with the Krylov kernel.
+COMMAND_IMPORTS = """
+import json, sys
+from netqwalk import cli, expm
+data, out, continuous = sys.argv[1:]
+prioritize = ["prioritize", "--graph", f"{data}/synthetic_ppi.tsv",
+              "--scores", f"{data}/synthetic_scores.tsv",
+              "--targets", f"{data}/synthetic_targets.tsv", "--t-max", "2"]
+walkers = {"lanczos": "ctqrw"}
+runs = [("graph-stats", ["graph-stats", "--graph", f"{data}/synthetic_ppi.tsv"])]
+for name in ("rwr", "dtrw", "dtqrw", *continuous.split(",")):
+    runs.append((name, [*prioritize, "--walker", walkers.get(name, name),
+                        "--out", f"{out}/{name}"]))
+runs.append(("cci", ["cci", "--nodes", f"{data}/cci_nodes.tsv", "--edges",
+                     f"{data}/cci_edges.tsv", "--targets", "C1", "--out", f"{out}/cci"]))
+loaded, dense_limit = {}, expm.DENSE_LIMIT
+for name, argv in runs:
+    expm.DENSE_LIMIT = 0 if name == "lanczos" else dense_limit
+    assert cli.main(argv) == 0, name
+    loaded[name] = [m for m in %r if m in sys.modules]
+print(json.dumps(loaded))
+""" % (LINALG,)
+
+
+@pytest.mark.parametrize("continuous", ["ctrw,ctqrw,lanczos", "lanczos,ctqrw,ctrw"])
+def test_only_the_continuous_walkers_and_cci_load_scipy_linalg(tmp_path, continuous):
+    # each continuous kernel, dense and Lanczos, runs first in one process,
+    # so each imports scipy.linalg itself
+    proc = subprocess.run(
+        [sys.executable, "-c", COMMAND_IMPORTS, str(FIXTURES), str(tmp_path), continuous],
+        env=_child_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert list(loaded) == ["graph-stats", "rwr", "dtrw", "dtqrw", *continuous.split(","), "cci"]
+    for name, modules in loaded.items():
+        expected = [] if name in ("graph-stats", "rwr", "dtrw", "dtqrw") else ["scipy.linalg"]
+        assert modules == expected, name
 
 
 def test_usage_errors_are_exit_1_not_systemexit(capsys):

@@ -4,6 +4,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from scipy.sparse import csgraph
 
 from netqwalk import classical, ctqrw, dtqrw
 from netqwalk.graphs import (
@@ -24,7 +27,9 @@ from netqwalk.graphs import (
     parse_label_pairs,
     parse_node_layers,
     symmetrized_view,
+    weak_labels,
 )
+from graph_strategies import edge_lists, small_graphs
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +263,57 @@ def test_singleton_graph_stats():
     assert graph_stats(g) == {
         "nodes": 1, "edges": 0, "fragments": 1, "gc_nodes": 1, "gc_edges": 0,
     }
+
+
+def test_a_zero_weight_edge_still_joins_its_ends():
+    g = load_edge_list("a\tb\t0\nb\tc\t1\n")
+    assert graph_stats(g) == {
+        "nodes": 3, "edges": 2, "fragments": 1, "gc_nodes": 3, "gc_edges": 2,
+    }
+
+
+def test_directed_edges_join_their_ends_weakly():
+    # b reaches neither a nor c, but the three form one weak component
+    g = graph_from_edges([("a", "b"), ("c", "b")], directed=True)
+    assert graph_stats(g)["fragments"] == 1
+
+
+def _csgraph_labels(a, directed):
+    return csgraph.connected_components(a, directed=directed, connection="weak")[1].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+@example(graph_from_edges([]))
+@example(graph_from_edges([], directed=True, nodes=["a", "b", "c"]))
+def test_component_labels_equal_csgraph(g):
+    # csgraph numbers components by their smallest node and keeps a stored
+    # zero weight as an edge
+    expected = _csgraph_labels(adjacency_matrix(g), g.directed)
+    assert connected_components(g).component_of.tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_raw_pair_labels_equal_csgraph(drawn):
+    # self-loops and duplicate pairs, which the graph constructor removes
+    labels, edges, directed = drawn
+    n, index = len(labels), {label: i for i, label in enumerate(labels)}
+    pairs = np.array([(index[u], index[v]) for u, v, _ in edges], dtype=np.int64).reshape(-1, 2)
+    a = sp.coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(n, n))
+    assert weak_labels(n, pairs).tolist() == _csgraph_labels(a, directed)
+
+
+def test_a_shuffled_long_path_is_one_component():
+    # the worst case of plain label propagation, which takes one round per
+    # edge of the path
+    n = 100_000
+    order = np.random.default_rng(5).permutation(n)
+    edges = np.sort(np.stack([order[:-1], order[1:]], axis=1), axis=1)
+    g = LabeledGraph(tuple(map(str, range(n))), edges)
+    comp = connected_components(g)
+    assert comp.count == 1
+    assert comp.component_of.tolist() == _csgraph_labels(adjacency_matrix(g), False)
 
 
 # ---------------------------------------------------------------------------

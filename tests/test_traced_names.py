@@ -20,10 +20,9 @@ from pathlib import Path
 
 import pytest
 import scipy.linalg
-from scipy.sparse import csgraph
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk import classical, ctqrw, dtqrw, expm
+from netqwalk import classical, ctqrw, dtqrw, expm, graphs
 from netqwalk.pipeline import (
     _CCI_CHUNK,
     CciConfig,
@@ -149,7 +148,7 @@ def test_prioritization_labels_the_components_once(monkeypatch):
     # ``graph_stats`` and ``greatest_component`` (the must-hit
     # ``graphs.component`` span) share one labelling of the input graph
     calls = []
-    _count_calls(monkeypatch, csgraph, "connected_components", calls)
+    _count_calls(monkeypatch, graphs, "weak_labels", calls)
     _run_fixture(walker="rwr")
     assert len(calls) == 1
 
