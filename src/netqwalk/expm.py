@@ -12,9 +12,11 @@ The graph size alone picks the kernel; neither entry point takes options.
 dense
     Eigendecomposition of the dense matrix (LAPACK divide and conquer,
     ``driver="evd"``), cached on the :class:`SparseHermitian` wrapper.
-    Used for n <= ``DENSE_LIMIT``.  The state is projected once, ``coef =
-    V^dagger v``, and a block of T times is one product ``V @ (exp(scale *
-    outer(w, times)) * coef)``.  A real generator (adjacency, Laplacian) is
+    Used for n <= ``DENSE_LIMIT``.  LAPACK writes V over the Fortran-ordered
+    dense matrix, so the peak is one n x n array plus LAPACK's workspace of
+    about 2n^2 entries.  The state is projected once, ``coef = V^dagger v``,
+    and a block of T times is one product ``V @ (exp(scale * outer(w,
+    times)) * coef)``.  A real generator (adjacency, Laplacian) is
     decomposed in real arithmetic and its real orthogonal eigenvectors act
     on the ``2T`` real columns of the states' real and imaginary parts, so
     no n x n complex array is formed.
@@ -101,8 +103,9 @@ class SparseHermitian:
         if self._eig is None:
             import scipy.linalg  # only the continuous walkers pay for it
 
-            dense = self.matrix.real.toarray() if self.is_real else self.matrix.toarray()
-            self._eig = scipy.linalg.eigh(dense, driver="evd")
+            m = self.matrix.real if self.is_real else self.matrix
+            # a Fortran-ordered array is not copied; LAPACK writes V over it
+            self._eig = scipy.linalg.eigh(m.toarray(order="F"), driver="evd", overwrite_a=True)
         return self._eig
 
     def norm_estimate(self) -> float:

@@ -76,11 +76,16 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     if labels is not None and len(labels) != n:
         raise ValueError("one label per probability is required")
     excluded = set()
+    label_index = None
     for e in exclude:
         if isinstance(e, str):
             if labels is None:
                 raise ValueError("label exclusions require labels")
-            excluded.add(list(labels).index(e))
+            # built once; a repeated label maps to its first index
+            label_index = label_index or dict(zip(labels[::-1], range(n - 1, -1, -1)))
+            if e not in label_index:
+                raise ValueError(f"excluded label {e!r} is not a ranked label")
+            excluded.add(label_index[e])
         else:
             excluded.add(node_index(e, n, "excluded node index"))
     keep = np.ones(n, dtype=bool)
@@ -142,23 +147,33 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
     return total / min(k, len(rel))
 
 
-def pairwise_distance_matrix(profiles) -> np.ndarray:
-    """Euclidean distance between every pair of rows of the 2-D array
-    ``profiles``, one distribution per row.  The result is symmetric with a
-    zero diagonal.
-    """
-    try:
-        mat = np.asarray(profiles, dtype=np.float64)
-    except ValueError as exc:
-        raise ValueError(f"profiles must be rows of one dimension: {exc}") from None
-    if mat.ndim != 2 or not mat.shape[0]:
-        raise ValueError(f"at least one profile is required, as 2-D rows; got shape {mat.shape}")
+def pairwise_distance_matrix(profiles, others=None) -> np.ndarray:
+    """Euclidean distance from every row of ``profiles`` to every row of
+    ``others`` (default ``profiles``), shaped as ``cdist(profiles, others)``.
+    Each entry depends on its two rows alone, so ``(P[lo:hi], P)`` gives rows
+    ``lo:hi`` of the whole symmetric, zero-diagonal matrix bit for bit."""
+    mat = _finite_rows(profiles, "profiles")
+    other = mat if others is None else _finite_rows(others, "others")
+    if other.shape[1] != mat.shape[1]:
+        raise ValueError(f"others must have {mat.shape[1]} columns, got {other.shape[1]}")
     # imported here so that only ``cci``, which measures distances, pays for it
     from scipy.spatial.distance import cdist
 
-    d = cdist(mat, mat)
-    np.fill_diagonal(d, 0.0)
-    return d
+    # a finite row is exactly 0.0 from itself: every difference is +0.0
+    return cdist(mat, other)
+
+
+def _finite_rows(rows, name: str) -> np.ndarray:
+    try:
+        mat = np.asarray(rows, dtype=np.float64)
+    except ValueError as exc:
+        raise ValueError(f"{name} must be rows of one dimension: {exc}") from None
+    if mat.ndim != 2 or not mat.shape[0]:
+        raise ValueError(f"at least one {name} row is required, as 2-D rows; got {mat.shape}")
+    bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} row {bad[0]} has a non-finite entry")
+    return mat
 
 
 def walk_support_subgraph(

@@ -19,6 +19,8 @@ import io
 import json
 import logging
 from dataclasses import asdict, dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -445,6 +447,8 @@ CCI_WALKERS = ("dtrw", "dtqrw")
 #: fastest coined walk, and 64 raised the peak RSS by 2 MB over per-node walks.
 _CCI_CHUNK = 32
 
+_DISTANCE_ROWS = 64  # ``emit_cci_reports`` makes the distances this many rows at a time
+
 
 @dataclass(frozen=True)
 class CciConfig:
@@ -471,12 +475,17 @@ class CciConfig:
 
 @dataclass(frozen=True)
 class CciWalkerOutput:
-    """Profiles, distances and support subgraph for one walker."""
+    """Profiles and support subgraph for one walker.  ``distances``, the
+    profiles' pairwise distance matrix, is computed on first access and kept;
+    ``emit_cci_reports`` writes it in row blocks and never reads it."""
 
     profiles: np.ndarray
-    distances: np.ndarray
     support: LabeledGraph
     zero_rows: tuple[str, ...]
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        return pairwise_distance_matrix(self.profiles)
 
 
 @dataclass(frozen=True)
@@ -491,11 +500,10 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
 
     Each walker produces an ``n x n`` matrix of transition profiles
     after ``config.steps`` steps on the symmetrized view (row = start
-    node), the pairwise distance matrix of those profiles, and the
-    communication subgraph supported at ``config.epsilon``.  The coined
-    walker cannot start from nodes of degree 0 in the symmetrized view;
-    they get zero rows, which are flagged.  Any other walker error
-    propagates.
+    node), with their distances on demand, and the communication
+    subgraph supported at ``config.epsilon``.  The coined walker cannot
+    start from nodes of degree 0 in the symmetrized view; they get zero
+    rows, which are flagged.  Any other walker error propagates.
 
     All start nodes evolve together, as column blocks of ``_CCI_CHUNK``
     states: the dtrw profiles are the rows of ``P**steps``, from one walk
@@ -533,7 +541,6 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
         unlaunched = np.setdiff1d(np.arange(n), starts[walker])
         walkers[walker] = CciWalkerOutput(
             profiles=profiles,
-            distances=pairwise_distance_matrix(profiles),
             support=walk_support_subgraph(
                 cci, profiles, config.targets, config.epsilon
             ),
@@ -556,13 +563,18 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
         prof_path = out / f"cci_{walker}_profiles.csv"
         dist_path = out / f"cci_{walker}_distances.csv"
         supp_path = out / f"cci_{walker}_support.tsv"
-        for path, matrix in ((prof_path, output.profiles), (dist_path, output.distances)):
+        prof = output.profiles
+        distance_blocks = (
+            pairwise_distance_matrix(prof[lo : lo + _DISTANCE_ROWS], prof)
+            for lo in range(0, prof.shape[0], _DISTANCE_ROWS)
+        )
+        for path, blocks in ((prof_path, [prof]), (dist_path, distance_blocks)):
             with path.open("w", newline="", encoding="utf-8") as fh:
                 csv.writer(fh, lineterminator="\n").writerow(["node"] + list(labels))
                 # one row of Python floats at a time keeps the peak memory flat
                 fh.writelines(
                     cell + row_values % tuple(row.tolist())
-                    for cell, row in zip(row_cells, matrix)
+                    for cell, row in zip(row_cells, chain.from_iterable(blocks))
                 )
         with supp_path.open("w", encoding="utf-8") as fh:
             fh.write("# directed support edges: tail<TAB>head\n")

@@ -7,6 +7,7 @@ agreement is a genuine cross-check rather than a tautology.
 
 import inspect
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -125,6 +126,27 @@ def test_chiral_generator_keeps_complex_eigenvectors():
     assert w.dtype == np.float64 and v.dtype == np.complex128
     assert np.abs(v.conj().T @ v - np.eye(g.n)).max() < 1e-13
     assert np.abs(v @ np.diag(w) @ v.conj().T - h.matrix.toarray()).max() < 1e-12
+
+
+@pytest.mark.parametrize(("hamiltonian", "itemsize", "bound"), [
+    ("adjacency", 8, 4.0),
+    ("chiral", 16, 3.5),
+])
+def test_the_eigendecomposition_holds_one_dense_matrix_at_its_peak(hamiltonian, itemsize, bound):
+    # LAPACK writes V over the dense matrix and adds about 2n^2 entries of
+    # workspace; a C-ordered input that ``eigh`` copies to Fortran order
+    # first adds one more n x n array (4.75 and 4.01 n^2 entries here)
+    g = random_graph(np.random.default_rng(13), 600, 1800)
+    phases = ctqrw.random_chiral_phases(g, 3) if hamiltonian == "chiral" else None
+    h = ctqrw.build_hamiltonian(g, hamiltonian, phases)
+    tracemalloc.start()
+    try:
+        w, v = h.eigendecomposition()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.itemsize == itemsize and v.flags.f_contiguous
+    assert peak / (itemsize * g.n**2) < bound
 
 
 @pytest.mark.parametrize("real_h", [True, False])

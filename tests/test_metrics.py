@@ -63,6 +63,17 @@ def test_rank_rejects_an_excluded_index_outside_the_vector():
             rank_by_probability([0.1, 0.4, 0.5], exclude=(bad,))
 
 
+def test_rank_excludes_labels_and_names_an_unknown_one():
+    p = [0.1, 0.4, 0.5, 0.2]
+    labels = ["w", "x", "y", "z"]
+    ranked = rank_by_probability(p, labels, exclude=["y", "w", "y"])
+    assert ranked.items == ("x", "z")
+    with pytest.raises(ValueError, match="excluded label 'q' is not a ranked label"):
+        rank_by_probability(p, labels, exclude=["x", "q"])
+    with pytest.raises(ValueError, match="label exclusions require labels"):
+        rank_by_probability(p, exclude=["x"])
+
+
 def test_precision_hand_cases():
     items = ["a", "b", "c", "d"]
     rel = {"a", "c"}
@@ -199,6 +210,37 @@ def test_distance_matrix_validation():
         pairwise_distance_matrix([])
     with pytest.raises(ValueError, match="dimension"):
         pairwise_distance_matrix([[1.0, 0.0], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="others must have 2 columns"):
+        pairwise_distance_matrix([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_distance_matrix_rejects_non_finite_rows_naming_the_first(bad):
+    with pytest.raises(ValueError, match="profiles row 0 has a non-finite entry"):
+        pairwise_distance_matrix([[bad, 1.0], [0.0, 1.0]])
+    rows = [[0.0, 1.0], [1.0, 0.0], [bad, 0.0], [0.0, bad]]
+    with pytest.raises(ValueError, match="profiles row 2 "):
+        pairwise_distance_matrix(rows)
+    with pytest.raises(ValueError, match="others row 2 "):
+        pairwise_distance_matrix([[0.0, 1.0]], rows)
+
+
+def test_distance_row_blocks_equal_the_whole_matrix_bit_for_bit():
+    # sparse random distributions, as the CCI walkers give, in blocks of rows
+    # whose size does not divide the row count
+    rng = np.random.default_rng(73)
+    profiles = rng.random((150, 150)) * (rng.random((150, 150)) < 0.1)
+    profiles[:, 0] += 1e-3
+    profiles /= profiles.sum(axis=1, keepdims=True)
+    whole = pairwise_distance_matrix(profiles)
+    assert np.all(np.diag(whole) == 0.0)
+    for rows in (64, 7):
+        blocks = [
+            pairwise_distance_matrix(profiles[lo : lo + rows], profiles)
+            for lo in range(0, 150, rows)
+        ]
+        assert blocks[-1].shape == (150 % rows, 150)
+        assert np.array_equal(np.vstack(blocks), whole)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ routes must agree exactly.
 import csv
 import dataclasses
 import hashlib
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -725,6 +726,42 @@ def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):
     assert manifest["walkers"]["dtqrw"]["zero_rows"] == []
 
 
+def test_cci_distances_are_computed_once_on_first_access():
+    result = run_cci_analysis(CciConfig(
+        str(DATA / "cci_nodes.tsv"), str(DATA / "cci_edges.tsv"), targets=("C1",)
+    ))
+    from scipy.spatial.distance import cdist
+
+    for output in result.walkers.values():
+        assert "distances" not in output.__dict__
+        # the whole matrix computed eagerly, with its diagonal zeroed
+        eager = cdist(output.profiles, output.profiles)
+        np.fill_diagonal(eager, 0.0)
+        assert np.array_equal(output.distances, eager)
+        assert output.distances is output.distances
+
+
+@pytest.mark.parametrize("four_layer_cci", [100], indirect=True)
+def test_emit_cci_reports_holds_no_whole_distance_matrix(four_layer_cci, tmp_path):
+    nodes, edges, target = four_layer_cci
+    result = run_cci_analysis(CciConfig(nodes, edges, targets=(target,)))
+    n = result.cci.graph.n
+    assert n == 400
+    import scipy.spatial.distance  # noqa: F401 - the first distance loads it; not traced
+
+    tracemalloc.start()
+    try:
+        emit_cci_reports(result, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
+    for output in result.walkers.values():
+        assert "distances" not in output.__dict__
+    rows = (tmp_path / "out" / "cci_dtqrw_distances.csv").read_text().splitlines()
+    assert len(rows) == n + 1
+
+
 def test_emit_cci_matrices_match_per_entry_csv_writer(tmp_path):
     # labels that csv must quote, and entries whose text is easy to get wrong
     nodes = 'S,1\tsender\nL"1\tligand\nR 1\treceptor\nC1\treceiver\n'
@@ -733,12 +770,15 @@ def test_emit_cci_matrices_match_per_entry_csv_writer(tmp_path):
     np_.write_text(nodes)
     ep.write_text(edges)
     result = run_cci_analysis(CciConfig(str(np_), str(ep), steps=3, targets=("C1",)))
-    special = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e300, np.inf, -np.inf, np.nan])
+    # the distances are made from these profiles, so they must be finite;
+    # 1e300 and 1.5e308 square to inf, which the distances CSV then holds
+    special = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e300, 1.5e308, -1e-300, 0.1])
     dtrw = result.walkers["dtrw"]
     walkers = dict(result.walkers)
-    walkers["dtrw"] = dataclasses.replace(dtrw, profiles=special[:16].repeat(2).reshape(4, 4))
+    walkers["dtrw"] = dataclasses.replace(dtrw, profiles=special.repeat(2).reshape(4, 4))
     result = dataclasses.replace(result, walkers=walkers)
     emit_cci_reports(result, tmp_path / "out")
+    assert "inf" in (tmp_path / "out" / "cci_dtrw_distances.csv").read_text()
     labels = result.cci.graph.labels
     for walker, output in result.walkers.items():
         for name, matrix in (("profiles", output.profiles), ("distances", output.distances)):

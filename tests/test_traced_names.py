@@ -10,7 +10,8 @@ same way, without installing the tracer.  The tracer also patches
 tests count those calls in one continuous sweep each.  The last tests count
 the component labellings of one prioritization, the transition-matrix
 builds of an rwr and of a dtrw sweep and the walker calls of one CCI run,
-which evolves its start nodes in column blocks.
+which evolves its start nodes in column blocks, and the functions the CLI's
+``cci`` path reaches.
 """
 
 import importlib.util
@@ -22,9 +23,10 @@ import pytest
 import scipy.linalg
 
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
-from netqwalk import classical, ctqrw, dtqrw, expm, graphs
+from netqwalk import classical, cli, ctqrw, dtqrw, expm, graphs, pipeline
 from netqwalk.pipeline import (
     _CCI_CHUNK,
+    _DISTANCE_ROWS,
     CciConfig,
     ExperimentConfig,
     run_cci_analysis,
@@ -188,3 +190,22 @@ def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
     assert len(built) == 1
     assert 1 <= len(dtrw_walks) <= -(-n // _CCI_CHUNK)
     assert 1 <= len(dtqrw_walks) <= -(-launched // _CCI_CHUNK)
+
+
+def test_the_cli_cci_path_measures_distances_in_row_blocks(four_layer_cci, monkeypatch, tmp_path):
+    # ``metrics.distance`` is a must-hit span on the benchmark's ``cci``
+    # workload and ``pipeline.emit`` is hit by every workload; the CLI writes
+    # the distances of each walker in blocks of rows, from one arc basis
+    distances, emitted, bases = [], [], []
+    _count_calls(monkeypatch, pipeline, "pairwise_distance_matrix", distances)
+    _count_calls(monkeypatch, cli, "emit_cci_reports", emitted)
+    _count_calls(monkeypatch, dtqrw, "arc_basis", bases)
+    nodes, edges, target = four_layer_cci
+    argv = ["cci", "--nodes", nodes, "--edges", edges, "--targets", target,
+            "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    n = len(Path(nodes).read_text().splitlines())
+    assert n > _DISTANCE_ROWS
+    assert len(distances) == 2 * -(-n // _DISTANCE_ROWS)
+    assert len(emitted) == 1
+    assert len(bases) == 1
