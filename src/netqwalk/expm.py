@@ -26,7 +26,8 @@ lanczos
     a-posteriori error estimate drops below ``DEFAULT_TOL``.  A block's
     longest time is split into substeps with ``norm(H) * dt <= SPLIT_BOUND``,
     and one basis per substep gives its times and the state at its end; if
-    one reaches ``_MAX_KRYLOV`` vectors, the substeps are doubled.
+    one reaches ``_MAX_KRYLOV`` vectors, the substeps are doubled.  A time
+    that needs more than ``_MAX_SUBSTEPS`` substeps is refused.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
 SPLIT_BOUND = 20.0
 _MAX_KRYLOV = 120
+# each substep builds at least one Krylov basis, about 10 ms at 4,000 nodes,
+# so a longer plan runs for hours, and near 2**63 its substep indices overflow
+_MAX_SUBSTEPS = 100_000
 _BLOCK_BYTES = 4 << 20  # the largest block of complex states of one action
 
 
@@ -260,6 +264,9 @@ def _substeps(a, v, unit: complex, span, n_sub: int, out, rows) -> bool:
 def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, times, out) -> None:
     """Write exp(unit * t * H) v into ``out[i]`` for each nonzero ``t = times[i]``:
     one pass per sign, each time in the substep of integer index ``|t| // dt``."""
+    t = times[np.abs(times).argmax()]
+    if op.norm_estimate() * abs(t) / SPLIT_BOUND > _MAX_SUBSTEPS:
+        raise ValueError(f"evolution time {t:g} needs more than {_MAX_SUBSTEPS} Lanczos substeps")
     for sign in np.unique(np.sign(times[times != 0])):
         rows = np.flatnonzero(np.sign(times) == sign)
         span = sign * times[rows]
@@ -304,7 +311,8 @@ def expm_action(hamiltonian, v, t) -> np.ndarray:
 
     Up to ``DENSE_LIMIT`` nodes the action comes from the cached dense
     eigendecomposition; beyond, the Lanczos action matches the exact one
-    within about ``DEFAULT_TOL`` and keeps the 2-norm within ten times that.
+    within about ``DEFAULT_TOL`` and keeps the 2-norm within ten times that,
+    and a ValueError names a time too long for ``_MAX_SUBSTEPS`` substeps.
     """
     op = as_hermitian(hamiltonian)
     v = np.asarray(v, dtype=np.complex128).reshape(-1)

@@ -6,8 +6,9 @@ self-loops are dropped at construction and duplicate edges are merged by
 summing their weights.  All walk modules operate on these graphs through
 the sparse matrix views built here (adjacency, degree, Laplacian).
 
-Input tables are parsed whole, a column at a time, by :func:`read_table`;
-its lines end at ``\\n``, so an error names the line an editor shows.
+Input tables are parsed a column at a time by :func:`read_table`, an edge
+list ``EDGE_BLOCK`` lines at a time; lines end at ``\\n``, so an error
+names the line an editor shows.
 
 Cell-cell interaction (CCI) networks are handled by
 :class:`PartitionedCciGraph`, a directed four-partite graph whose layers
@@ -21,7 +22,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,10 @@ CCI_LAYERS = ("sender", "ligand", "receptor", "receiver")
 
 # a run of whitespace inside one line; ``str.split()`` splits on the same set
 _BLANKS = re.compile(r"[^\S\n]+")
+
+# lines of an edge list parsed at a time: a block's strings are freed before
+# the next is split, and smaller blocks save little memory for more calls
+EDGE_BLOCK = 8192
 
 
 class GraphFormatError(ValueError):
@@ -153,11 +158,15 @@ def _merge_edges(
     return np.stack([keys // n, keys % n], axis=1), merged, n_loops
 
 
-def _indexed_graph(ends, weights, directed: bool, nodes=()) -> LabeledGraph:
-    """Graph of endpoint labels ``u0, v0, u1, ...``, indexed by first appearance."""
-    labels = tuple(dict.fromkeys(chain(nodes, ends)))
-    index = dict(zip(labels, range(len(labels))))
-    ids = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+def _label_ids(ends, index: dict[str, int]) -> np.ndarray:
+    """The ids of the labels ``ends``; ``index`` gives each new label the next id."""
+    new = [label for label in dict.fromkeys(ends) if label not in index]
+    index.update(zip(new, count(len(index))))
+    return np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+
+
+def _indexed_graph(labels, ids: np.ndarray, weights, directed: bool) -> LabeledGraph:
+    """Graph of ``labels`` with an edge per pair of ids ``ids[2e], ids[2e + 1]``."""
     edges, merged, n_loops = _merge_edges(ids.reshape(-1, 2), weights, directed)
     if not np.all(np.isfinite(merged)):
         u, v = edges[~np.isfinite(merged)][0]
@@ -179,25 +188,29 @@ def graph_from_edges(
     self-loops are dropped with a counted warning.
     """
     items = list(edge_list)
-    ends = [str(label) for item in items for label in (item[0], item[1])]
+    index = dict(zip(dict.fromkeys(map(str, nodes or ())), count()))
+    ids = _label_ids([str(label) for item in items for label in (item[0], item[1])], index)
     weights = np.array([float(item[2]) if len(item) > 2 else 1.0 for item in items])
-    return _indexed_graph(ends, weights, directed, map(str, nodes or ()))
+    return _indexed_graph(tuple(index), ids, weights, directed)
 
 
-def read_table(text: str, widths, form: str, table: str, sep="\t", number=None, unique=False):
-    """Fields of a headerless table; ``sep`` is a tab, or ``None`` for any
-    run of whitespace.  Lines end at ``\\n``; ``#`` lines and blank lines
-    are skipped, and lines and fields are trimmed, a ``\\r`` included.
+def read_table(text: str, widths, form: str, table, sep="\t", number=None, unique=False, line0=0):
+    """Fields of a headerless table, or of a block of one that follows its
+    first ``line0`` lines; ``sep`` is a tab, or ``None`` for any run of
+    whitespace.  Lines end at ``\\n``; ``#`` lines and blank lines are
+    skipped, and lines and fields are trimmed, a ``\\r`` included.  The
+    text is split whole, a column at a time.
 
     Returns a ``(rows, max(widths))`` object array (``None`` past the end of
     a short row), each row's field count, and the values of the column
     ``number = (column, what, upper)`` checked by :func:`parse_nonnegative`.
-    A table with no rows, or a row whose field count is not in ``widths``,
-    that has an empty field, repeats a first field (with ``unique``) or
-    fails its number check, is a :class:`GraphFormatError` naming the line.
+    A row whose field count is not in ``widths``, that has an empty field,
+    repeats a first field (with ``unique``) or fails its number check is a
+    :class:`GraphFormatError` naming the line, and so is a text with no
+    rows, unless ``table``, its name in that message, is ``None``.
     """
     rows = [line for line in map(str.strip, text.split("\n")) if line and line[0] != "#"]
-    if not rows:
+    if not rows and table is not None:
         raise GraphFormatError(f"empty {table}: no data rows found")
     if sep is None:
         rows = _BLANKS.sub("\t", "\n".join(rows)).split("\n")
@@ -229,12 +242,12 @@ def read_table(text: str, widths, form: str, table: str, sep="\t", number=None, 
     # name the first bad row; within a row, shape goes before a repeat and a
     # repeat before its number
     lines = text.split("\n")
-    lineno = [i for i, line in enumerate(map(str.strip, lines), 1) if line and line[0] != "#"]
+    lineno = [i for i, s in enumerate(map(str.strip, lines), line0 + 1) if s and s[0] != "#"]
     for k in np.flatnonzero(width[:dup] > j) if number else ():
         parse_nonnegative(fields[k, j], lineno[k], what, upper)
     if dup < stop:
         raise GraphFormatError(f"line {lineno[dup]}: duplicate label {fields[dup, 0]!r}")
-    raw = lines[lineno[stop] - 1].removesuffix("\r")
+    raw = lines[lineno[stop] - line0 - 1].removesuffix("\r")
     raise GraphFormatError(
         f"line {lineno[stop]}: expected {form!r} with nonempty fields, got {raw!r}"
     )
@@ -265,17 +278,31 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     appearance.  Duplicate edges merge (weights summed, default weight 1)
     and self-loops are dropped with a counted warning.
 
+    The text is read ``EDGE_BLOCK`` lines at a time, and each block's
+    labels become ids before the next block is split.
+
     Raises
     ------
     GraphFormatError
         On a malformed row (with its line number) or empty input.
     """
-    fields, width, w = read_table(
-        text, (2, 3), "u<TAB>v[<TAB>w]", "edge list", number=(2, "weight", math.inf)
-    )
-    weights = np.ones(width.size)
-    weights[width == 3] = w
-    return _indexed_graph(fields[:, :2].ravel().tolist(), weights, directed)
+    index, ids, weights = {}, [], []
+    lines = re.compile(f"(?:[^\\n]*\\n){{{EDGE_BLOCK}}}")  # EDGE_BLOCK whole lines
+    start = line0 = 0
+    while start < len(text):
+        stop = m.end() if (m := lines.match(text, start)) else len(text)
+        fields, width, w = read_table(
+            text[start:stop], (2, 3), "u<TAB>v[<TAB>w]", None,
+            number=(2, "weight", math.inf), line0=line0,
+        )
+        ids.append(_label_ids(fields[:, :2].ravel().tolist(), index))
+        weights.append(np.ones(width.size))
+        weights[-1][width == 3] = w
+        start, line0 = stop, line0 + EDGE_BLOCK
+    if not index:
+        raise GraphFormatError("empty edge list: no data rows found")
+    ids, weights = np.concatenate(ids), np.concatenate(weights)
+    return _indexed_graph(tuple(index), ids, weights, directed)
 
 
 def read_text(path) -> str:

@@ -331,6 +331,8 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
             (len(seeds_in_gc) + len(targets_in_gc)) / (seeds_in_graph + targets_in_graph)
         ),
     }
+    # the walk reads only the component, so the input graph need not outlive it
+    del g
 
     seed_nodes = [gc.index(s) for s in seeds_in_gc]
     p0 = np.zeros(gc.n)

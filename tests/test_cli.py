@@ -344,6 +344,28 @@ def test_a_lanczos_action_that_does_not_converge_is_exit_2(tmp_path, capsys, exp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("walker", ["ctqrw", "ctrw"])
+@pytest.mark.parametrize("t_max, t_step", [("1e30", "1e29"), ("1e12", "1e11")])
+def test_a_time_too_long_for_the_lanczos_substeps_is_exit_1(tmp_path, capsys, expm_kernel,
+                                                           walker, t_max, t_step):
+    # at 1e30 the substep indices overflowed int64; at 1e12 the action
+    # planned hundreds of billions of substeps and did not end
+    expm_kernel("lanczos")
+    started = time.monotonic()
+    code = cli.main([
+        "prioritize",
+        "--graph", str(FIXTURES / "synthetic_ppi.tsv"),
+        "--scores", str(FIXTURES / "synthetic_scores.tsv"),
+        "--targets", str(FIXTURES / "synthetic_targets.tsv"),
+        "--walker", walker, "--t-max", t_max, "--t-step", t_step,
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1 and time.monotonic() - started < 10.0
+    err = capsys.readouterr().err
+    assert err == f"error: evolution time {float(t_max):g} needs more than 100000 Lanczos substeps\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _child_env(**extra):
     """The environment plus ``extra``, with this checkout's ``src`` on the path."""
     src = str(Path(cli.__file__).resolve().parent.parent)

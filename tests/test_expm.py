@@ -467,6 +467,31 @@ def test_a_lanczos_action_that_hits_the_cap_four_times_raises(expm_kernel, monke
     assert counts == [3, 6, 12, 24]
 
 
+@pytest.mark.parametrize("t", [1e12, -1e30])
+def test_a_time_too_long_for_the_substeps_is_refused_before_any_basis(expm_kernel, monkeypatch, t):
+    # 1e30 overflowed the int64 substep indices, and 1e12 planned about 6e11 substeps
+    h, v = _fixture_chiral()
+    expm_kernel("lanczos")
+    counts = _record_substeps(monkeypatch)
+    message = f"evolution time {t:g} needs more than 100000 Lanczos substeps"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        expm_action(h, v, np.array([2.0, t]))
+    assert counts == []
+
+
+def test_the_substep_cap_admits_a_plan_of_its_size(expm_kernel, monkeypatch):
+    # t = 5 on the fixture plans 3 substeps
+    h, v = _fixture_chiral()
+    expm_kernel("lanczos")
+    counts = _record_substeps(monkeypatch)
+    monkeypatch.setattr(expm, "_MAX_SUBSTEPS", 3)
+    expm_action(h, v, 5.0)
+    monkeypatch.setattr(expm, "_MAX_SUBSTEPS", 2)
+    with pytest.raises(ValueError, match="^evolution time 5 needs more than 2 Lanczos substeps$"):
+        expm_action(h, v, 5.0)
+    assert counts == [3]
+
+
 def test_expm_action_input_validation():
     rng = np.random.default_rng(28)
     h = random_hermitian(rng, 4)

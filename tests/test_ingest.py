@@ -9,16 +9,21 @@ error into exit code 1 and a one-line message, never a traceback.
 On valid tables, each parser reads whole columns at once; the result must
 equal what a plain reader, ``_rows`` here, gives one line at a time.
 Lines end at ``\\n`` only, so line numbers count as an editor counts them.
+An edge list is read ``graphs.EDGE_BLOCK`` lines at a time, so its tests
+take the block size as one more input, down to one line.
 """
 
 import logging
 import re
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netqwalk import cli
+from netqwalk import cli, graphs
 from netqwalk.graphs import (
     GraphFormatError,
     load_edge_list,
@@ -63,6 +68,10 @@ TABLES = {
 
 FILLER = st.sampled_from(["# comment", "  # indented comment", "", "   "])
 
+# lines per edge-list block: the default, and blocks small enough that the
+# generated tables cross several block boundaries
+BLOCKS = st.sampled_from([graphs.EDGE_BLOCK, 1, 2, 3])
+
 
 @st.composite
 def planted_tables(draw):
@@ -91,25 +100,33 @@ def planted_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(planted_tables())
+@given(planted_tables(), BLOCKS)
 # each pair of kinds, the earlier one on line 2
-@example(("score table", "G0 1e-1\nbad\tlow\nG0 1e-1\n", 2, {2, 3}))
-@example(("score table", "G0 1e-1\nG0 1e-1\nbad\tlow\n", 2, {2, 3}))
-@example(("score table", "G0 1e-1\nbad\t0.1\t0.2\nG0 1e-1\n", 2, {2, 3}))
-@example(("edge list", "u0\tv0\nu\tv\tx\nu\t\t1\n", 2, {2, 3}))
-@example(("edge list", "u0\tv0\nu\t\t1\nu\tv\tx\n", 2, {2, 3}))
-@example(("edge list", "u0\tv0\nu\tv\t-1\nu\n", 2, {2, 3}))
-@example(("label pairs", "A0\tB0\nA\tB\tC\nA\t\tB\n", 2, {2, 3}))
-@example(("label pairs", "A0\tB0\nA\t\tB\nA\tB\tC\n", 2, {2, 3}))
-def test_malformed_row_is_rejected_naming_its_line(case):
+@example(("score table", "G0 1e-1\nbad\tlow\nG0 1e-1\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("score table", "G0 1e-1\nG0 1e-1\nbad\tlow\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("score table", "G0 1e-1\nbad\t0.1\t0.2\nG0 1e-1\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("edge list", "u0\tv0\nu\tv\tx\nu\t\t1\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("edge list", "u0\tv0\nu\t\t1\nu\tv\tx\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("edge list", "u0\tv0\nu\tv\t-1\nu\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("label pairs", "A0\tB0\nA\tB\tC\nA\t\tB\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+@example(("label pairs", "A0\tB0\nA\t\tB\nA\tB\tC\n", 2, {2, 3}), graphs.EDGE_BLOCK)
+# a bad row first in a block, and last in one; a bad number before a bad
+# shape in the next block
+@example(("edge list", "u0\tv0\nu1\tv1\t0.5\nu\nu2\tv2\n", 3, {3}), 2)
+@example(("edge list", "u0\tv0\nu1\tv1\t0.5\nu\tv\tx\nu2\tv2\n", 3, {3}), 3)
+@example(("edge list", "u0\tv0\nu\tv\t-1\nu\n", 2, {2, 3}), 2)
+# a first block of comments and blank lines only
+@example(("edge list", "# comment\n\n  # indented comment\nu0\tv0\nu\t\t1\n", 5, {5}), 3)
+def test_malformed_row_is_rejected_naming_its_line(case, block):
     name, text, lineno, planted = case
     parse = TABLES[name][0]
     clean = "\n".join(
         line for i, line in enumerate(text.split("\n"), start=1) if i not in planted
     )
-    parse(clean)
-    with pytest.raises(ValueError, match=rf"^line {lineno}: "):
-        parse(text)
+    with mock.patch.object(graphs, "EDGE_BLOCK", block):
+        parse(clean)
+        with pytest.raises(ValueError, match=rf"^line {lineno}: "):
+            parse(text)
 
 
 @pytest.mark.parametrize("mark", ["\x0c", "\x85", "\u2028"])
@@ -179,7 +196,7 @@ P_VALUE = st.one_of(
     st.floats(min_value=0.0, max_value=1.0).map(repr),
     st.sampled_from(["0", "1", "1e-9", "5E-08", ".5"]),
 )
-GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t"])
+GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\t\t", "\xa0", "\x0c"])
 
 
 @st.composite
@@ -209,7 +226,7 @@ def edge_tables(draw):
     node = st.sampled_from(pool)
     rows = draw(st.lists(
         st.tuples(node, node, st.none() | NUMBER).map(lambda r: [x for x in r if x]),
-        min_size=1, max_size=15,
+        max_size=15,
     ))
     return draw(tables(rows))
 
@@ -224,8 +241,19 @@ class _Messages(logging.Handler):
 
 
 @settings(max_examples=200, deadline=None)
-@given(edge_tables())
-def test_edge_list_reader_matches_the_row_reader(text):
+@given(edge_tables(), BLOCKS)
+# a label first seen in a later block
+@example("a\tb\n# comment\nc\ta\n", 2)
+# a duplicate edge across blocks: 0.1 + 0.2 + 0.3 sums to another float
+# in any order but the rows'
+@example("a\tb\t0.1\nb\ta\t0.2\na\tb\t0.3\n", 1)
+# self-loops in two blocks
+@example("a\ta\nb\tc\nb\tb\n", 2)
+# a first block of comments and blank lines only
+@example("# comment\n\n   \na\tb\nb\tc\n", 3)
+# comments only: an empty edge list
+@example("# comment\n\n# another\n", 2)
+def test_edge_list_reader_matches_the_row_reader(text, block):
     # labels by first appearance, self-loops dropped, duplicate weights
     # summed in row order and edges sorted: the graph of the rows as read
     index, merged, loops = {}, {}, 0
@@ -239,7 +267,12 @@ def test_edge_list_reader_matches_the_row_reader(text):
     logger, handler = logging.getLogger("netqwalk.graphs"), _Messages()
     logger.addHandler(handler)
     try:
-        g = load_edge_list(text)
+        with mock.patch.object(graphs, "EDGE_BLOCK", block):
+            if not index:
+                with pytest.raises(GraphFormatError, match="^empty edge list: no data rows"):
+                    load_edge_list(text)
+                return
+            g = load_edge_list(text)
     finally:
         logger.removeHandler(handler)
     assert g.labels == tuple(index)
@@ -272,3 +305,20 @@ def test_score_table_reader_matches_the_row_reader(data):
     text = data.draw(tables([[label, data.draw(P_VALUE)] for label in labels], sep=None))
     want = [(label, float(value)) for label, value in _rows(text, sep=None)]
     assert list(parse_score_table(text).items()) == want
+
+
+def test_an_edge_list_is_parsed_a_block_at_a_time():
+    # 50,000 rows over 16,000 labels (0.77 MB of text): split whole, the
+    # table held a string per line and per field at once, a peak of 16.8 MB
+    ends = np.random.default_rng(50).integers(0, 16_000, size=(50_000, 2)).tolist()
+    text = "".join(
+        f"G{u:05d}\tG{v:05d}" + ("\t0.5\n" if k % 3 else "\n") for k, (u, v) in enumerate(ends)
+    )
+    tracemalloc.start()
+    try:
+        g = load_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == 15_962
+    assert peak < 10e6

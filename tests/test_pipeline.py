@@ -10,12 +10,13 @@ import csv
 import dataclasses
 import hashlib
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netqwalk import classical, ctqrw, dtqrw
+from netqwalk import classical, ctqrw, dtqrw, pipeline
 from netqwalk.graphs import (
     build_cci_graph,
     greatest_component,
@@ -231,6 +232,32 @@ def test_run_drops_seeds_outside_component_and_excludes_them(fixture_paths, capl
     rec = result.records[0]
     assert set(rec.top_labels) <= {"c", "d", "e", "f"}
     assert result.graph_summary["gc"]["nodes"] == 6
+
+
+@pytest.mark.parametrize("walker", sorted(SWEEPS))
+def test_the_input_graph_is_freed_before_the_walk(fixture_paths, monkeypatch, walker):
+    # a walk reads only the greatest component, so holding the whole input
+    # graph through the sweep would only add to the peak memory
+    read = []
+
+    def reading(path):
+        g = read_edge_list(path)
+        read.append(weakref.ref(g))
+        return g
+
+    kind, sweep = SWEEPS[walker]
+    alive = []
+
+    def watched(gc, p0, grid, config):
+        for p in sweep(gc, p0, grid, config):
+            alive.append(read[0]() is not None)
+            yield p
+
+    monkeypatch.setattr(pipeline, "read_edge_list", reading)
+    monkeypatch.setitem(SWEEPS, walker, (kind, watched))
+    gp, sp, tp = fixture_paths
+    run_prioritization(ExperimentConfig(gp, sp, tp, walker=walker, t_max=1.0, k_list=(3,)))
+    assert alive and not any(alive)
 
 
 def test_pipeline_matches_direct_library_calls_exactly(fixture_paths):
