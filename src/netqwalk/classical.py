@@ -6,7 +6,8 @@ matrix, the row-normalized adjacency of :func:`row_stochastic`.  The
 rows of dangling nodes (no outgoing weight) are empty, and its
 ``dangling`` mask marks them; each walker applies its own rule to the
 mass on those nodes.  The discrete-time walk holds it in place, and
-the restart walk sends it to the restart distribution.
+the restart walk sends it to the restart distribution.  Its CCI profiles,
+:func:`dtrw_profiles`, launch a walk from every node, dangling or not.
 Continuous-time diffusion integrates ``dp/dt = -L p`` through the
 shared exponential kernels.
 """
@@ -19,8 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
-from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
-from .states import as_probability_columns, as_probability_vector, delta_distribution
+from .graphs import LabeledGraph, adjacency_matrix, as_int, laplacian, node_index
+from .states import START_BLOCK, as_probability_columns, as_probability_vector, delta_distribution
 
 POWER_MAX_ITER = 100_000
 POWER_TOL = 1e-12
@@ -140,7 +141,7 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
     walk = g if isinstance(g, TransitionMatrix) else row_stochastic(g)
     wt, dangling = walk.matrix.transpose(), walk.dangling
     p = as_probability_columns(p0, n=wt.shape[0])
-    if steps < 0:
+    if (steps := as_int(steps, "step count")) < 0:
         raise ValueError("step count must be >= 0")
     for _ in range(steps):
         p, held = wt @ p, p[dangling]
@@ -148,9 +149,19 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
     return _finalize_distribution(p)
 
 
-def dtrw_transition_profile(g: LabeledGraph, source: int, steps: int) -> np.ndarray:
-    """Distribution after ``steps`` coin tosses starting from ``source``."""
+def dtrw_transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
+    """Distribution after ``steps`` coin tosses from ``source``, a node label or index."""
+    source = g.index(source) if isinstance(source, str) else source
     return dtrw_evolve(g, delta_distribution(g.n, node_index(source, g.n, "source node")), steps)
+
+
+def dtrw_profiles(g: LabeledGraph, steps: int):
+    """Yield ``(nodes, block)`` for all nodes, ``START_BLOCK`` at a time: column ``c`` of ``block``
+    is row ``nodes[c]`` of ``P**steps``, :func:`dtrw_transition_profile` bit for bit."""
+    walk = row_stochastic(g)
+    for lo in range(0, g.n, START_BLOCK):
+        nodes = np.arange(lo, min(lo + START_BLOCK, g.n))
+        yield nodes, dtrw_evolve(walk, np.eye(g.n, nodes.size, -lo), steps)
 
 
 def ctrw_evolve(g: LabeledGraph, p0, t: float) -> np.ndarray:

@@ -14,6 +14,7 @@ and the shift are real, so a real state stays real (float64) and gives
 the same node probabilities as the complex walk.  The walk functions
 take one state or an ``(n_arcs, k)`` block of states, one per column,
 and apply the same floating-point operations to every column.
+:func:`profiles` walks from each node that has an arc; no other node launches.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import LabeledGraph, adjacency_matrix, node_index
-from .states import as_amplitude_columns
+from .graphs import LabeledGraph, adjacency_matrix, as_int, node_index
+from .states import START_BLOCK, as_amplitude_columns
 
 __all__ = [
     "ArcIndex",
@@ -38,6 +39,7 @@ __all__ = [
     "evolve",
     "node_probabilities",
     "transition_profile",
+    "profiles",
 ]
 
 
@@ -129,10 +131,10 @@ def evolve(arcs: ArcIndex, psi0, steps: int) -> np.ndarray:
     ``psi0`` is one unit-norm arc state or an ``(n_arcs, k)`` block of
     them, one per column; each column evolves as it would alone.
     """
-    if steps < 0:
+    if (steps := as_int(steps, "step count")) < 0:
         raise ValueError(f"step count must be nonnegative, got {steps}")
     psi = as_amplitude_columns(psi0, arcs.n_arcs)
-    for _ in range(int(steps)):
+    for _ in range(steps):
         psi = _apply_coin(arcs, psi)[arcs.reverse]
     return psi
 
@@ -213,6 +215,17 @@ def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     idx = g.index(source) if isinstance(source, str) else source
     psi = evolve(arcs, initial_arc_state(arcs, idx), steps)
     return node_probabilities(arcs, psi)
+
+
+def profiles(g: LabeledGraph, steps: int):
+    """Yield ``(nodes, block)`` for every node with an arc, ``START_BLOCK`` at a
+    time; column ``c`` of ``block`` is :func:`transition_profile` from ``nodes[c]``,
+    bit for bit, walked in float64 from real start states."""
+    arcs = arc_basis(g)
+    launched = np.flatnonzero(np.diff(arcs.node_ptr))
+    for lo in range(0, launched.size, START_BLOCK):
+        nodes = launched[lo : lo + START_BLOCK]
+        yield nodes, node_probabilities(arcs, evolve(arcs, initial_arc_block(arcs, nodes), steps))
 
 
 def sweep(g: LabeledGraph, p0, grid, config):

@@ -48,11 +48,16 @@ class CciValidationError(ValueError):
     """Edge set violates the four-partite layer constraints."""
 
 
+def as_int(x, what: str) -> int:
+    """``x`` as an int; a ValueError names a string or a value with a fraction."""
+    if isinstance(x, str) or not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+        raise ValueError(f"{what} {repr(x) if isinstance(x, str) else x} is not an integer")
+    return int(x)
+
+
 def node_index(x, n: int, what: str) -> int:
-    """``x`` as a node index in ``[0, n)``; a ValueError names any other value."""
-    if not isinstance(x, (int, np.integer)) and not float(x).is_integer():
-        raise ValueError(f"{what} {x} is not an integer")
-    if not 0 <= int(x) < n:
+    """``x`` as a node index in ``[0, n)``; a ValueError names any other value, a string too."""
+    if not 0 <= as_int(x, what) < n:
         raise ValueError(f"{what} {x} is out of range for {n} nodes")
     return int(x)
 
@@ -165,8 +170,10 @@ def _label_ids(ends, index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
 
 
-def _indexed_graph(labels, ids: np.ndarray, weights, directed: bool) -> LabeledGraph:
-    """Graph of ``labels`` with an edge per pair of ids ``ids[2e], ids[2e + 1]``."""
+def _indexed_graph(index: dict, ids: np.ndarray, weights, directed: bool) -> LabeledGraph:
+    """Graph of the labels of ``index``, emptied first, with an edge per id pair in ``ids``."""
+    labels = tuple(index)
+    index.clear()
     edges, merged, n_loops = _merge_edges(ids.reshape(-1, 2), weights, directed)
     if not np.all(np.isfinite(merged)):
         u, v = edges[~np.isfinite(merged)][0]
@@ -191,7 +198,7 @@ def graph_from_edges(
     index = dict(zip(dict.fromkeys(map(str, nodes or ())), count()))
     ids = _label_ids([str(label) for item in items for label in (item[0], item[1])], index)
     weights = np.array([float(item[2]) if len(item) > 2 else 1.0 for item in items])
-    return _indexed_graph(tuple(index), ids, weights, directed)
+    return _indexed_graph(index, ids, weights, directed)
 
 
 def read_table(text: str, widths, form: str, table, sep="\t", number=None, unique=False, line0=0):
@@ -302,7 +309,7 @@ def load_edge_list(text: str, directed: bool = False) -> LabeledGraph:
     if not index:
         raise GraphFormatError("empty edge list: no data rows found")
     ids, weights = np.concatenate(ids), np.concatenate(weights)
-    return _indexed_graph(tuple(index), ids, weights, directed)
+    return _indexed_graph(index, ids, weights, directed)
 
 
 def read_text(path) -> str:

@@ -5,7 +5,7 @@ greatest connected component, seeds a walker from significance-filtered
 genes, sweeps the walk parameter (time or steps; rwr has one point),
 and scores the resulting rankings against a held-out target set with
 precision@K and average precision@K.  The cell-cell-interaction driver
-runs discrete walkers over a symmetrized multipartite graph, compares
+runs the ``PROFILES`` walkers over a symmetrized multipartite graph, compares
 per-node transition profiles through their pairwise distances, and
 extracts the communication subgraph supported by the walk.  Both
 drivers emit deterministic CSV/JSON reports.
@@ -29,6 +29,7 @@ from . import classical, ctqrw, dtqrw
 from .graphs import (
     LabeledGraph,
     PartitionedCciGraph,
+    as_int,
     build_cci_graph,
     graph_stats,
     greatest_component,
@@ -213,6 +214,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_step <= 0 or self.t_max < 0:
             raise ValueError("time grid requires t_step > 0 and t_max >= 0")
+        object.__setattr__(self, "steps_max", as_int(self.steps_max, "steps_max"))
         if self.steps_max < 1:
             raise ValueError("steps_max must be >= 1")
         # bound the grid before grid_points builds it; the float ratio catches inf
@@ -442,12 +444,9 @@ def emit_reports(result: SweepResult, out_dir) -> list[Path]:
 # CCI analysis
 # ---------------------------------------------------------------------------
 
-CCI_WALKERS = ("dtrw", "dtqrw")
-
-#: Start nodes that one walker call evolves together in ``run_cci_analysis``.
-#: On a 600-node graph with 3,576 arcs (2-vCPU x86 host) 32 columns gave the
-#: fastest coined walk, and 64 raised the peak RSS by 2 MB over per-node walks.
-_CCI_CHUNK = 32
+#: walker -> ``profiles(g, steps)``, which yields ``(nodes, block)`` pairs whose column ``c``
+#: is the distribution after ``steps`` from ``nodes[c]``; it decides which nodes launch.
+PROFILES = {"dtrw": classical.dtrw_profiles, "dtqrw": dtqrw.profiles}
 
 _DISTANCE_ROWS = 64  # ``emit_cci_reports`` makes the distances this many rows at a time
 
@@ -463,6 +462,7 @@ class CciConfig:
     epsilon: float = 0.05
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", as_int(self.steps, "steps"))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if not self.targets:
@@ -498,22 +498,14 @@ class CciResult:
 
 
 def run_cci_analysis(config: CciConfig) -> CciResult:
-    """Run both discrete walkers over a CCI graph and compare profiles.
+    """Run every walker of ``PROFILES`` over a CCI graph and compare profiles.
 
     Each walker produces an ``n x n`` matrix of transition profiles
     after ``config.steps`` steps on the symmetrized view (row = start
     node), with their distances on demand, and the communication
-    subgraph supported at ``config.epsilon``.  The coined walker cannot
-    start from nodes of degree 0 in the symmetrized view; they get zero
-    rows, which are flagged.  Any other walker error propagates.
-
-    All start nodes evolve together, as column blocks of ``_CCI_CHUNK``
-    states: the dtrw profiles are the rows of ``P**steps``, from one walk
-    on identity columns, and the dtqrw profiles come from blocks of
-    uniform arc states, which are real and evolve in float64.  Every
-    column sees the same floating-point operations as a walk from that
-    node alone, so the rows equal ``classical.dtrw_transition_profile``
-    and ``dtqrw.transition_profile`` exactly.
+    subgraph supported at ``config.epsilon``.  A node that the walker
+    does not launch from, for the coined walker a node of degree 0, keeps
+    a zero row, which is flagged.  Any walker error propagates.
     """
     cci = build_cci_graph(
         parse_node_layers(read_text(config.nodes_path)),
@@ -522,31 +514,15 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     for t in config.targets:
         cci.graph.index(t)  # raises KeyError for unknown labels
     sym = symmetrized_view(cci)
-    n = sym.n
-    walk = classical.row_stochastic(sym)
-    isolated = walk.dangling
-    arcs = dtqrw.arc_basis(sym)
-    starts = {"dtrw": np.arange(n), "dtqrw": np.flatnonzero(~isolated)}
     walkers = {}
-    for walker in CCI_WALKERS:
-        profiles = np.zeros((n, n))
-        for lo in range(0, starts[walker].size, _CCI_CHUNK):
-            chunk = starts[walker][lo : lo + _CCI_CHUNK]
-            if walker == "dtrw":
-                delta = np.zeros((n, chunk.size))
-                delta[chunk, np.arange(chunk.size)] = 1.0
-                block = classical.dtrw_evolve(walk, delta, config.steps)
-            else:
-                psi = dtqrw.initial_arc_block(arcs, chunk)
-                block = dtqrw.node_probabilities(arcs, dtqrw.evolve(arcs, psi, config.steps))
-            profiles[chunk] = block.T
-        unlaunched = np.setdiff1d(np.arange(n), starts[walker])
+    for walker, blocks in PROFILES.items():
+        profiles = np.zeros((sym.n, sym.n))
+        for nodes, block in blocks(sym, config.steps):
+            profiles[nodes] = block.T
         walkers[walker] = CciWalkerOutput(
             profiles=profiles,
-            support=walk_support_subgraph(
-                cci, profiles, config.targets, config.epsilon
-            ),
-            zero_rows=tuple(sym.labels[j] for j in unlaunched),
+            support=walk_support_subgraph(cci, profiles, config.targets, config.epsilon),
+            zero_rows=tuple(sym.labels[j] for j in np.flatnonzero(~profiles.any(axis=1))),
         )
     return CciResult(config=config, cci=cci, walkers=walkers)
 

@@ -13,6 +13,10 @@ import numpy as np
 PROB_TOL = 1e-10
 NORM_TOL = 1e-10
 
+#: Start nodes that one block walk evolves together: on a 600-node graph (2 vCPUs) 32 gave
+#: the fastest coined walk, and 64 raised the peak RSS by 2 MB over per-node walks.
+START_BLOCK = 32
+
 
 def _columns(x: np.ndarray, n: int | None, kind: str):
     """Shape and finiteness checks shared by both kinds of state.

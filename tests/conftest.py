@@ -7,7 +7,7 @@ import pytest
 
 from netqwalk import expm
 from netqwalk.graphs import CCI_LAYERS
-from netqwalk.pipeline import _CCI_CHUNK
+from netqwalk.states import START_BLOCK
 
 
 @pytest.fixture
@@ -24,15 +24,16 @@ def expm_kernel(monkeypatch):
 
 @pytest.fixture
 def four_layer_cci(request, tmp_path):
-    """A generated four-layer CCI graph larger than two CCI chunks, or with
-    ``request.param`` nodes per layer when parametrized indirectly.
+    """A generated four-layer CCI graph with more than two ``START_BLOCK``
+    blocks of start nodes, or with ``request.param`` nodes per layer when
+    parametrized indirectly.
 
     Node 0 of every layer has no edges, so each layer holds an isolated
     node; every other node has an edge to each adjacent layer.  Returns
     ``(nodes_path, edges_path, target)``.
     """
     rng = np.random.default_rng(81)
-    per_layer = getattr(request, "param", _CCI_CHUNK // 2 + 7)
+    per_layer = getattr(request, "param", START_BLOCK // 2 + 7)
     labels = [[f"{layer}{i}" for i in range(per_layer)] for layer in CCI_LAYERS]
     edges = set()
     for tails, heads in zip(labels, labels[1:]):

@@ -31,7 +31,11 @@ from netqwalk.graphs import (
     load_edge_list,
     read_edge_list,
 )
-from walk_oracles import dtqrw_oracle, weighted_graph_with_isolated_node
+from walk_oracles import (
+    dtqrw_oracle,
+    graph_with_leaves_and_isolated,
+    weighted_graph_with_isolated_node,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -224,18 +228,6 @@ def test_evolve_validation():
         evolve(arcs, psi0, -1)
     with pytest.raises(ValueError, match="length"):
         evolve(arcs, np.ones(3) / np.sqrt(3), 1)
-
-
-def graph_with_leaves_and_isolated(rng, n):
-    """Random graph; its last two nodes are isolated, its next-to-last two
-    are degree-1 leaves hanging off random core nodes."""
-    labels = [f"v{j}" for j in range(n)]
-    core = n - 4
-    edges = [(labels[j], labels[(j + 1) % core]) for j in range(core)]
-    edges += [(labels[j], labels[k]) for j, k in rng.integers(0, core, size=(core, 2)) if j != k]
-    edges += [(labels[n - 4], labels[int(rng.integers(0, core))]),
-              (labels[n - 3], labels[int(rng.integers(0, core))])]
-    return graph_from_edges(edges, nodes=labels)
 
 
 @pytest.mark.parametrize("complex_block", [False, True])

@@ -29,6 +29,7 @@ from netqwalk.graphs import (
     symmetrized_view,
     weak_labels,
 )
+from netqwalk.pipeline import CciConfig, ExperimentConfig
 from graph_strategies import edge_lists, small_graphs
 
 
@@ -418,7 +419,8 @@ def test_load_edge_list_row_permutation_same_graph():
 # node indices
 # ---------------------------------------------------------------------------
 
-PATH4 = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d")])
+# node 0 is labelled "3", a string that spells the index of another node
+PATH4 = graph_from_edges([("3", "b"), ("b", "c"), ("c", "d")])
 _H4 = ctqrw.build_hamiltonian(PATH4, "adjacency")
 _ARCS4 = dtqrw.arc_basis(PATH4)
 # every public walk function that takes a node index, called with ``i`` there
@@ -447,6 +449,42 @@ def test_every_walk_function_rejects_a_bad_node_index(call, index):
 @pytest.mark.parametrize("call", WALK_CALLS.values(), ids=WALK_CALLS)
 def test_walk_functions_take_numpy_integer_node_indices(call):
     assert np.array_equal(call(np.int64(3)), call(3))
+
+
+@pytest.mark.parametrize("name", WALK_CALLS)
+def test_a_numeric_string_is_never_read_as_a_node_index(name):
+    # "3" labels node 0; read as an index it named node 3, silently
+    if name in ("dtrw-profile", "dtqrw-profile"):  # these two take labels
+        assert np.array_equal(WALK_CALLS[name]("3"), WALK_CALLS[name](0))
+    else:
+        with pytest.raises(ValueError, match="node '3' is not an integer"):
+            WALK_CALLS[name]("3")
+
+
+# every step count that a walker or a config takes, called with ``s`` there
+STEP_CALLS = {
+    "dtrw-evolve": lambda s: classical.dtrw_evolve(PATH4, np.full(4, 0.25), s),
+    "dtqrw-evolve": lambda s: dtqrw.evolve(_ARCS4, dtqrw.initial_arc_state(_ARCS4, 0), s),
+    "cci-config": lambda s: CciConfig("nodes.tsv", "edges.tsv", steps=s, targets=("C1",)),
+    "experiment-config": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", steps_max=s),
+}
+
+
+@pytest.mark.parametrize("steps, named", [(2.7, "2.7"), (np.float64(0.5), "0.5"), ("2", "'2'")])
+@pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
+def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
+    # the coined walk took 2.7 steps as 2; the others raised a bare TypeError
+    with pytest.raises(ValueError, match=rf"{re.escape(named)} is not an integer"):
+        call(steps)
+
+
+@pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
+def test_a_whole_float_step_count_is_its_integer(call):
+    whole, integer = call(2.0), call(2)
+    if isinstance(integer, np.ndarray):
+        assert np.array_equal(whole, integer)
+    else:  # the config keeps the int, so its manifest writes 2, not 2.0
+        assert repr(whole) == repr(integer)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ routes must agree exactly.
 import csv
 import dataclasses
 import hashlib
+import json
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -19,6 +20,7 @@ import pytest
 from netqwalk import classical, ctqrw, dtqrw, pipeline
 from netqwalk.graphs import (
     build_cci_graph,
+    graph_from_edges,
     greatest_component,
     parse_label_pairs,
     parse_node_layers,
@@ -35,6 +37,7 @@ from netqwalk.pipeline import (
     CciConfig,
     ExperimentConfig,
     MAX_GRID_POINTS,
+    PROFILES,
     _EXACT_TIE_WALKERS,
     SWEEPS,
     SweepResult,
@@ -46,7 +49,8 @@ from netqwalk.pipeline import (
     run_cci_analysis,
     run_prioritization,
 )
-from walk_oracles import dtqrw_oracle
+from netqwalk.states import START_BLOCK
+from walk_oracles import dtqrw_oracle, graph_with_leaves_and_isolated
 
 GRAPH = """\
 # two components: a 6-node core and a detached pair
@@ -673,8 +677,8 @@ def test_cci_coined_walker_error_on_connected_node_propagates(cci_paths, monkeyp
 
 def test_cci_analysis_matches_direct_library_calls(cci_paths, four_layer_cci):
     # the block walks must give every row exactly as a walk from that node
-    # alone; the generated graph spans several chunks and has an isolated
-    # node in each layer
+    # alone; the generated graph spans several blocks of start nodes and has
+    # an isolated node in each layer
     planted = build_cci_graph(
         [("S1", "sender"), ("S2", "sender"), ("L1", "ligand"),
          ("L2", "ligand"), ("R1", "receptor"), ("C1", "receiver")],
@@ -723,6 +727,57 @@ def test_cci_dtqrw_profiles_match_the_coined_walk_oracle(four_layer_cci):
             profiles = result.walkers["dtqrw"].profiles
             assert np.max(np.abs(profiles[launched] - ref.T)) < 1e-12
             assert not np.delete(profiles, launched, axis=0).any()
+
+
+@pytest.mark.parametrize("walker", PROFILES)
+def test_a_profile_generator_walks_each_launchable_node_once(walker):
+    # a node is launchable when the single-start walk takes it, and every
+    # column equals that walk bit for bit; the coined walk launches from ``d``,
+    # whose only edge has weight 0, though the classical walk holds mass there
+    single = {"dtrw": classical.dtrw_transition_profile, "dtqrw": dtqrw.transition_profile}
+    rng = np.random.default_rng(73)
+    zero_weight = graph_from_edges([("a", "b"), ("b", "c"), ("c", "d", 0.0)], nodes=["e"])
+    graphs = [graph_with_leaves_and_isolated(rng, n) for n in (9, 2 * START_BLOCK + 9)]
+    for g in graphs + [zero_weight]:
+        want = {}
+        for j in range(g.n):
+            try:
+                want[j] = single[walker](g, j, 5)
+            except ValueError:  # an isolated node, for the coined walk
+                pass
+        launched = []
+        for nodes, block in PROFILES[walker](g, 5):
+            assert 1 <= len(nodes) <= START_BLOCK and block.shape == (g.n, len(nodes))
+            for c, j in enumerate(nodes.tolist()):
+                assert np.array_equal(block[:, c], want[j])
+            launched += nodes.tolist()
+        assert sorted(launched) == list(want)
+    assert zero_weight.index("d") in launched
+    assert (zero_weight.index("e") in launched) == (walker == "dtrw")
+
+
+def test_a_walker_in_the_profile_table_is_run_and_reported(cci_paths, monkeypatch, tmp_path):
+    # run_cci_analysis and emit_cci_reports reach the walkers only through PROFILES
+    asked = []
+
+    def fake(g, steps):
+        asked.append(steps)
+        nodes = np.array([3, 1])  # L2 and S2 stay put; no other node launches
+        yield nodes, np.eye(g.n)[:, nodes]
+
+    monkeypatch.setitem(pipeline.PROFILES, "fake", fake)
+    nodes, edges = cci_paths
+    result = run_cci_analysis(CciConfig(nodes, edges, steps=3, targets=("C1",)))
+    assert asked == [3]
+    out = result.walkers["fake"]
+    assert np.array_equal(out.profiles, np.diag([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]))
+    assert out.zero_rows == ("S1", "L1", "R1", "C1")
+    names = [p.name for p in emit_cci_reports(result, tmp_path)]
+    assert names[6:9] == ["cci_fake_profiles.csv", "cci_fake_distances.csv", "cci_fake_support.tsv"]
+    rows = (tmp_path / "cci_fake_profiles.csv").read_text().splitlines()
+    assert rows[2] == "S2,0,1,0,0,0,0"
+    manifest = json.loads((tmp_path / "cci_manifest.json").read_text())
+    assert manifest["walkers"]["fake"]["zero_rows"] == ["S1", "L1", "R1", "C1"]
 
 
 def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):

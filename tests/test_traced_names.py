@@ -25,13 +25,13 @@ import scipy.linalg
 import netqwalk.cli  # noqa: F401 - loads every module the CLI reaches
 from netqwalk import classical, cli, ctqrw, dtqrw, expm, graphs, pipeline
 from netqwalk.pipeline import (
-    _CCI_CHUNK,
     _DISTANCE_ROWS,
     CciConfig,
     ExperimentConfig,
     run_cci_analysis,
     run_prioritization,
 )
+from netqwalk.states import START_BLOCK
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -176,7 +176,7 @@ def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
     four_layer_cci, monkeypatch
 ):
     # ``dtrw_evolve`` and ``dtqrw.evolve`` are must-hit spans on the benchmark's
-    # ``cci`` workload; a run must reach both, with one call per chunk of
+    # ``cci`` workload; a run must reach both, with one call per block of
     # start nodes rather than one per node
     built, dtrw_walks, dtqrw_walks = [], [], []
     _count_calls(monkeypatch, classical, "row_stochastic", built)
@@ -186,10 +186,10 @@ def test_cci_builds_one_transition_matrix_per_walk_and_walks_once_per_chunk(
     result = run_cci_analysis(CciConfig(nodes, edges, steps=5, targets=(target,)))
     n = result.cci.graph.n
     launched = n - len(result.walkers["dtqrw"].zero_rows)
-    assert launched > 2 * _CCI_CHUNK
+    assert launched > 2 * START_BLOCK
     assert len(built) == 1
-    assert 1 <= len(dtrw_walks) <= -(-n // _CCI_CHUNK)
-    assert 1 <= len(dtqrw_walks) <= -(-launched // _CCI_CHUNK)
+    assert 1 <= len(dtrw_walks) <= -(-n // START_BLOCK)
+    assert 1 <= len(dtqrw_walks) <= -(-launched // START_BLOCK)
 
 
 def test_the_cli_cci_path_measures_distances_in_row_blocks(four_layer_cci, monkeypatch, tmp_path):

@@ -64,6 +64,18 @@ def weighted_graph_with_isolated_node():
     return graph_from_edges(edges, nodes=[f"v{j}" for j in range(9)])
 
 
+def graph_with_leaves_and_isolated(rng, n):
+    """Random graph; its last two nodes are isolated, its next-to-last two
+    are degree-1 leaves hanging off random core nodes."""
+    labels = [f"v{j}" for j in range(n)]
+    core = n - 4
+    edges = [(labels[j], labels[(j + 1) % core]) for j in range(core)]
+    edges += [(labels[j], labels[k]) for j, k in rng.integers(0, core, size=(core, 2)) if j != k]
+    edges += [(labels[n - 4], labels[int(rng.integers(0, core))]),
+              (labels[n - 3], labels[int(rng.integers(0, core))])]
+    return graph_from_edges(edges, nodes=labels)
+
+
 def _laplacian(a):
     return np.diag(a.sum(axis=1)) - a
 
