@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from netqwalk.metrics import pairwise_distance_matrix
 from netqwalk.pipeline import CciConfig, run_cci_analysis
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -53,7 +54,7 @@ print(f"\nS1 -> L1 hop probability after 4 (even) steps: {hop}  (bipartite black
 # profile distances separate the two sender lanes
 # ----------------------------------------------------------------------
 for walker in ("dtrw", "dtqrw"):
-    d = result.walkers[walker].distances
+    d = pairwise_distance_matrix(result.walkers[walker].profiles)
     s1, s2 = g.index("S1"), g.index("S2")
     print(f"{walker}: distance(S1, S2) = {d[s1, s2]:.4f}")
 

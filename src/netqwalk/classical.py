@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
-from .graphs import LabeledGraph, adjacency_matrix, as_int, laplacian, node_index
+from .graphs import LabeledGraph, adjacency_matrix, as_int, laplacian
 from .states import START_BLOCK, as_probability_columns, as_probability_vector, delta_distribution
 
 POWER_MAX_ITER = 100_000
@@ -151,8 +151,7 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
 
 def dtrw_transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     """Distribution after ``steps`` coin tosses from ``source``, a node label or index."""
-    source = g.index(source) if isinstance(source, str) else source
-    return dtrw_evolve(g, delta_distribution(g.n, node_index(source, g.n, "source node")), steps)
+    return dtrw_evolve(g, delta_distribution(g.n, g.node(source, "source node")), steps)
 
 
 def dtrw_profiles(g: LabeledGraph, steps: int):

@@ -212,8 +212,7 @@ def transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:
     outgoing arcs.  ``source`` may be a node label or index.
     """
     arcs = arc_basis(g)
-    idx = g.index(source) if isinstance(source, str) else source
-    psi = evolve(arcs, initial_arc_state(arcs, idx), steps)
+    psi = evolve(arcs, initial_arc_state(arcs, g.node(source, "start node")), steps)
     return node_probabilities(arcs, psi)
 
 

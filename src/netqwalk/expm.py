@@ -115,21 +115,18 @@ class SparseHermitian:
     def norm_estimate(self) -> float:
         """Spectral norm estimate from 20 power iterations."""
         if self._norm is None:
-            if self.matrix.nnz == 0:
-                self._norm = 0.0
-            else:
-                rng = np.random.default_rng(1905)
-                v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-                v /= np.linalg.norm(v)
-                est = 0.0
-                for _ in range(20):
-                    w = self.matrix @ v
-                    est = np.linalg.norm(w)
-                    if est == 0.0:
-                        break
-                    v = w / est
-                # modest inflation: power iteration only approaches the norm
-                self._norm = 1.1 * float(est)
+            rng = np.random.default_rng(1905)
+            v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
+            v /= np.linalg.norm(v)
+            est = 0.0
+            for _ in range(20):
+                w = self.matrix @ v
+                est = np.linalg.norm(w)
+                if est == 0.0:  # almost surely a zero matrix
+                    break
+                v = w / est
+            # modest inflation: power iteration only approaches the norm
+            self._norm = 1.1 * float(est)
         return self._norm
 
 
@@ -328,14 +325,18 @@ def expm_action(hamiltonian, v, t) -> np.ndarray:
 def real_expm_action(generator, p, t) -> np.ndarray:
     """Apply the diffusion kernel: return ``exp(-L t) p``.
 
-    ``generator`` must be real symmetric with zero row sums (a graph
-    Laplacian) and ``p`` a probability vector.  The result is clipped of
-    sub-1e-12 negative round-off and keeps unit sum to ~1e-10.  An array
-    ``t`` gives one row per time.
+    ``generator`` must be real symmetric, each row summing to 0 within
+    1e-12 of its absolute sum (a graph Laplacian), and ``p`` a probability
+    vector.  The result is clipped of sub-1e-12 negative round-off and
+    keeps unit sum to ~1e-10.  An array ``t`` gives one row per time.
     """
     op = as_hermitian(generator)
     if not op.is_real:
         raise HermiticityError("diffusion generator must be a real symmetric matrix")
+    rows = op.matrix.real
+    sums, scale = (np.asarray(m.sum(axis=1)).ravel() for m in (rows, abs(rows)))
+    if (bad := np.flatnonzero(np.abs(sums) > 1e-12 * scale)).size:
+        raise ValueError(f"diffusion generator row {bad[0]} sums to {sums[bad[0]]:g}, not 0")
     if np.min(t) < 0:
         raise ValueError("diffusion time must be >= 0")
     p = as_probability_vector(p, n=op.n)

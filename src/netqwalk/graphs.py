@@ -138,6 +138,10 @@ class LabeledGraph:
         except KeyError:
             raise KeyError(f"unknown node label {label!r}") from None
 
+    def node(self, x, what: str) -> int:
+        """Index of node ``x``, a label or an index in ``[0, n)``; ``what`` names a bad index."""
+        return self.index(x) if isinstance(x, str) else node_index(x, self.n, what)
+
     def __contains__(self, label: object) -> bool:
         return label in self._index
 

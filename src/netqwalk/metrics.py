@@ -203,11 +203,7 @@ def walk_support_subgraph(
     g = cci.graph
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-    def to_index(x) -> int:
-        return g.index(x) if isinstance(x, str) else node_index(x, g.n, "target node index")
-
-    target_set = {to_index(t) for t in targets}
+    target_set = {g.node(t, "target node index") for t in targets}
     if not target_set:
         raise ValueError("at least one target node is required")
     prof = np.asarray(profiles, dtype=np.float64)

@@ -19,7 +19,6 @@ import io
 import json
 import logging
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -82,6 +81,13 @@ _DIGEST_TOP = 10
 _EXACT_TIE_WALKERS = ("dtrw", "dtqrw")
 
 
+def _as_tuple(values, name: str) -> tuple:
+    """``values`` as a tuple; a ValueError names the field ``name`` given one string."""
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a sequence, not the string {values!r}")
+    return tuple(values)
+
+
 def _reject_repeats(values, what: str) -> None:
     """Raise a ``ValueError`` naming the first value that ``values`` repeats."""
     seen = set()
@@ -125,8 +131,6 @@ class SeedTargetSets:
 
     seeds: tuple[str, ...]
     targets: tuple[str, ...]
-    seed_thresh: float
-    target_thresh: float
     intersection_removed: int
 
 
@@ -166,8 +170,6 @@ def build_seed_target_sets(
     return SeedTargetSets(
         seeds=tuple(sorted(seeds)),
         targets=tuple(sorted(targets)),
-        seed_thresh=float(seed_thresh),
-        target_thresh=float(target_thresh),
         intersection_removed=len(overlap),
     )
 
@@ -207,6 +209,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
+        object.__setattr__(self, "rng_seed", as_int(self.rng_seed, "rng_seed"))
         if self.rng_seed < 0:
             raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
         for name in ("t_max", "t_step"):
@@ -223,17 +226,19 @@ class ExperimentConfig:
             raise ValueError(f"t_max / t_step gives more than {MAX_GRID_POINTS} grid points")
         if kind == "steps" and self.steps_max > MAX_GRID_POINTS:
             raise ValueError(f"steps_max gives more than {MAX_GRID_POINTS} grid points")
-        if not self.k_list or any(k < 1 for k in self.k_list):
+        k_list = tuple(as_int(k, "K value") for k in _as_tuple(self.k_list, "k_list"))
+        object.__setattr__(self, "k_list", k_list)
+        if not k_list or any(k < 1 for k in k_list):
             raise ValueError("k_list must be nonempty with every K >= 1")
-        if self.collapse_times and self.walker != "ctqrw":
+        # a repeated K would repeat its report columns and collapse its summary key
+        _reject_repeats(k_list, "K value")
+        collapses = _as_tuple(self.collapse_times, "collapse_times")
+        if collapses and self.walker != "ctqrw":
             raise ValueError("a collapse schedule requires walker='ctqrw'")
-        # normalize path and sequence fields and validate the collapse schedule
+        # normalize the path fields and validate the collapse schedule
         for name in ("graph_path", "scores_path", "targets_path"):
             object.__setattr__(self, name, str(getattr(self, name)))
-        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list))
-        # a repeated K would repeat its report columns and collapse its summary key
-        _reject_repeats(self.k_list, "K value")
-        sched = ctqrw.CollapseSchedule(tuple(self.collapse_times))
+        sched = ctqrw.CollapseSchedule(collapses)
         object.__setattr__(self, "collapse_times", sched.times)
         # a collapse at or past the last grid time would act on no grid point
         sched.validate_horizon(self.grid_points()[1][-1])
@@ -465,29 +470,24 @@ class CciConfig:
         object.__setattr__(self, "steps", as_int(self.steps, "steps"))
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        object.__setattr__(self, "targets", _as_tuple(self.targets, "targets"))
         if not self.targets:
             raise ValueError("at least one target node label is required")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         object.__setattr__(self, "nodes_path", str(self.nodes_path))
         object.__setattr__(self, "edges_path", str(self.edges_path))
-        object.__setattr__(self, "targets", tuple(self.targets))
         _reject_repeats(self.targets, "target")
 
 
 @dataclass(frozen=True)
 class CciWalkerOutput:
-    """Profiles and support subgraph for one walker.  ``distances``, the
-    profiles' pairwise distance matrix, is computed on first access and kept;
-    ``emit_cci_reports`` writes it in row blocks and never reads it."""
+    """Profiles and support subgraph for one walker; ``emit_cci_reports``
+    writes the profiles' pairwise distances in row blocks."""
 
     profiles: np.ndarray
     support: LabeledGraph
     zero_rows: tuple[str, ...]
-
-    @cached_property
-    def distances(self) -> np.ndarray:
-        return pairwise_distance_matrix(self.profiles)
 
 
 @dataclass(frozen=True)
@@ -502,10 +502,10 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
 
     Each walker produces an ``n x n`` matrix of transition profiles
     after ``config.steps`` steps on the symmetrized view (row = start
-    node), with their distances on demand, and the communication
-    subgraph supported at ``config.epsilon``.  A node that the walker
-    does not launch from, for the coined walker a node of degree 0, keeps
-    a zero row, which is flagged.  Any walker error propagates.
+    node) and the communication subgraph supported at ``config.epsilon``.
+    A node that the walker does not launch from, for the coined walker a
+    node of degree 0, keeps a zero row, which is flagged.  Any walker
+    error propagates.
     """
     cci = build_cci_graph(
         parse_node_layers(read_text(config.nodes_path)),

@@ -25,7 +25,7 @@ from netqwalk.graphs import (
     graph_from_edges,
     symmetrized_view,
 )
-from netqwalk.metrics import average_precision_at_k
+from netqwalk.metrics import average_precision_at_k, pairwise_distance_matrix
 from netqwalk.pipeline import CciConfig, run_cci_analysis
 from netqwalk.states import delta_distribution
 from walk_oracles import restart_matrix, rwr_oracle
@@ -462,7 +462,7 @@ def test_criterion_10_cci_pipeline(capsys):
         return np.sqrt((diff**2).sum(axis=2))
 
     for walker, oracle in (("dtrw", dtrw_profiles), ("dtqrw", dtqrw_profiles)):
-        got = result.walkers[walker].distances
+        got = pairwise_distance_matrix(result.walkers[walker].profiles)
         want = euclidean(oracle)
         dev = float(np.max(np.abs(got - want)))
         if dev > 1e-10:

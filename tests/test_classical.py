@@ -176,6 +176,8 @@ def test_rwr_validation():
             rwr_steady_state(g, p0, alpha)
     with pytest.raises(ValueError, match="sums"):
         rwr_steady_state(g, np.array([0.9, 0.9]), 0.5)
+    with pytest.raises(ValueError, match="^iteration count must be >= 0$"):
+        rwr_iterate(g, p0, 0.5, n_iter=-1)
 
 
 def test_rwr_steady_state_raises_when_power_iteration_runs_out(monkeypatch):
@@ -250,6 +252,9 @@ def test_dtrw_zero_steps_identity_and_validation():
     assert np.array_equal(dtrw_evolve(g, p0, 0), p0)
     with pytest.raises(ValueError, match=">= 0"):
         dtrw_evolve(g, p0, -1)
+    shape = r"^probability states must form a vector or a 2-d block, got shape \(2, 1, 1\)$"
+    with pytest.raises(ValueError, match=shape):
+        dtrw_evolve(g, p0.reshape(2, 1, 1), 1)
 
 
 def test_dtrw_transition_profile_matches_matrix_power():

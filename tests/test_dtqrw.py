@@ -228,6 +228,10 @@ def test_evolve_validation():
         evolve(arcs, psi0, -1)
     with pytest.raises(ValueError, match="length"):
         evolve(arcs, np.ones(3) / np.sqrt(3), 1)
+    # an edgeless graph has no arcs, so no state to walk
+    edgeless = arc_basis(graph_from_edges([], nodes=["a", "b"]))
+    with pytest.raises(ValueError, match="^amplitude vector is empty$"):
+        evolve(edgeless, np.zeros(0), 1)
 
 
 @pytest.mark.parametrize("complex_block", [False, True])

@@ -585,6 +585,26 @@ def test_diffusion_rejects_complex_generator():
         real_expm_action(h, np.array([0.5, 0.5]), 1.0)
 
 
+def test_diffusion_takes_a_weighted_laplacian():
+    g = graph_from_edges([("a", "b", 0.3), ("b", "c", 2.5), ("a", "c", 1e-3), ("c", "d", 7.0)])
+    lap = laplacian(g)
+    p0 = np.array([1.0, 0.0, 0.0, 0.0])
+    got = real_expm_action(lap, p0, 0.8)
+    assert np.max(np.abs(got - oracle_expm(lap, p0, -0.8))) < 1e-12
+    assert abs(got.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("generator, row_sum", [
+    # exp(-2t) p: its "distribution" summed to 0.135 at t = 1
+    (2.0 * sp.eye(3), "2"),
+    # minus the adjacency of a 3-node path: its result summed to 1.98
+    (-sp.csr_matrix([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]), "-1"),
+])
+def test_diffusion_rejects_a_generator_whose_rows_do_not_sum_to_zero(generator, row_sum):
+    with pytest.raises(ValueError, match=rf"^diffusion generator row 0 sums to {row_sum}, not 0$"):
+        real_expm_action(generator, np.array([1.0, 0.0, 0.0]), 1.0)
+
+
 def test_diffusion_rejects_negative_time_and_bad_p():
     g = graph_from_edges([("a", "b")])
     lap = laplacian(g)

@@ -11,8 +11,10 @@ from scipy.sparse import csgraph
 from netqwalk import classical, ctqrw, dtqrw
 from netqwalk.graphs import (
     CciValidationError,
+    ComponentDecomposition,
     GraphFormatError,
     LabeledGraph,
+    PartitionedCciGraph,
     _merge_edges,
     adjacency_matrix,
     build_cci_graph,
@@ -208,6 +210,11 @@ def test_connected_components_sizes_descend():
     assert list(comp.sizes) == [4, 3, 2]
 
 
+def test_component_sizes_must_sum_to_the_node_count():
+    with pytest.raises(ValueError, match="^component sizes must sum to the node count$"):
+        ComponentDecomposition(np.array([0, 0, 1]), np.array([2, 2]))
+
+
 def test_greatest_component_prefers_smallest_label_on_ties():
     # two components of equal size; the one containing the smallest label wins
     g = graph_from_edges([("m", "n"), ("a", "b")])
@@ -364,6 +371,13 @@ def test_cci_rejects_duplicate_node_label():
         build_cci_graph(CCI_NODES + [("S1", "ligand")], CCI_EDGES)
 
 
+def test_a_cci_graph_needs_one_layer_per_node():
+    g = build_cci_graph(CCI_NODES, CCI_EDGES).graph
+    layers = ("sender",) * (g.n - 1)
+    with pytest.raises(CciValidationError, match="^one layer assignment per node is required$"):
+        PartitionedCciGraph(g, layers)
+
+
 def test_symmetrized_view_same_nodes_undirected():
     cci = build_cci_graph(CCI_NODES, CCI_EDGES)
     sym = symmetrized_view(cci)
@@ -461,19 +475,23 @@ def test_a_numeric_string_is_never_read_as_a_node_index(name):
             WALK_CALLS[name]("3")
 
 
-# every step count that a walker or a config takes, called with ``s`` there
+# every step count that a walker or a config takes, and the config's other
+# integers (a K value and the random seed), called with ``s`` there
 STEP_CALLS = {
     "dtrw-evolve": lambda s: classical.dtrw_evolve(PATH4, np.full(4, 0.25), s),
     "dtqrw-evolve": lambda s: dtqrw.evolve(_ARCS4, dtqrw.initial_arc_state(_ARCS4, 0), s),
     "cci-config": lambda s: CciConfig("nodes.tsv", "edges.tsv", steps=s, targets=("C1",)),
     "experiment-config": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", steps_max=s),
+    "experiment-k": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", k_list=(s, 20)),
+    "experiment-rng-seed": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", rng_seed=s),
 }
 
 
 @pytest.mark.parametrize("steps, named", [(2.7, "2.7"), (np.float64(0.5), "0.5"), ("2", "'2'")])
 @pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
 def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
-    # the coined walk took 2.7 steps as 2; the others raised a bare TypeError
+    # the coined walk took 2.7 steps as 2, a K of 2.7 was K 2, and a seed of
+    # 2.7 failed only inside a chiral sweep; the rest raised a bare TypeError
     with pytest.raises(ValueError, match=rf"{re.escape(named)} is not an integer"):
         call(steps)
 

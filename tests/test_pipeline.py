@@ -30,6 +30,7 @@ from netqwalk.graphs import (
 from netqwalk.metrics import (
     _rank,
     average_precision_at_k,
+    pairwise_distance_matrix,
     rank_by_probability,
     walk_support_subgraph,
 )
@@ -172,6 +173,21 @@ def test_config_validation():
     with pytest.raises(ValueError, match="not inside"):
         ExperimentConfig(**base, t_max=2.0, collapse_times=(1.0, 2.0))
     ExperimentConfig(**base, t_max=2.0, collapse_times=(1.0, 1.95))
+
+
+# every tuple-valued config field, given ``x``
+TUPLE_FIELDS = {
+    "targets": lambda x: CciConfig("n", "e", targets=x),
+    "k_list": lambda x: ExperimentConfig("g", "s", "t", k_list=x),
+    "collapse_times": lambda x: ExperimentConfig("g", "s", "t", collapse_times=x),
+}
+
+
+@pytest.mark.parametrize("name", TUPLE_FIELDS)
+def test_a_bare_string_for_a_tuple_field_is_a_value_error(name):
+    # tuple("C1") is two targets, one per character
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, not the string '0.5'$"):
+        TUPLE_FIELDS[name]("0.5")
 
 
 def test_grid_points_per_walker():
@@ -601,7 +617,8 @@ def test_cci_both_walkers_recover_planted_chain(cci_paths):
         assert out.zero_rows == ()
         # profiles are genuine distributions and distances symmetric
         assert np.max(np.abs(out.profiles.sum(axis=1) - 1.0)) < 1e-10
-        assert np.array_equal(out.distances, out.distances.T)
+        distances = pairwise_distance_matrix(out.profiles)
+        assert np.array_equal(distances, distances.T)
 
 
 def test_cci_even_step_counts_see_bipartite_blackout(cci_paths):
@@ -808,19 +825,17 @@ def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):
     assert manifest["walkers"]["dtqrw"]["zero_rows"] == []
 
 
-def test_cci_distances_are_computed_once_on_first_access():
+def test_pairwise_distances_of_the_fixture_profiles_equal_eager_cdist():
     result = run_cci_analysis(CciConfig(
         str(DATA / "cci_nodes.tsv"), str(DATA / "cci_edges.tsv"), targets=("C1",)
     ))
     from scipy.spatial.distance import cdist
 
     for output in result.walkers.values():
-        assert "distances" not in output.__dict__
         # the whole matrix computed eagerly, with its diagonal zeroed
         eager = cdist(output.profiles, output.profiles)
         np.fill_diagonal(eager, 0.0)
-        assert np.array_equal(output.distances, eager)
-        assert output.distances is output.distances
+        assert np.array_equal(pairwise_distance_matrix(output.profiles), eager)
 
 
 @pytest.mark.parametrize("four_layer_cci", [100], indirect=True)
@@ -838,8 +853,6 @@ def test_emit_cci_reports_holds_no_whole_distance_matrix(four_layer_cci, tmp_pat
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
-    for output in result.walkers.values():
-        assert "distances" not in output.__dict__
     rows = (tmp_path / "out" / "cci_dtqrw_distances.csv").read_text().splitlines()
     assert len(rows) == n + 1
 
@@ -863,7 +876,8 @@ def test_emit_cci_matrices_match_per_entry_csv_writer(tmp_path):
     assert "inf" in (tmp_path / "out" / "cci_dtrw_distances.csv").read_text()
     labels = result.cci.graph.labels
     for walker, output in result.walkers.items():
-        for name, matrix in (("profiles", output.profiles), ("distances", output.distances)):
+        distances = pairwise_distance_matrix(output.profiles)
+        for name, matrix in (("profiles", output.profiles), ("distances", distances)):
             with (tmp_path / "ref.csv").open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["node"] + list(labels))
