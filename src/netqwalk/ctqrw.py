@@ -136,6 +136,8 @@ class CollapseSchedule:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.times, str):
+            raise ValueError(f"collapse times must be a sequence, not the string {self.times!r}")
         times = tuple(float(t) for t in self.times)
         if not all(np.isfinite(times)):
             raise ValueError("collapse times must be finite")
@@ -177,10 +179,8 @@ def evolve_with_collapses(
     An empty schedule reduces exactly to :func:`evolve`; an array ``t_final``
     gives one row per time.
     """
-    if schedule is None:
-        schedule = CollapseSchedule(())
-    elif not isinstance(schedule, CollapseSchedule):
-        schedule = CollapseSchedule(tuple(schedule))
+    if not isinstance(schedule, CollapseSchedule):
+        schedule = CollapseSchedule(() if schedule is None else schedule)
     if np.min(t_final) < 0:
         raise ValueError(f"t_final must be nonnegative, got {np.min(t_final)}")
     schedule.validate_horizon(np.min(t_final))

@@ -49,8 +49,12 @@ class CciValidationError(ValueError):
 
 
 def as_int(x, what: str) -> int:
-    """``x`` as an int; a ValueError names a string or a value with a fraction."""
-    if isinstance(x, str) or not isinstance(x, (int, np.integer)) and not float(x).is_integer():
+    """``x`` as an int; a ValueError names a string, a non-number or a value with a fraction."""
+    try:
+        whole = isinstance(x, (int, np.integer)) or not isinstance(x, str) and float(x).is_integer()
+    except TypeError:  # None, a list or another value that is no number
+        whole = False
+    if not whole:
         raise ValueError(f"{what} {repr(x) if isinstance(x, str) else x} is not an integer")
     return int(x)
 

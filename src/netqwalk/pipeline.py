@@ -15,9 +15,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import importlib
 import io
 import json
 import logging
+import os
+import pickle
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
@@ -527,45 +530,78 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     return CciResult(config=config, cci=cci, walkers=walkers)
 
 
-def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
-    """Write per-walker profile/distance CSVs, support TSVs, and a manifest."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    labels = result.cci.graph.labels
+def _write_walker_reports(paths: dict, output: CciWalkerOutput, labels) -> None:
+    """Write one walker's profiles, distances and support files to ``paths[kind]``."""
     # each row is its csv-quoted label and the entries as _fmt writes them
     row_cells = [_csv_cell(label) + "," for label in labels]
     row_values = ",".join(["%.17g"] * len(labels)) + "\n"
-    written = []
-    manifest_walkers = {}
-    for walker, output in sorted(result.walkers.items()):
-        prof_path = out / f"cci_{walker}_profiles.csv"
-        dist_path = out / f"cci_{walker}_distances.csv"
-        supp_path = out / f"cci_{walker}_support.tsv"
-        prof = output.profiles
-        distance_blocks = (
-            pairwise_distance_matrix(prof[lo : lo + _DISTANCE_ROWS], prof)
-            for lo in range(0, prof.shape[0], _DISTANCE_ROWS)
-        )
-        for path, blocks in ((prof_path, [prof]), (dist_path, distance_blocks)):
-            with path.open("w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh, lineterminator="\n").writerow(["node"] + list(labels))
-                # one row of Python floats at a time keeps the peak memory flat
-                fh.writelines(
-                    cell + row_values % tuple(row.tolist())
-                    for cell, row in zip(row_cells, chain.from_iterable(blocks))
-                )
-        with supp_path.open("w", encoding="utf-8") as fh:
-            fh.write("# directed support edges: tail<TAB>head\n")
-            for j, k in output.support.edges:
-                fh.write(f"{labels[j]}\t{labels[k]}\n")
-        written += [prof_path, dist_path, supp_path]
-        manifest_walkers[walker] = {
-            "profiles": prof_path.name,
-            "distances": dist_path.name,
-            "support": supp_path.name,
-            "support_edges": int(output.support.edge_count),
-            "zero_rows": list(output.zero_rows),
-        }
+    prof = output.profiles
+    distance_blocks = (
+        pairwise_distance_matrix(prof[lo : lo + _DISTANCE_ROWS], prof)
+        for lo in range(0, prof.shape[0], _DISTANCE_ROWS)
+    )
+    for path, blocks in ((paths["profiles"], [prof]), (paths["distances"], distance_blocks)):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(["node"] + list(labels))
+            # one row of Python floats at a time keeps the peak memory flat
+            fh.writelines(
+                cell + row_values % tuple(row.tolist())
+                for cell, row in zip(row_cells, chain.from_iterable(blocks))
+            )
+    with paths["support"].open("w", encoding="utf-8") as fh:
+        fh.write("# directed support edges: tail<TAB>head\n")
+        for j, k in output.support.edges:
+            fh.write(f"{labels[j]}\t{labels[k]}\n")
+
+
+def _fork(write, *args) -> tuple[int, int]:
+    """Run ``write(*args)`` in a forked child; return its pid and the read end
+    of a pipe on which it sends its exception, pickled, if it raises one."""
+    read_fd, write_fd = os.pipe()
+    if pid := os.fork():
+        os.close(write_fd)
+        return pid, read_fd
+    # the child never returns to the caller, flushes its stdio or runs its exit handlers
+    try:
+        write(*args)
+        os._exit(0)
+    except BaseException as exc:
+        with os.fdopen(write_fd, "wb") as fh:  # loops over partial writes
+            fh.write(pickle.dumps(exc))
+    finally:
+        os._exit(1)
+
+
+def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
+    """Write per-walker profile/distance CSVs, support TSVs, and a manifest; each walker but
+    the last by name in a forked child, where ``os.fork`` exists, with the same bytes."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    labels = result.cci.graph.labels
+    jobs = [(walker, {kind: out / f"cci_{walker}_{kind}.{ext}" for kind, ext in
+                      (("profiles", "csv"), ("distances", "csv"), ("support", "tsv"))}, output)
+            for walker, output in sorted(result.walkers.items())]
+    importlib.import_module("scipy.spatial.distance")  # once, for every child to inherit
+    children, ended = [], []
+    try:
+        for walker, paths, output in jobs[:-1] if hasattr(os, "fork") else ():
+            children.append((walker, *_fork(_write_walker_reports, paths, output, labels)))
+        for _, paths, output in jobs[len(children):]:
+            _write_walker_reports(paths, output, labels)
+    finally:
+        for walker, pid, read_fd in children:
+            with os.fdopen(read_fd, "rb") as fh:
+                ended.append((walker, fh.read(), os.waitpid(pid, 0)[1]))
+    for walker, sent, status in ended:
+        if sent or status:  # a child that dies before it sends its exception exits nonzero
+            code = os.waitstatus_to_exitcode(status)
+            raise pickle.loads(sent) if sent else ChildProcessError(
+                f"the {walker} report writer exited with status {code}")
+    manifest_walkers = {
+        walker: {kind: path.name for kind, path in paths.items()}
+        | {"support_edges": int(output.support.edge_count), "zero_rows": list(output.zero_rows)}
+        for walker, paths, output in jobs
+    }
     manifest_path = out / CCI_MANIFEST_JSON
     _write_json(
         manifest_path,
@@ -582,5 +618,4 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
             "walkers": manifest_walkers,
         },
     )
-    written.append(manifest_path)
-    return written
+    return [*(path for _, paths, _ in jobs for path in paths.values()), manifest_path]

@@ -1,6 +1,7 @@
 """Shared test inputs."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,22 @@ import pytest
 from netqwalk import expm
 from netqwalk.graphs import CCI_LAYERS
 from netqwalk.states import START_BLOCK
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    left = []
+    try:
+        # reap every ended child, so that the next test does not inherit it
+        while pid := os.waitpid(-1, os.WNOHANG)[0]:
+            left.append(str(pid))
+        left.append("one still running")
+    except ChildProcessError:  # no child is left
+        pass
+    if left:
+        pytest.fail(f"the test left child processes behind: {', '.join(left)}")
 
 
 @pytest.fixture

@@ -175,6 +175,19 @@ def test_prioritize_validation_error_is_exit_1(data, capsys):
     assert "alpha" in capsys.readouterr().err
 
 
+def test_a_cci_writer_error_in_the_forked_child_is_exit_1_with_its_message(data, capsys):
+    # dtqrw's files are written in a forked child, which sends its error back
+    blocked = Path(data["out"]) / "cci_dtqrw_profiles.csv"
+    blocked.mkdir(parents=True)
+    with pytest.raises(IsADirectoryError) as in_process:
+        blocked.open("w")
+    argv = ["cci", "--nodes", data["nodes"], "--edges", data["edges"], "--targets", "C1",
+            "--out", data["out"]]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {in_process.value}\n"
+    assert not (Path(data["out"]) / "cci_manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "walker_args",
     [("--walker", w) for w in WALKERS] + [("--walker", "ctqrw", "--hamiltonian", "chiral")],

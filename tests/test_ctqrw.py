@@ -402,6 +402,14 @@ def test_evolve_with_collapses_validation():
         evolve_with_collapses(h, psi0, 1.0, schedule=(1.0,))
 
 
+def test_a_string_of_collapse_times_is_a_value_error():
+    # the schedule read "12" as the collapse times (1.0, 2.0), one per character
+    with pytest.raises(ValueError, match="collapse times must be a sequence, not the string '12'"):
+        CollapseSchedule("12")
+    with pytest.raises(ValueError, match="collapse times .* '12'"):
+        evolve_with_collapses(build_hamiltonian(k2(), "adjacency"), unit_state(2, 0), 3.0, "12")
+
+
 # ---------------------------------------------------------------------------
 # measurement, ranking, score states
 # ---------------------------------------------------------------------------

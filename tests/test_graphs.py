@@ -496,6 +496,22 @@ def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
         call(steps)
 
 
+# the field each call of ``STEP_CALLS`` names in its error
+STEP_FIELDS = {
+    "dtrw-evolve": "step count", "dtqrw-evolve": "step count", "cci-config": "steps",
+    "experiment-config": "steps_max", "experiment-k": "K value", "experiment-rng-seed": "rng_seed",
+}
+
+
+@pytest.mark.parametrize("value", [None, [3]], ids=["None", "list"])
+@pytest.mark.parametrize("name, call", STEP_CALLS.items(), ids=STEP_CALLS)
+def test_a_step_count_that_is_no_number_is_a_value_error_naming_its_field(name, call, value):
+    # float() raised a bare TypeError that named no field, for steps_max=None,
+    # rng_seed=None and a K of None among them
+    with pytest.raises(ValueError, match=rf"^{STEP_FIELDS[name]} {re.escape(str(value))} is not"):
+        call(value)
+
+
 @pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
 def test_a_whole_float_step_count_is_its_integer(call):
     whole, integer = call(2.0), call(2)

@@ -10,6 +10,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -39,6 +40,7 @@ from netqwalk.pipeline import (
     ExperimentConfig,
     MAX_GRID_POINTS,
     PROFILES,
+    _DISTANCE_ROWS,
     _EXACT_TIE_WALKERS,
     SWEEPS,
     SweepResult,
@@ -823,6 +825,51 @@ def test_emit_cci_reports_files_and_determinism(cci_paths, tmp_path):
     assert manifest["graph"] == {"nodes": 6, "edges": 4}
     assert manifest["walkers"]["dtrw"]["support_edges"] == 3
     assert manifest["walkers"]["dtqrw"]["zero_rows"] == []
+
+
+# ``emit_cci_reports`` writes dtqrw in a forked child and dtrw, the last
+# walker by name, in this process
+
+def test_without_fork_every_walker_is_written_here_with_the_same_bytes(
+    four_layer_cci, tmp_path, monkeypatch
+):
+    nodes, edges, target = four_layer_cci
+    result = run_cci_analysis(CciConfig(nodes, edges, targets=(target,), epsilon=0.01))
+    assert result.cci.graph.n > _DISTANCE_ROWS
+    forked = emit_cci_reports(result, tmp_path / "forked")
+    monkeypatch.delattr(os, "fork")
+    here = emit_cci_reports(result, tmp_path / "here")
+    assert [p.name for p in here] == [p.name for p in forked]
+    assert [p.read_bytes() for p in here] == [p.read_bytes() for p in forked]
+
+
+def test_a_failing_writer_here_propagates_after_the_child_is_reaped(cci_paths, tmp_path):
+    result = run_cci_analysis(CciConfig(*cci_paths, targets=("C1",)))
+    (tmp_path / "cci_dtrw_profiles.csv").mkdir()
+    with pytest.raises(IsADirectoryError, match="cci_dtrw_profiles.csv"):
+        emit_cci_reports(result, tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert (tmp_path / "cci_dtqrw_support.tsv").is_file()
+    assert not (tmp_path / "cci_manifest.json").exists()
+
+
+def test_a_child_that_dies_without_reporting_is_a_child_process_error(
+    cci_paths, tmp_path, monkeypatch
+):
+    result = run_cci_analysis(CciConfig(*cci_paths, targets=("C1",)))
+    write, parent = pipeline._write_walker_reports, os.getpid()
+
+    def die_in_a_child(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        write(*args)
+
+    monkeypatch.setattr(pipeline, "_write_walker_reports", die_in_a_child)
+    with pytest.raises(ChildProcessError, match="the dtqrw report writer exited with status 3"):
+        emit_cci_reports(result, tmp_path)
+    assert (tmp_path / "cci_dtrw_support.tsv").is_file()
+    assert not (tmp_path / "cci_manifest.json").exists()
 
 
 def test_pairwise_distances_of_the_fixture_profiles_equal_eager_cdist():
