@@ -19,6 +19,7 @@ and apply the same floating-point operations to every column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,15 @@ def arc_basis(g: LabeledGraph) -> ArcIndex:
         )
     n = g.n
     # the CSR rows of the symmetric adjacency are the arcs in (tail, head)
-    # order; a zero-weight edge keeps its entries, and int64 keeps tails * n exact
+    # order, and a zero-weight edge keeps its entries; with the arc numbers
+    # as data, the transpose lists arc (k, j) where arc (j, k) sits
     a = adjacency_matrix(g)
     node_ptr = a.indptr.astype(np.int64)
     heads = a.indices.astype(np.int64)
     tails = np.repeat(np.arange(n, dtype=np.int64), np.diff(node_ptr))
-    keys = tails * n + heads
-    reverse = np.searchsorted(keys, heads * n + tails)
     n_arcs = tails.shape[0]
+    arc_ids = sp.csr_matrix((np.arange(n_arcs), a.indices, a.indptr), shape=(n, n))
+    reverse = arc_ids.T.tocsr().data
     if not np.array_equal(reverse[reverse], np.arange(n_arcs)):
         raise AssertionError("arc reversal failed to be an involution")
     incidence = sp.csr_matrix(
@@ -181,11 +183,7 @@ def arc_state_from_scores(arcs: ArcIndex, scores) -> np.ndarray:
         )
     per_arc = s / np.maximum(degrees, 1)
     psi = np.sqrt(per_arc[arcs.tails])
-    # the norm of the complex cast, applied as a reciprocal scale, rounds
-    # exactly as normalizing the complex128 state does; a real norm can
-    # differ in the last bit, and prioritization ranks exactly tied dtqrw
-    # probabilities by rounding (pipeline._EXACT_TIE_WALKERS)
-    nrm = float(np.linalg.norm(psi.astype(np.complex128)))
+    nrm = math.sqrt(math.fsum(psi * psi))
     if nrm == 0.0:
         raise ValueError("scores must have at least one positive entry")
     return psi * (1.0 / nrm)

@@ -529,8 +529,6 @@ def build_cci_graph(nodes, edges) -> PartitionedCciGraph:
         On unknown layers, duplicate nodes, missing endpoints, intra-layer,
         layer-skipping or reverse-direction edges (naming the edge).
     """
-    labels: list[str] = []
-    layers: list[str] = []
     seen: dict[str, str] = {}
     for label, layer in nodes:
         label = str(label).strip()
@@ -543,8 +541,6 @@ def build_cci_graph(nodes, edges) -> PartitionedCciGraph:
         if label in seen:
             raise CciValidationError(f"duplicate node label {label!r}")
         seen[label] = layer
-        labels.append(label)
-        layers.append(layer)
     rank = {layer: i for i, layer in enumerate(CCI_LAYERS)}
     pairs = []
     for u, v in edges:
@@ -566,8 +562,8 @@ def build_cci_graph(nodes, edges) -> PartitionedCciGraph:
                 f"{kind} ({u} [{seen[u]}] -> {v} [{seen[v]}]) is not allowed"
             )
         pairs.append((u, v))
-    g = graph_from_edges(pairs, directed=True, nodes=labels)
-    return PartitionedCciGraph(g, tuple(layers))
+    g = graph_from_edges(pairs, directed=True, nodes=seen)
+    return PartitionedCciGraph(g, tuple(seen.values()))
 
 
 def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:
@@ -578,10 +574,8 @@ def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:
     every arc.
     """
     g = cci.graph
-    edges, weights, _ = _merge_edges(
-        g.edges.copy(), np.ones(g.edge_count), directed=False
-    )
-    return LabeledGraph(g.labels, edges, directed=False, weights=np.ones(len(weights)))
+    edges, _, _ = _merge_edges(g.edges, np.ones(g.edge_count), directed=False)
+    return LabeledGraph(g.labels, edges, directed=False)
 
 
 def parse_node_layers(text: str) -> list[tuple[str, str]]:

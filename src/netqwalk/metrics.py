@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import LabeledGraph, PartitionedCciGraph, node_index
+from .graphs import CCI_LAYERS, LabeledGraph, PartitionedCciGraph, node_index
 
 #: Neighbouring probabilities ``a >= b`` in a ranking are tied unless
 #: ``a - b > TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Propagators return
@@ -193,7 +193,8 @@ def walk_support_subgraph(
     Parameters
     ----------
     profiles : ndarray of shape (n, n)
-        Row ``u`` is the walker's node distribution when started at ``u``.
+        Row ``u`` is the walker's node distribution when started at ``u``;
+        a non-finite entry raises.
     targets : iterable of node labels or indices
         Receiver-side endpoints of the paths of interest (must be nonempty);
         an index outside ``[0, n)`` raises.
@@ -206,22 +207,19 @@ def walk_support_subgraph(
     target_set = {g.node(t, "target node index") for t in targets}
     if not target_set:
         raise ValueError("at least one target node is required")
-    prof = np.asarray(profiles, dtype=np.float64)
+    prof = _finite_rows(profiles, "profiles")
     if prof.shape != (g.n, g.n):
         raise ValueError(f"profiles must have shape ({g.n}, {g.n}), got {prof.shape}")
-    succ: dict[int, list[int]] = {}
-    for j, k in g.edges:
-        succ.setdefault(int(j), []).append(int(k))
-    kept: set[tuple[int, int]] = set()
-    for s in cci.nodes_in_layer("sender"):
-        for l in succ.get(s, ()):  # noqa: E741 - ligand index
-            if prof[s, l] < epsilon:
-                continue
-            for r in succ.get(l, ()):
-                if prof[l, r] < epsilon:
-                    continue
-                for ct in succ.get(r, ()):
-                    if ct in target_set and prof[r, ct] >= epsilon:
-                        kept.update(((s, l), (l, r), (r, ct)))
-    edges = np.array(sorted(kept), dtype=np.int64).reshape(-1, 2)
-    return LabeledGraph(g.labels, edges, directed=True)
+    # every edge joins a layer to the next, so reach spreads one layer per hop:
+    # forward from the senders, then backward from the target receivers
+    layer = np.array([CCI_LAYERS.index(lay) for lay in cci.layer_of])
+    last = len(CCI_LAYERS) - 1
+    tails, heads = g.edges.T
+    hop, ok = layer[tails], prof[tails, heads] >= epsilon
+    reached = layer == 0
+    leads = np.isin(np.arange(g.n), list(target_set)) & (layer == last)
+    for h in range(last):
+        reached[heads[(hop == h) & ok & reached[tails]]] = True
+    for h in reversed(range(last)):
+        leads[tails[(hop == h) & ok & leads[heads]]] = True
+    return LabeledGraph(g.labels, g.edges[ok & reached[tails] & leads[heads]], directed=True)

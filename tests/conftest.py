@@ -1,7 +1,9 @@
 """Shared test inputs."""
 
+import importlib
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,28 @@ def no_child_process_left():
         pass
     if left:
         pytest.fail(f"the test left child processes behind: {', '.join(left)}")
+
+
+@pytest.fixture
+def child_env():
+    """``child_env(**extra)``: the environment plus ``extra``, with this
+    checkout's ``src`` on the path, for a child Python process."""
+    src = str(Path(expm.__file__).resolve().parent.parent)
+
+    def env(**extra):
+        env = dict(os.environ, **extra)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return env
+
+    return env
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """``perfbench(name)`` imports the benchmark's module ``perfbench/<name>.py``,
+    with ``perfbench/`` on the path for the modules it imports in turn."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    return importlib.import_module
 
 
 @pytest.fixture

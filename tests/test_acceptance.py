@@ -2,12 +2,12 @@
 
 Each test accumulates its violations and reports ``[PASS]``/``[FAIL]
 criterion N`` before asserting, so a plain ``pytest -s`` run shows the
-whole scoreboard.  Oracles are built independently inside this file
-(scipy expm on the full matrix, an explicitly assembled coined-walk
-unitary, a naive average-precision evaluator, hand-derived closed
-forms); the library never sees them.  Time limits count this process's
-CPU seconds (BLAS threads included), so other load on the machine does
-not fail them.
+whole scoreboard.  Oracles are built independently, in this file or in
+``walk_oracles`` (scipy expm on the full matrix, a coined-walk unitary
+assembled from the dense adjacency, a naive average-precision evaluator,
+hand-derived closed forms); the library never sees them.  Time limits
+count this process's CPU seconds (BLAS threads included), so other load
+on the machine does not fail them.
 """
 
 import json
@@ -28,7 +28,13 @@ from netqwalk.graphs import (
 from netqwalk.metrics import average_precision_at_k, pairwise_distance_matrix
 from netqwalk.pipeline import CciConfig, run_cci_analysis
 from netqwalk.states import delta_distribution
-from walk_oracles import restart_matrix, rwr_oracle
+from walk_oracles import (
+    coined_walk_unitary_in,
+    dtqrw_oracle,
+    random_graph,
+    restart_matrix,
+    rwr_oracle,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -40,35 +46,12 @@ def _report(num: int, label: str, failures: list) -> None:
     assert not failures, f"criterion {num}: " + "; ".join(str(f) for f in failures)
 
 
-def _random_graph(rng, n):
-    edges = [(f"v{j}", f"v{j + 1}") for j in range(n - 1)]
-    for _ in range(n):
-        j, k = rng.integers(0, n, size=2)
-        if j != k:
-            edges.append((f"v{j}", f"v{k}"))
-    return graph_from_edges(edges)
-
-
 def _random_hamiltonian(rng, g):
     kind = ("adjacency", "laplacian", "chiral")[int(rng.integers(0, 3))]
     phases = None
     if kind == "chiral":
         phases = ctqrw.random_chiral_phases(g, int(rng.integers(0, 1 << 31)))
     return ctqrw.build_hamiltonian(g, kind, phases)
-
-
-def _dense_walk_unitary(arcs):
-    """Independent dense coined-walk matrix: explicit shift @ Grover block coin."""
-    m = arcs.n_arcs
-    c = np.zeros((m, m), dtype=np.complex128)
-    for node in range(arcs.n):
-        lo, hi = int(arcs.node_ptr[node]), int(arcs.node_ptr[node + 1])
-        if hi > lo:
-            c[lo:hi, lo:hi] = dtqrw.grover_coin(hi - lo)
-    s = np.zeros((m, m))
-    for a in range(m):
-        s[int(arcs.reverse[a]), a] = 1.0
-    return s @ c
 
 
 def _naive_ap(items, relevant, k):
@@ -91,7 +74,7 @@ def test_criterion_01_unitarity_suite():
     t0 = time.process_time()
     worst_ct = 0.0
     for _ in range(100):
-        g = _random_graph(rng, int(rng.integers(2, 201)))
+        g = random_graph(rng, int(rng.integers(2, 201)))
         h = _random_hamiltonian(rng, g)
         psi0 = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
         psi0 /= np.linalg.norm(psi0)
@@ -99,7 +82,7 @@ def test_criterion_01_unitarity_suite():
         worst_ct = max(worst_ct, abs(float(np.linalg.norm(psi)) - 1.0))
     worst_dt = 0.0
     for _ in range(100):
-        g = _random_graph(rng, int(rng.integers(2, 51)))
+        g = random_graph(rng, int(rng.integers(2, 51)))
         arcs = dtqrw.arc_basis(g)
         psi0 = rng.standard_normal(arcs.n_arcs) + 1j * rng.standard_normal(arcs.n_arcs)
         psi0 /= np.linalg.norm(psi0)
@@ -135,9 +118,9 @@ def test_criterion_02_oracle_equivalence(expm_kernel):
         failures.append(f"expm action deviates by {worst_expm:g} > 1e-8")
     worst_walk = 0.0
     for _ in range(20):
-        g = _random_graph(rng, int(rng.integers(3, 51)))
+        g = random_graph(rng, int(rng.integers(3, 51)))
         arcs = dtqrw.arc_basis(g)
-        u = _dense_walk_unitary(arcs)
+        u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
         psi0 = rng.standard_normal(arcs.n_arcs) + 1j * rng.standard_normal(arcs.n_arcs)
         psi0 /= np.linalg.norm(psi0)
         steps = int(rng.integers(0, 12))
@@ -184,7 +167,7 @@ def test_criterion_04_real_symmetry_and_chiral_asymmetry():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(50):
-        g = _random_graph(rng, int(rng.integers(3, 40)))
+        g = random_graph(rng, int(rng.integers(3, 40)))
         kind = ("adjacency", "laplacian")[int(rng.integers(0, 2))]
         h = ctqrw.build_hamiltonian(g, kind)
         j, k = (int(x) for x in rng.integers(0, g.n, size=2))
@@ -218,7 +201,7 @@ def test_criterion_05_restart_walk():
     worst_res = 0.0
     worst_agree = 0.0
     for _ in range(20):
-        g = _random_graph(rng, int(rng.integers(3, 60)))
+        g = random_graph(rng, int(rng.integers(3, 60)))
         p0 = rng.random(g.n)
         p0 /= p0.sum()
         alpha = float(rng.uniform(0.05, 0.95))
@@ -280,7 +263,7 @@ def test_criterion_07_transition_rate():
     h_step = 1e-5
     worst = 0.0
     for _ in range(100):
-        g = _random_graph(rng, int(rng.integers(3, 15)))
+        g = random_graph(rng, int(rng.integers(3, 15)))
         h = _random_hamiltonian(rng, g)
         j, k = (int(x) for x in rng.integers(0, g.n, size=2))
         t = float(rng.uniform(0.1, 4.0))
@@ -301,7 +284,7 @@ def test_criterion_08_probability_conservation():
     worst_cl = 0.0
     worst_arc = 0.0
     for _ in range(25):
-        g = _random_graph(rng, int(rng.integers(3, 40)))
+        g = random_graph(rng, int(rng.integers(3, 40)))
         p0 = rng.random(g.n)
         p0 /= p0.sum()
         outputs = [
@@ -448,14 +431,7 @@ def test_criterion_10_cci_pipeline(capsys):
             p_row[j, j] = 1.0
     p5 = np.linalg.matrix_power(p_row, 5)
     dtrw_profiles = p5  # row j = five-step distribution from node j
-    arcs = dtqrw.arc_basis(sym)
-    u5 = np.linalg.matrix_power(_dense_walk_unitary(arcs), 5)
-    dtqrw_profiles = np.zeros((n, n))
-    for j in range(n):
-        psi = u5 @ dtqrw.initial_arc_state(arcs, j)
-        dtqrw_profiles[j] = np.bincount(
-            arcs.tails, weights=np.abs(psi) ** 2, minlength=n
-        )
+    dtqrw_profiles = dtqrw_oracle(sym, np.eye(n), 5).T
 
     def euclidean(mat):
         diff = mat[:, None, :] - mat[None, :, :]

@@ -1,20 +1,20 @@
 """Tests for the command-line interface.
 
 Everything runs in process through ``cli.main`` so exit codes and stdout
-can be asserted without subprocess overhead.  Three kinds of test need a
-fresh interpreter: the BLAS thread-count test, because OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` once at import; the text-encoding test, which
-runs with ``EncodingWarning`` turned into an error; and the
-import-set tests.
+can be asserted without subprocess overhead.  Four kinds of test need a
+fresh interpreter: the BLAS thread-count and kernel tests, because
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` and ``OPENBLAS_CORETYPE`` once at
+import; the text-encoding test, which runs with ``EncodingWarning``
+turned into an error; and the import-set tests.
 """
 
 import argparse
 import json
-import os
 import re
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -379,14 +379,6 @@ def test_a_time_too_long_for_the_lanczos_substeps_is_exit_1(tmp_path, capsys, ex
     assert not (tmp_path / "out").exists()
 
 
-def _child_env(**extra):
-    """The environment plus ``extra``, with this checkout's ``src`` on the path."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
 @pytest.mark.parametrize(
     "walker_args",
     [
@@ -399,13 +391,13 @@ def _child_env(**extra):
     ],
     ids=["ctqrw", "ctqrw-chiral", "ctrw", "rwr", "dtrw", "dtqrw"],
 )
-def test_prioritize_sweep_is_independent_of_blas_threads(tmp_path, walker_args):
+def test_prioritize_sweep_is_independent_of_blas_threads(tmp_path, walker_args, child_env):
     # The continuous walkers return tied probabilities with rounding noise
     # that changes with the BLAS thread count; no walker's digest may follow it.
     sweeps = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
-        env = _child_env(OPENBLAS_NUM_THREADS=threads)
+        env = child_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run(
             [
                 sys.executable, "-m", "netqwalk.cli", "prioritize",
@@ -450,7 +442,7 @@ def test_ctqrw_block_sweep_is_independent_of_blas_threads(tmp_path, walker_args)
 
 
 @pytest.mark.parametrize("command", ["prioritize", "cci", "graph-stats"])
-def test_every_file_is_read_and_written_as_utf8(command, tmp_path):
+def test_every_file_is_read_and_written_as_utf8(command, tmp_path, child_env):
     # a file opened without an encoding takes the locale's, so a non-ASCII
     # label would read differently from one table to the next
     args = {
@@ -470,16 +462,84 @@ def test_every_file_is_read_and_written_as_utf8(command, tmp_path):
             sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
             "-m", "netqwalk.cli", command, *map(str, args),
         ],
-        env=_child_env(), capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "Warning" not in proc.stderr
 
 
+# One process runs the fixture's five walkers, chiral ctqrw with collapses,
+# ``cci`` and dtqrw on the interactome in its second argument, and its last
+# line of output holds the OpenBLAS core name and the sha256 of every report.
+KERNEL_DIGESTS = """
+import contextlib, ctypes, hashlib, io, json, sys
+from pathlib import Path
+
+import numpy as np
+
+from netqwalk import cli
+
+data, witness, out = map(Path, sys.argv[1:])
+core = None
+for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+    for name in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+        if (get := getattr(ctypes.CDLL(str(path)), name, None)) is not None:
+            get.restype = ctypes.c_char_p
+            core = get().decode()
+fixture = ["--graph", data / "synthetic_ppi.tsv", "--scores", data / "synthetic_scores.tsv",
+           "--targets", data / "synthetic_targets.tsv"]
+runs = {w: ["prioritize", *fixture, "--walker", w] for w in ("rwr", "ctrw", "dtrw", "ctqrw", "dtqrw")}
+runs["chiral"] = [*runs["ctqrw"], "--hamiltonian", "chiral", "--collapse", "0.5,1.5"]
+runs["cci"] = ["cci", "--nodes", data / "cci_nodes.tsv", "--edges", data / "cci_edges.tsv",
+               "--targets", "C1"]
+runs["witness"] = ["prioritize", "--graph", witness / "graph.tsv", "--scores",
+                   witness / "scores.tsv", "--targets", witness / "targets.tsv", "--walker", "dtqrw"]
+digests = {}
+for name, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main([*map(str, argv), "--out", str(out / name)]) == 0, name
+    for report in sorted((out / name).iterdir()):
+        digests[f"{name}/{report.name}"] = hashlib.sha256(report.read_bytes()).hexdigest()
+print(json.dumps({"core": core, "digests": digests}))
+"""
+
+
+def test_reports_are_identical_under_every_blas_kernel(tmp_path, child_env, perfbench):
+    # numpy's OpenBLAS picks its CPU kernels when it loads, and
+    # OPENBLAS_CORETYPE makes it take another CPU's, as another machine
+    # would.  The generated interactome is one on which dtqrw ranked
+    # differently under Prescott while its start state was normalized
+    # through a BLAS dot.  Each child keeps to one BLAS thread, so that two
+    # of them share the CPUs without spinning.
+    witness = tmp_path / "witness"
+    perfbench("gen").write_interactome(witness, 1000, 3)
+
+    def digests(kernel):
+        env = child_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1")
+        if not kernel:
+            del env["OPENBLAS_CORETYPE"]
+        argv = [sys.executable, "-c", KERNEL_DIGESTS, FIXTURES, witness, tmp_path / (kernel or "default")]
+        proc = subprocess.run(list(map(str, argv)), env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, f"{kernel or 'default'}: {proc.stderr}"
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    kernels = ("", "Haswell", "Sandybridge", "Prescott")
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = dict(zip(kernels, pool.map(digests, kernels)))
+    if runs[""]["core"] is None:
+        pytest.skip("the OpenBLAS core name cannot be read")
+    assert len(runs[""]["digests"]) == 5 * 3 + 3 + 7 + 3
+    for kernel in kernels[1:]:
+        differ = [name for name, digest in runs[kernel]["digests"].items()
+                  if digest != runs[""]["digests"][name]]
+        assert not differ, f"{kernel} ({runs[kernel]['core']}) changes {differ}"
+
+
 LINALG = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
-def test_cli_import_leaves_scipy_spatial_and_special_unloaded():
+def test_cli_import_leaves_scipy_spatial_and_special_unloaded(child_env):
     # only ``cci`` measures distances, so only it pays for scipy.spatial,
     # and only the commands that run a kernel load scipy's linear algebra
     probe = (
@@ -488,7 +548,7 @@ def test_cli_import_leaves_scipy_spatial_and_special_unloaded():
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
-        env=_child_env(), capture_output=True, text=True, check=True,
+        env=child_env(), capture_output=True, text=True, check=True,
     )
     assert proc.stdout == "[]\n"
 
@@ -521,12 +581,12 @@ print(json.dumps(loaded))
 
 
 @pytest.mark.parametrize("continuous", ["ctrw,ctqrw,lanczos", "lanczos,ctqrw,ctrw"])
-def test_only_the_continuous_walkers_and_cci_load_scipy_linalg(tmp_path, continuous):
+def test_only_the_continuous_walkers_and_cci_load_scipy_linalg(tmp_path, continuous, child_env):
     # each continuous kernel, dense and Lanczos, runs first in one process,
     # so each imports scipy.linalg itself
     proc = subprocess.run(
         [sys.executable, "-c", COMMAND_IMPORTS, str(FIXTURES), str(tmp_path), continuous],
-        env=_child_env(), capture_output=True, text=True,
+        env=child_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])

@@ -38,7 +38,12 @@ from netqwalk.graphs import (
 )
 from netqwalk.metrics import TIE_ATOL, TIE_RTOL, rank_by_probability
 from netqwalk.states import delta_distribution
-from walk_oracles import ctqrw_oracle, hamiltonian, weighted_graph_with_isolated_node
+from walk_oracles import (
+    ctqrw_oracle,
+    hamiltonian,
+    random_graph,
+    weighted_graph_with_isolated_node,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -49,15 +54,6 @@ def k2():
 
 def triangle():
     return graph_from_edges([("a", "b"), ("b", "c"), ("c", "a")])
-
-
-def random_graph(rng, n):
-    edges = [(f"v{j}", f"v{j + 1}") for j in range(n - 1)]
-    for _ in range(n):
-        j, k = rng.integers(0, n, size=2)
-        if j != k:
-            edges.append((f"v{j}", f"v{k}"))
-    return graph_from_edges(edges)
 
 
 def unit_state(n, i):

@@ -1,9 +1,11 @@
 """Tests for the coined arc-space walk.
 
-The independent oracle is a dense walk unitary assembled from scratch in
-this file: an explicit block-diagonal coin matrix times an explicit shift
-permutation matrix, applied with ``numpy.linalg.matrix_power``.  The
-library never forms that matrix, so agreement is a real cross-check.
+The independent oracle is ``walk_oracles.coined_walk_unitary``: an
+explicit block-diagonal coin matrix times an explicit shift permutation
+matrix, built from the dense adjacency alone and applied with
+``numpy.linalg.matrix_power``.  It shares neither the library's reverse-arc
+map nor its coin, so agreement is a real cross-check; its rows are put in
+the library's arc order by matching each arc's (tail, head).
 """
 
 from pathlib import Path
@@ -12,7 +14,6 @@ import numpy as np
 import pytest
 
 from netqwalk.dtqrw import (
-    ArcIndex,
     arc_basis,
     arc_state_from_scores,
     evolve,
@@ -32,35 +33,14 @@ from netqwalk.graphs import (
     read_edge_list,
 )
 from walk_oracles import (
+    coined_walk_unitary_in,
     dtqrw_oracle,
     graph_with_leaves_and_isolated,
+    random_graph,
     weighted_graph_with_isolated_node,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-def dense_walk_unitary(arcs: ArcIndex) -> np.ndarray:
-    """Explicit (shift @ coin) matrix on the arc space, built independently."""
-    m = arcs.n_arcs
-    c = np.zeros((m, m), dtype=np.complex128)
-    for node in range(arcs.n):
-        lo, hi = int(arcs.node_ptr[node]), int(arcs.node_ptr[node + 1])
-        if hi > lo:
-            c[lo:hi, lo:hi] = grover_coin(hi - lo)
-    s = np.zeros((m, m))
-    for a in range(m):
-        s[int(arcs.reverse[a]), a] = 1.0
-    return s @ c
-
-
-def random_graph(rng, n):
-    edges = [(f"v{j}", f"v{j + 1}") for j in range(n - 1)]
-    for _ in range(n):
-        j, k = rng.integers(0, n, size=2)
-        if j != k:
-            edges.append((f"v{j}", f"v{k}"))
-    return graph_from_edges(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +139,7 @@ def test_evolution_matches_dense_unitary_powers():
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(3, 12)))
         arcs = arc_basis(g)
-        u = dense_walk_unitary(arcs)
+        u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
         psi0 = rng.standard_normal(arcs.n_arcs) + 1j * rng.standard_normal(arcs.n_arcs)
         psi0 /= np.linalg.norm(psi0)
         for steps in (0, 1, 2, 5, 9):
@@ -172,7 +152,7 @@ def test_single_step_equals_dense_unitary():
     rng = np.random.default_rng(62)
     g = random_graph(rng, 8)
     arcs = arc_basis(g)
-    u = dense_walk_unitary(arcs)
+    u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
     psi0 = rng.standard_normal(arcs.n_arcs) + 1j * rng.standard_normal(arcs.n_arcs)
     psi0 /= np.linalg.norm(psi0)
     assert np.max(np.abs(step(arcs, psi0) - u @ psi0)) < 1e-13
@@ -182,7 +162,7 @@ def test_dense_walk_unitary_really_is_unitary():
     rng = np.random.default_rng(63)
     g = random_graph(rng, 9)
     arcs = arc_basis(g)
-    u = dense_walk_unitary(arcs)
+    u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
     assert np.allclose(u.conj().T @ u, np.eye(arcs.n_arcs), atol=1e-12)
 
 
@@ -315,18 +295,15 @@ def test_arc_state_from_scores_node_profile_proportional():
 
 def test_real_score_state_walks_like_its_complex_cast():
     # the fixture interactome with a sparse nonnegative score vector: the
-    # real state must equal the complex128 state normalized in complex
-    # arithmetic, and give exactly its node probabilities at every step
-    # (at this seed a plain real norm can round differently)
+    # real state must walk exactly as its complex128 cast does, and give
+    # exactly its node probabilities at every step
     g = greatest_component(read_edge_list(DATA / "synthetic_ppi.tsv"))
     arcs = arc_basis(g)
     rng = np.random.default_rng(0)
     s = rng.random(g.n) * (rng.random(g.n) < 0.1)
     psi = arc_state_from_scores(arcs, s)
     assert psi.dtype == np.float64
-    amp = np.sqrt(s / np.maximum(np.diff(arcs.node_ptr), 1))[arcs.tails].astype(np.complex128)
-    psi_c = amp / np.linalg.norm(amp)
-    assert np.array_equal(psi, psi_c.real) and not psi_c.imag.any()
+    psi_c = psi.astype(np.complex128)
     for _ in range(20):
         psi, psi_c = evolve(arcs, psi, 1), evolve(arcs, psi_c, 1)
         assert psi.dtype == np.float64
@@ -373,7 +350,7 @@ def test_transition_profile_against_dense_oracle():
     rng = np.random.default_rng(68)
     g = random_graph(rng, 7)
     arcs = arc_basis(g)
-    u = dense_walk_unitary(arcs)
+    u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
     for steps in (1, 4, 7):
         got = transition_profile(g, 0, steps)
         ref_psi = np.linalg.matrix_power(u, steps) @ initial_arc_state(arcs, 0)

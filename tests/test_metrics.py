@@ -7,7 +7,9 @@ exactly — not merely within a tolerance — on a thousand random rankings.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from graph_strategies import support_cases
 from netqwalk.graphs import build_cci_graph
 from netqwalk.metrics import (
     RankedList,
@@ -17,6 +19,7 @@ from netqwalk.metrics import (
     rank_by_probability,
     walk_support_subgraph,
 )
+from walk_oracles import support_oracle
 
 
 def naive_average_precision(items, relevant, k):
@@ -359,3 +362,27 @@ def test_support_rejects_an_integer_target_outside_the_graph():
     for bad in (2.5, np.inf):
         with pytest.raises(ValueError, match=f"index {bad} is not an integer"):
             walk_support_subgraph(cci, prof, targets=[bad], epsilon=0.1)
+
+
+@pytest.mark.parametrize("hop", [("S", "L"), ("L", "R"), ("R", "C")])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_support_rejects_a_non_finite_profile_on_any_hop(hop, bad):
+    # a NaN compares false both ways, so unchecked it would cut a last hop
+    # but keep a first one; every hop must raise alike, naming the row
+    chain = [("S", "sender"), ("L", "ligand"), ("R", "receptor"), ("C", "receiver")]
+    cci = build_cci_graph(chain, [("S", "L"), ("L", "R"), ("R", "C")])
+    prof = np.full((4, 4), 0.5)
+    prof[cci.graph.index(hop[0]), cci.graph.index(hop[1])] = bad
+    row = cci.graph.index(hop[0])
+    with pytest.raises(ValueError, match=f"profiles row {row} has a non-finite entry"):
+        walk_support_subgraph(cci, prof, targets=["C"], epsilon=0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_cases())
+def test_support_matches_the_path_enumeration_oracle(case):
+    cci, prof, targets, epsilon = case
+    sub = walk_support_subgraph(cci, prof, targets, epsilon)
+    assert sub.labels == cci.graph.labels and sub.directed
+    assert sub.edges.tolist() == [list(e) for e in support_oracle(cci, prof, targets, epsilon)]
+    assert np.array_equal(sub.weights, np.ones(sub.edge_count))

@@ -16,7 +16,10 @@ which evolves its start nodes in column blocks, and the functions the CLI's
 
 import importlib.util
 import inspect
+import json
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -211,3 +214,51 @@ def test_the_cli_cci_path_measures_distances_in_row_blocks(four_layer_cci, monke
     assert len(distances) == -(-n // _DISTANCE_ROWS)
     assert len(emitted) == 1
     assert len(bases) == 1
+
+
+def test_a_traced_command_of_each_workload_shape_hits_every_must_hit_span(
+    tmp_path, child_env, perfbench
+):
+    # a traced benchmark pass fails a workload whose commands leave one of
+    # its must-hit spans without calls; run one command of each workload's
+    # shape under ``spans.py``, small enough for the suite.  The pass traces
+    # its ``graph-stats`` setup command too, the one ``cci`` command that
+    # takes a greatest component
+    run = perfbench("run")
+    big = perfbench("gen").write_interactome(tmp_path / "krylov", expm.DENSE_LIMIT + 100, 3)
+    fixture = ["--graph", DATA / "synthetic_ppi.tsv", "--scores", DATA / "synthetic_scores.tsv",
+               "--targets", DATA / "synthetic_targets.tsv"]
+    commands = {
+        "continuous-dense": [[*fixture, "--walker", "ctqrw"],
+                             [*fixture, "--walker", "ctrw", "--t-max", "5"]],
+        "krylov-collapse": [["--graph", big.graph, "--scores", big.scores, "--targets", big.targets,
+                             "--walker", "ctqrw", "--hamiltonian", "chiral", "--t-max", "5",
+                             "--collapse", "1,2,3,4"]],
+        "discrete-large": [[*fixture, "--walker", w] for w in ("rwr", "dtrw", "dtqrw")],
+    }
+    commands = {name: [["prioritize", *argv] for argv in argvs] for name, argvs in commands.items()}
+    commands["cci"] = [["cci", "--nodes", DATA / "cci_nodes.tsv", "--edges", DATA / "cci_edges.tsv",
+                        "--targets", "C1"]]
+    jobs = [(name, [*argv, "--out", tmp_path / f"{name}-{i}"])
+            for name, argvs in commands.items() for i, argv in enumerate(argvs)]
+    jobs.append(("cci", ["graph-stats", "--graph", DATA / "cci_edges.tsv"]))
+
+    def traced(job):
+        name, argv = job
+        spans = tmp_path / f"spans-{jobs.index(job)}.json"
+        proc = subprocess.run(
+            [sys.executable, str(SPANS), str(spans), "--", *map(str, argv)],
+            env=child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, f"{name}: {proc.stderr}"
+        recorded = json.loads(spans.read_text())
+        hit = {span for span, agg in recorded["spans"].items() if agg["calls"]}
+        return name, hit | {c for c, count in recorded["counters"].items() if count}
+
+    hit = {name: set() for name in commands}
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for name, spans in pool.map(traced, jobs):
+            hit[name] |= spans
+    for name in commands:
+        missing = [s for s in (*run.COMMON_SPANS, *run.MUST_HIT[name]) if s not in hit[name]]
+        assert not missing, f"{name}: no calls to {missing}"

@@ -55,6 +55,17 @@ def dtrw_oracle(g, p0, steps):
     return np.linalg.matrix_power(holding_matrix(g).T, steps) @ p0
 
 
+def random_graph(rng, n):
+    """Connected undirected graph on ``v0``..``v{n-1}``: a path, plus up to
+    ``n`` random chords (duplicates merge, self-loops are skipped)."""
+    edges = [(f"v{j}", f"v{j + 1}") for j in range(n - 1)]
+    for _ in range(n):
+        j, k = rng.integers(0, n, size=2)
+        if j != k:
+            edges.append((f"v{j}", f"v{k}"))
+    return graph_from_edges(edges)
+
+
 def weighted_graph_with_isolated_node():
     """Undirected graph on nine nodes with weights in [0.5, 2]: a cycle with
     chords on ``v0``-``v7``, and ``v8`` without edges."""
@@ -112,7 +123,8 @@ def ctqrw_oracle(h, p0, t, collapses=()):
 
 
 def coined_walk_unitary(g):
-    """Dense arc-space walk ``S C`` of an undirected graph, and the tail of each arc.
+    """Dense arc-space walk ``S C`` of an undirected graph, and the tail and
+    the head of each arc.
 
     The arcs ``(j, k)`` are the nonzero entries of the dense adjacency,
     listed by head and then by tail.  ``C`` is block diagonal, with the
@@ -128,7 +140,35 @@ def coined_walk_unitary(g):
     shift = np.zeros_like(coin)
     for (j, k), a in index.items():
         shift[index[(k, j)], a] = 1.0
-    return shift @ coin, tails
+    return shift @ coin, tails, heads
+
+
+def coined_walk_unitary_in(g, tails, heads):
+    """:func:`coined_walk_unitary` with its arcs listed in another order: row
+    and column ``a`` belong to the arc ``(tails[a], heads[a])``."""
+    u, own_tails, own_heads = coined_walk_unitary(g)
+    own = {arc: a for a, arc in enumerate(zip(own_tails.tolist(), own_heads.tolist()))}
+    order = [own[arc] for arc in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist())]
+    return u[np.ix_(order, order)]
+
+
+def support_oracle(cci, profiles, targets, epsilon):
+    """Sorted ``(tail, head)`` index pairs of the edges that lie on some
+    ``sender -> ligand -> receptor -> receiver`` path ending in a node of
+    ``targets`` (indices) whose every hop ``(u, v)`` has ``profiles[u, v] >=
+    epsilon``, found by listing every three-hop path from every sender."""
+    succ = {}
+    for j, k in cci.graph.edges.tolist():
+        succ.setdefault(j, []).append(k)
+    kept = set()
+    for s in cci.nodes_in_layer("sender"):
+        for lig in succ.get(s, ()):
+            for r in succ.get(lig, ()):
+                for c in succ.get(r, ()):
+                    hops = ((s, lig), (lig, r), (r, c))
+                    if c in targets and all(profiles[u, v] >= epsilon for u, v in hops):
+                        kept.update(hops)
+    return sorted(kept)
 
 
 def dtqrw_oracle(g, p0, steps):
@@ -136,7 +176,7 @@ def dtqrw_oracle(g, p0, steps):
     on the start state whose arcs leaving node ``j`` each hold amplitude
     ``sqrt(p0[j] / deg(j))``, over its 2-norm; the probability of a node sums
     ``|psi|^2`` over the arcs leaving it.  ``p0`` may be a block of columns."""
-    u, tails = coined_walk_unitary(g)
+    u, tails, _ = coined_walk_unitary(g)
     degree = np.bincount(tails, minlength=g.n)
     p = np.asarray(p0, dtype=np.float64).reshape(g.n, -1)
     psi = np.sqrt(p[tails] / degree[tails, None])
