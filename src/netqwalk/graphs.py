@@ -22,7 +22,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -439,7 +439,7 @@ def node_subgraph(g: LabeledGraph, node_indices) -> LabeledGraph:
     new_id = np.cumsum(keep) - 1
     mask = keep[g.edges[:, 0]] & keep[g.edges[:, 1]]
     edges = new_id[g.edges[mask]]
-    labels = tuple(lab for i, lab in enumerate(g.labels) if keep[i])
+    labels = tuple(compress(g.labels, keep.tolist()))
     return LabeledGraph(labels, edges, directed=g.directed, weights=g.weights[mask])
 
 

@@ -10,6 +10,7 @@ thresholded profiles carve communication subgraphs out of CCI networks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -91,23 +92,35 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     keep = np.ones(n, dtype=bool)
     keep[list(excluded)] = False
     nodes = np.flatnonzero(keep)
-    by_value = np.argsort(-p[nodes], kind="stable")
-    values = p[nodes][by_value]
+    vals, m = p[nodes], nodes.shape[0]
+    # One unstable sort, then sorts of integer keys that are already in
+    # order up to each run of equal values (NaN equals NaN, -0.0 equals 0.0).
+    # A sort moves each key only inside its run, so subtracting the run's
+    # base recovers the position; equal values end up in index order.
+    q = np.argsort(-vals)
+    sorted_vals = vals[q]
+    new_run = np.ones(m, dtype=bool)
+    new_run[1:] = (sorted_vals[1:] != sorted_vals[:-1]) & ~(
+        np.isnan(sorted_vals[1:]) & np.isnan(sorted_vals[:-1])
+    )
+    run_base = (np.cumsum(new_run) - 1) * m
+    by_value = np.sort(run_base + q) - run_base
+    values = vals[by_value]
     # A NaN gap fails the comparison, so NaN never joins a tie group.
-    starts = np.ones(nodes.shape[0], dtype=bool)
+    starts = np.ones(m, dtype=bool)
     gap_tol = rtol * np.maximum(np.abs(values[:-1]), np.abs(values[1:])) + atol
     starts[1:] = ~(values[:-1] - values[1:] <= gap_tol)
     group = np.cumsum(starts) - 1
-    # ``nodes`` ascends, so a stable sort by group orders each group by index.
-    group_of_node = np.empty_like(group)
-    group_of_node[by_value] = group
-    order = nodes[np.argsort(group_of_node, kind="stable")].tolist()
+    # ``nodes`` ascends, so ordering each group by position orders it by index.
+    group_base = group * m
+    order = nodes[np.sort(group_base + by_value) - group_base].tolist()
     items = tuple([labels[i] for i in order] if labels is not None else order)
     return RankedList(items, values[starts][group])
 
 
-def _ranked_items(ranked) -> list:
-    return list(ranked.items) if isinstance(ranked, RankedList) else list(ranked)
+def _top_items(ranked, k: int) -> list:
+    """The first ``k`` items of a ``RankedList`` or of any iterable of items."""
+    return list(islice(ranked.items if isinstance(ranked, RankedList) else ranked, k))
 
 
 def precision_at_k(ranked, relevant, k: int) -> float:
@@ -118,9 +131,8 @@ def precision_at_k(ranked, relevant, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    items = _ranked_items(ranked)
     rel = set(relevant)
-    hits = sum(1 for item in items[:k] if item in rel)
+    hits = sum(1 for item in _top_items(ranked, k) if item in rel)
     return hits / k
 
 
@@ -137,10 +149,9 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
     rel = set(relevant)
     if not rel:
         raise ValueError("relevance set must be nonempty")
-    items = _ranked_items(ranked)
     hits = 0
     total = 0.0
-    for n, item in enumerate(items[:k], start=1):
+    for n, item in enumerate(_top_items(ranked, k), start=1):
         if item in rel:
             hits += 1
             total += hits / n

@@ -471,8 +471,8 @@ class CciConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", as_int(self.steps, "steps"))
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not 1 <= self.steps <= MAX_GRID_POINTS:
+            raise ValueError(f"steps must lie in [1, {MAX_GRID_POINTS}], got {self.steps}")
         object.__setattr__(self, "targets", _as_tuple(self.targets, "targets"))
         if not self.targets:
             raise ValueError("at least one target node label is required")

@@ -765,6 +765,20 @@ def test_cci_repeated_target_is_exit_1(data, capsys):
     assert not Path(data["out"]).exists()
 
 
+def test_cci_step_count_above_the_grid_bound_is_exit_1_at_once(data, capsys):
+    # a billion steps were accepted and walked until killed
+    started = time.monotonic()
+    code = cli.main([
+        "cci",
+        "--nodes", data["nodes"], "--edges", data["edges"],
+        "--steps", "1000000000", "--targets", "C1", "--out", data["out"],
+    ])
+    assert code == 1 and time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert err == "error: steps must lie in [1, 100000], got 1000000000\n"
+    assert not Path(data["out"]).exists()
+
+
 # ---------------------------------------------------------------------------
 # numerical failures map to exit 2
 # ---------------------------------------------------------------------------

@@ -372,6 +372,24 @@ def test_sweep_matches_the_coined_walk_oracle_at_every_step():
             assert np.max(np.abs(p - dtqrw_oracle(g, p0, steps))) < 1e-12, steps
 
 
+def test_node_probabilities_of_a_non_uniform_arc_state_match_the_oracle():
+    # the arcs leaving a node start with different amplitudes, so the node
+    # probabilities show which arc the shift moves each amplitude onto
+    rng = np.random.default_rng(71)
+    cases = [weighted_graph_with_isolated_node()]
+    cases += [graph_with_leaves_and_isolated(rng, int(rng.integers(6, 14))) for _ in range(4)]
+    for g in cases:
+        arcs = arc_basis(g)
+        u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
+        psi = rng.standard_normal(arcs.n_arcs)
+        psi /= np.linalg.norm(psi)
+        for steps in range(8):
+            ref_psi = np.linalg.matrix_power(u, steps) @ psi
+            ref = np.bincount(arcs.tails, weights=ref_psi**2, minlength=g.n)
+            got = node_probabilities(arcs, evolve(arcs, psi, steps))
+            assert np.max(np.abs(got - ref)) < 1e-12, steps
+
+
 def test_walk_spreads_ballistically_on_cycle():
     # after a few steps the coined walk reaches distance ~steps on a long
     # cycle, unlike the diffusive classical walk; just check support

@@ -3,23 +3,30 @@
 The average-precision oracle is a deliberately naive re-implementation in
 this file (slice, enumerate, average); the library version must match it
 exactly — not merely within a tolerance — on a thousand random rankings.
+The ranking oracle, ``walk_oracles.rank_oracle``, sorts with two stable
+mergesorts; the library's sorts must give the same items and the same
+score bits on ties, near ties, NaN, ±inf and ±0.0.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graph_strategies import support_cases
 from netqwalk.graphs import build_cci_graph
 from netqwalk.metrics import (
+    TIE_ATOL,
+    TIE_RTOL,
     RankedList,
+    _rank,
     average_precision_at_k,
     pairwise_distance_matrix,
     precision_at_k,
     rank_by_probability,
     walk_support_subgraph,
 )
-from walk_oracles import support_oracle
+from walk_oracles import rank_oracle, support_oracle
 
 
 def naive_average_precision(items, relevant, k):
@@ -49,6 +56,56 @@ def test_ranked_list_validation():
         RankedList(("a", "a"), np.array([0.9, 0.1]))
     with pytest.raises(ValueError, match="non-increasing"):
         RankedList(("a", "b"), np.array([0.1, 0.9]))
+
+
+# ---------------------------------------------------------------------------
+# ranking
+# ---------------------------------------------------------------------------
+
+ANCHORS = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-14, 0.2, 1.0]) | st.floats()
+TOLERANCES = st.sampled_from([(0.0, 0.0), (TIE_RTOL, TIE_ATOL)])
+
+
+@st.composite
+def rank_cases(draw):
+    """``(p, labels, exclude, rtol, atol)`` for ``_rank``: up to 40 values near
+    a few anchors, each moved by up to 2 ulps and then down by 0, 0.5, 0.999,
+    1.001 or 2 tie tolerances, so exact ties and near ties on both sides of
+    the tolerance occur; labels (shuffled) or none, and exclusions given as
+    indices or labels."""
+    anchors = draw(st.lists(ANCHORS, min_size=1, max_size=4))
+    p = []
+    for _ in range(draw(st.integers(0, 40))):
+        value = draw(st.sampled_from(anchors))
+        ulps = draw(st.integers(-2, 2))
+        nudge = draw(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and past the largest float
+            for _ in range(abs(ulps)):
+                value = np.nextafter(value, np.sign(ulps) * np.inf)
+            p.append(value - nudge * (TIE_RTOL * abs(value) + TIE_ATOL) if nudge else value)
+    n = len(p)
+    labels = draw(st.none() | st.permutations([f"g{i}" for i in range(n)]))
+    exclude = []
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=n + 1)) if n else ():
+        kinds = [i, np.int64(i)] + ([labels[i]] if labels is not None else [])
+        exclude.append(draw(st.sampled_from(kinds)))
+    return (np.array(p), labels, exclude, *draw(TOLERANCES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_cases())
+@example((np.array([]), None, [], 0.0, 0.0))
+@example((np.array([-0.0]), ("a",), [], TIE_RTOL, TIE_ATOL))
+@example((np.array([0.0, -0.0, 0.3]), ("a", "b", "c"), ["c"], 0.0, 0.0))
+@example((np.array([np.nan, 0.1, np.nan]), None, [1], TIE_RTOL, TIE_ATOL))
+def test_rank_matches_the_two_mergesort_oracle(case):
+    p, labels, exclude, rtol, atol = case
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and huge gaps
+        got = _rank(p, labels, exclude, rtol, atol)
+        items, scores = rank_oracle(p, labels, exclude, rtol, atol)
+    assert got.items == items
+    assert np.array_equal(got.scores, scores, equal_nan=True)
+    assert np.array_equal(np.signbit(got.scores), np.signbit(scores))
 
 
 # ---------------------------------------------------------------------------

@@ -587,8 +587,10 @@ def cci_paths(tmp_path):
 
 def test_cci_config_validation(cci_paths):
     nodes, edges = cci_paths
-    with pytest.raises(ValueError, match="steps"):
-        CciConfig(nodes, edges, steps=0, targets=("C1",))
+    for steps in (0, MAX_GRID_POINTS + 1):
+        with pytest.raises(ValueError, match="steps"):
+            CciConfig(nodes, edges, steps=steps, targets=("C1",))
+    assert CciConfig(nodes, edges, steps=MAX_GRID_POINTS, targets=("C1",)).steps == MAX_GRID_POINTS
     with pytest.raises(ValueError, match="target"):
         CciConfig(nodes, edges, targets=())
     with pytest.raises(ValueError, match="epsilon"):

@@ -1,4 +1,5 @@
-"""Definition oracles for the classical and the quantum walks.
+"""Definition oracles for the classical and the quantum walks, and for
+the ranking of their distributions.
 
 Each is built from the dense adjacency (or the edge arrays) alone, not
 from ``netqwalk.classical``, ``netqwalk.ctqrw``, ``netqwalk.dtqrw`` or
@@ -184,3 +185,25 @@ def dtqrw_oracle(g, p0, steps):
     prob = np.abs(np.linalg.matrix_power(u, steps) @ psi) ** 2
     out = np.array([prob[tails == node].sum(axis=0) for node in range(g.n)])
     return out.reshape(np.shape(p0))
+
+
+def rank_oracle(p, labels, exclude, rtol, atol):
+    """``(items, scores)`` of ``metrics._rank`` by two stable mergesorts: nodes
+    sorted by descending value (equal values, NaN among them, by index), cut
+    into tie groups where a neighbouring gap exceeds ``rtol * max(|a|, |b|) +
+    atol``, then sorted by group (members by index); a member scores its
+    group's first value.  ``exclude`` holds indices and labels."""
+    p = np.asarray(p, dtype=np.float64)
+    excluded = {list(labels).index(e) if isinstance(e, str) else int(e) for e in exclude}
+    nodes = np.array([i for i in range(p.shape[0]) if i not in excluded], dtype=np.int64)
+    by_value = np.argsort(-p[nodes], kind="stable")
+    values = p[nodes][by_value]
+    starts = np.ones(nodes.shape[0], dtype=bool)
+    gap_tol = rtol * np.maximum(np.abs(values[:-1]), np.abs(values[1:])) + atol
+    starts[1:] = ~(values[:-1] - values[1:] <= gap_tol)
+    group = np.cumsum(starts) - 1
+    group_of_node = np.empty_like(group)
+    group_of_node[by_value] = group
+    order = nodes[np.argsort(group_of_node, kind="stable")].tolist()
+    items = tuple([labels[i] for i in order] if labels is not None else order)
+    return items, values[starts][group]
