@@ -119,7 +119,7 @@ def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
 def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
     """Restart walk truncated after exactly ``n_iter`` update steps."""
     p0, step = _restart_update(g, p0, alpha)
-    if n_iter < 0:
+    if (n_iter := as_int(n_iter, "iteration count")) < 0:
         raise ValueError("iteration count must be >= 0")
     p = p0.copy()
     for _ in range(n_iter):

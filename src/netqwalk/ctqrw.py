@@ -122,11 +122,12 @@ def _check_drift(psi: np.ndarray) -> np.ndarray:
     return psi
 
 
-def evolve(hamiltonian: SparseHermitian, psi0, t: float) -> np.ndarray:
-    """State after Schrodinger evolution of ``psi0`` for time ``t``."""
-    psi0 = as_amplitude_vector(psi0, hamiltonian.n)
-    psi = expm_action(hamiltonian, psi0, t)
-    return _check_drift(psi)
+def evolve(hamiltonian: SparseHermitian, psi0, t) -> np.ndarray:
+    """State after Schrodinger evolution of ``psi0`` for time ``t``, a row per time of an array."""
+    out = expm_action(hamiltonian, as_amplitude_vector(psi0, hamiltonian.n), t)
+    for row in out.reshape(-1, hamiltonian.n):
+        row[:] = _check_drift(row)
+    return out
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,8 @@ def collapse(psi) -> np.ndarray:
     giving a valid state whose subsequent evolution is unitary.
     """
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError("cannot collapse a state with non-finite entries")
     prob = np.abs(psi) ** 2
     scale = float(np.linalg.norm(prob))
     if scale == 0.0:
@@ -184,22 +187,19 @@ def evolve_with_collapses(
     if np.min(t_final) < 0:
         raise ValueError(f"t_final must be nonnegative, got {np.min(t_final)}")
     schedule.validate_horizon(np.min(t_final))
-    psi = as_amplitude_vector(psi0, hamiltonian.n)
-    t_prev = 0.0
+    psi, t_prev = psi0, 0.0
     for t_c in schedule.times:
-        psi = collapse(_check_drift(expm_action(hamiltonian, psi, t_c - t_prev)))
-        t_prev = t_c
-    out = expm_action(hamiltonian, psi, t_final - t_prev)
-    for row in out.reshape(-1, hamiltonian.n):
-        row[:] = _check_drift(row)
-    return out
+        psi, t_prev = collapse(evolve(hamiltonian, psi, t_c - t_prev)), t_c
+    return evolve(hamiltonian, psi, t_final - t_prev)
 
 
 def _from_node(hamiltonian: SparseHermitian, node, t: float) -> np.ndarray:
-    """``expm(-i H t) |node>`` for a node index checked against ``H``."""
+    """``expm(-i H t) |node>`` for a node index checked against ``H`` and one time ``t``."""
+    if np.ndim(t):
+        raise ValueError(f"t must be one time, got an array of shape {np.shape(t)}")
     unit = np.zeros(hamiltonian.n, dtype=np.complex128)
     unit[node_index(node, hamiltonian.n, "destination node")] = 1.0
-    return expm_action(hamiltonian, unit, t)
+    return evolve(hamiltonian, unit, t)
 
 
 def transition_probability(
@@ -242,9 +242,9 @@ def measure(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
     prob = np.abs(psi) ** 2
     total = float(prob.sum())
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:  # a NaN sum fails this test too
         raise ValueError(
-            f"state is not normalized: probabilities sum to {total:.12f}"
+            f"state is not normalized and finite: probabilities sum to {total:.12f}"
         )
     out = prob / total
     out.setflags(write=False)

@@ -117,8 +117,7 @@ def _apply_coin(arcs: ArcIndex, psi: np.ndarray) -> np.ndarray:
 
 def step(arcs: ArcIndex, psi) -> np.ndarray:
     """One walk step: coin within each node segment, then flip-flop shift."""
-    psi = as_amplitude_columns(psi, arcs.n_arcs)
-    return _apply_coin(arcs, psi)[arcs.reverse]
+    return evolve(arcs, psi, 1)
 
 
 def step_inverse(arcs: ArcIndex, psi) -> np.ndarray:

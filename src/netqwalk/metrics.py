@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .graphs import CCI_LAYERS, LabeledGraph, PartitionedCciGraph, node_index
+from .graphs import CCI_LAYERS, LabeledGraph, PartitionedCciGraph, as_int, node_index
 
 #: Neighbouring probabilities ``a >= b`` in a ranking are tied unless
 #: ``a - b > TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Propagators return
@@ -129,7 +129,7 @@ def precision_at_k(ranked, relevant, k: int) -> float:
     The denominator stays ``k`` even when fewer than ``k`` items were
     ranked.
     """
-    if k < 1:
+    if (k := as_int(k, "k")) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rel = set(relevant)
     hits = sum(1 for item in _top_items(ranked, k) if item in rel)
@@ -144,7 +144,7 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
     ranking whose first ``min(k, M)`` items are exactly the relevant
     items scores 1.
     """
-    if k < 1:
+    if (k := as_int(k, "k")) < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     rel = set(relevant)
     if not rel:

@@ -7,13 +7,20 @@ and collapse of ``(sqrt(.8), sqrt(.2))`` gives ``(.8, .2)/sqrt(.68)``.
 """
 
 import hashlib
+import math
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graph_strategies import small_graphs
 from netqwalk.ctqrw import (
+    HAMILTONIAN_KINDS,
     CollapseSchedule,
     _check_drift,
     build_hamiltonian,
@@ -278,6 +285,14 @@ def test_transition_probability_at_zero_time():
     assert transition_probability(h, 1, 0, 0.0) == 0.0
 
 
+def test_the_transition_helpers_take_one_time():
+    h = build_hamiltonian(triangle(), "adjacency")
+    for helper in (transition_probability, transition_rate):
+        with pytest.raises(ValueError, match=r"t must be one time, got an array of shape \(2,\)"):
+            helper(h, 0, 1, np.array([1.0, 2.0]))
+    assert transition_probability(h, 0, 1, np.float64(1.0)) == transition_probability(h, 0, 1, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # transition rate
 # ---------------------------------------------------------------------------
@@ -336,6 +351,10 @@ def test_collapse_discards_phases():
 def test_collapse_validation():
     with pytest.raises(ValueError, match="zero state"):
         collapse(np.zeros(3))
+    # a NaN or an infinite amplitude gave a NaN state (inf / inf), not an error
+    for bad in ([np.nan, 1.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            collapse(np.array(bad))
 
 
 def test_schedule_validation():
@@ -417,6 +436,9 @@ def test_measure_basic_and_validation():
     assert not p.flags.writeable
     with pytest.raises(ValueError, match="not normalized"):
         measure(np.array([1.0, 1.0]))
+    # a NaN sum passed the old test `abs(total - 1) > 1e-8` and gave NaN probabilities
+    with pytest.raises(ValueError, match="not normalized and finite: .* sum to nan"):
+        measure(np.array([np.nan, 1.0]))
 
 
 def test_initial_state_from_scores():
@@ -567,3 +589,60 @@ def test_a_sweep_in_blocks_of_three_times_matches_the_oracle(
     assert [b.size for b in expm.time_blocks(grid, n)] == [3, 3, 3, 3, 3, 2]
     assert [b.size for b in expm.time_blocks(grid, directed_weighted_graph().n)][0] == 3
     assert_sweep_matches_the_oracle(grid, (0.5, 0.6, 0.65, 1.6, 2.0), tol)
+
+
+# ---------------------------------------------------------------------------
+# property tests on drawn small graphs: evolve, one row per time, and the
+# collapses against scipy's expm of the dense Hamiltonian
+# ---------------------------------------------------------------------------
+
+#: ``expm.DENSE_LIMIT`` that sends every action to the kernel of that name
+#: (the ``expm_kernel`` fixture is function-scoped, so ``@given`` cannot take it).
+KERNEL_LIMITS = {"dense": math.inf, "lanczos": 0}
+
+
+def drawn_walk(data, kind):
+    """The walk Hamiltonian of ``kind`` on a drawn nonempty graph (undirected
+    unless chiral), its dense oracle and a random unit complex start state."""
+    graphs = small_graphs().filter(lambda g: g.n and (kind == "chiral" or not g.directed))
+    g = data.draw(graphs, label="graph")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    phases = random_chiral_phases(g, seed) if kind == "chiral" else None
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+    return build_hamiltonian(g, kind, phases), hamiltonian(g, kind, phases), psi0 / np.linalg.norm(psi0)
+
+
+@pytest.mark.parametrize("kernel, tol", [("dense", 1e-14), ("lanczos", 1e-10)])
+@pytest.mark.parametrize("kind", HAMILTONIAN_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evolve_gives_one_unit_row_per_time(kernel, tol, kind, data):
+    # an array of times used to raise ConvergenceError: one norm over all rows
+    h, dense, psi0 = drawn_walk(data, kind)
+    times = data.draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=5).map(sorted))
+    with mock.patch.object(expm, "DENSE_LIMIT", KERNEL_LIMITS[kernel]):
+        rows = evolve(h, psi0, np.array(times))
+        alone = [evolve(h, psi0, t) for t in times]
+    assert rows.shape == (len(times), h.n)
+    for t, row, single in zip(times, rows, alone):
+        assert np.max(np.abs(row - scipy.linalg.expm(-1j * t * dense) @ psi0)) < 1e-10, t
+        assert abs(np.linalg.norm(row) - 1.0) < 1e-10, t
+        assert np.max(np.abs(row - single)) < tol, t
+
+
+@pytest.mark.parametrize("kernel", KERNEL_LIMITS)
+@pytest.mark.parametrize("kind", HAMILTONIAN_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_evolve_with_collapses_matches_the_collapse_oracle(kernel, kind, data):
+    # one or two collapses, then one or more final times after the last of them
+    h, dense, psi0 = drawn_walk(data, kind)
+    times = data.draw(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=5, unique=True).map(sorted))
+    cut = data.draw(st.integers(1, min(2, len(times) - 1)), label="collapses")
+    collapses, finals = times[:cut], np.array(times[cut:])
+    with mock.patch.object(expm, "DENSE_LIMIT", KERNEL_LIMITS[kernel]):
+        rows = evolve_with_collapses(h, psi0, finals, collapses)
+    assert rows.shape == (finals.size, h.n)
+    for t, row in zip(finals, rows):
+        assert np.max(np.abs(measure(row) - ctqrw_oracle(dense, psi0, t, collapses))) < 1e-10, t

@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from graph_strategies import edge_lists
 from netqwalk.dtqrw import (
     arc_basis,
     arc_state_from_scores,
@@ -388,6 +391,31 @@ def test_node_probabilities_of_a_non_uniform_arc_state_match_the_oracle():
             ref = np.bincount(arcs.tails, weights=ref_psi**2, minlength=g.n)
             got = node_probabilities(arcs, evolve(arcs, psi, steps))
             assert np.max(np.abs(got - ref)) < 1e-12, steps
+
+
+@st.composite
+def positive_weight_graphs(draw):
+    """A drawn undirected graph with at least one edge and no zero-weight edge:
+    the oracle reads the arcs off the dense adjacency's nonzeros, while
+    ``arc_basis`` keeps a zero-weight edge's arcs."""
+    labels, edges, _ = draw(edge_lists())
+    g = graph_from_edges([e for e in edges if e[2] > 0], directed=False, nodes=labels)
+    assume(g.edge_count)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_weight_graphs(), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_step_and_evolve_are_powers_of_the_coined_walk_unitary(g, steps, seed):
+    arcs = arc_basis(g)
+    u = coined_walk_unitary_in(g, arcs.tails, arcs.heads)
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(arcs.n_arcs) + 1j * rng.standard_normal(arcs.n_arcs)
+    psi0 /= np.linalg.norm(psi0)
+    psi = evolve(arcs, psi0, steps)
+    assert np.max(np.abs(psi - np.linalg.matrix_power(u, steps) @ psi0)) < 1e-12
+    assert np.max(np.abs(step(arcs, psi) - u @ psi)) < 1e-12
+    assert abs(node_probabilities(arcs, psi).sum() - 1.0) < 1e-12
 
 
 def test_walk_spreads_ballistically_on_cycle():

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from scipy.sparse import csgraph
 
-from netqwalk import classical, ctqrw, dtqrw
+from netqwalk import classical, ctqrw, dtqrw, metrics
 from netqwalk.graphs import (
     CciValidationError,
     ComponentDecomposition,
@@ -475,11 +475,15 @@ def test_a_numeric_string_is_never_read_as_a_node_index(name):
             WALK_CALLS[name]("3")
 
 
-# every step count that a walker or a config takes, and the config's other
-# integers (a K value and the random seed), called with ``s`` there
+# every step count that a walker or a config takes, the restart walk's
+# iteration count, the scorers' k, and the config's other integers (a K value
+# and the random seed), called with ``s`` there
 STEP_CALLS = {
     "dtrw-evolve": lambda s: classical.dtrw_evolve(PATH4, np.full(4, 0.25), s),
     "dtqrw-evolve": lambda s: dtqrw.evolve(_ARCS4, dtqrw.initial_arc_state(_ARCS4, 0), s),
+    "rwr-iterate": lambda s: classical.rwr_iterate(PATH4, np.full(4, 0.25), 0.5, s),
+    "precision-at-k": lambda s: metrics.precision_at_k(["a", "b", "c"], {"b"}, s),
+    "average-precision-at-k": lambda s: metrics.average_precision_at_k(["a", "b", "c"], {"b"}, s),
     "cci-config": lambda s: CciConfig("nodes.tsv", "edges.tsv", steps=s, targets=("C1",)),
     "experiment-config": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", steps_max=s),
     "experiment-k": lambda s: ExperimentConfig("g", "s", "t", walker="dtrw", k_list=(s, 20)),
@@ -491,7 +495,8 @@ STEP_CALLS = {
 @pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
 def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
     # the coined walk took 2.7 steps as 2, a K of 2.7 was K 2, and a seed of
-    # 2.7 failed only inside a chiral sweep; the rest raised a bare TypeError
+    # 2.7 failed only inside a chiral sweep, a k of 2.7 inside islice; the
+    # rest raised a bare TypeError
     with pytest.raises(ValueError, match=rf"{re.escape(named)} is not an integer"):
         call(steps)
 
@@ -499,6 +504,7 @@ def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
 # the field each call of ``STEP_CALLS`` names in its error
 STEP_FIELDS = {
     "dtrw-evolve": "step count", "dtqrw-evolve": "step count", "cci-config": "steps",
+    "rwr-iterate": "iteration count", "precision-at-k": "k", "average-precision-at-k": "k",
     "experiment-config": "steps_max", "experiment-k": "K value", "experiment-rng-seed": "rng_seed",
 }
 
@@ -517,7 +523,7 @@ def test_a_whole_float_step_count_is_its_integer(call):
     whole, integer = call(2.0), call(2)
     if isinstance(integer, np.ndarray):
         assert np.array_equal(whole, integer)
-    else:  # the config keeps the int, so its manifest writes 2, not 2.0
+    else:  # a score, or the config, which keeps the int: its manifest writes 2, not 2.0
         assert repr(whole) == repr(integer)
 
 
