@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
 from .graphs import LabeledGraph, adjacency_matrix, as_int, laplacian
-from .states import START_BLOCK, as_probability_columns, as_probability_vector, delta_distribution
+from .states import START_BLOCK, as_probability_columns, delta_distribution
 
 POWER_MAX_ITER = 100_000
 POWER_TOL = 1e-12
@@ -70,17 +70,11 @@ def row_stochastic(g: LabeledGraph) -> TransitionMatrix:
     return TransitionMatrix((sp.diags(scale) @ a).tocsr(), dangling)
 
 
-def _finalize_distribution(p: np.ndarray) -> np.ndarray:
-    if p.min() < -1e-8:
-        raise ConvergenceError(f"walk produced a negative probability {p.min():g}")
-    return np.clip(p, 0.0, None)
-
-
 def _restart_update(g: LabeledGraph, p0, alpha: float):
     """Check ``p0`` and ``alpha``; return ``p0`` as a vector and the restart
     walk's update ``p -> alpha (P^T p + d p0) + (1 - alpha) p0``, where ``d``
     is the mass on dangling nodes: it restarts at the seeds."""
-    p0 = as_probability_vector(p0, n=g.n)
+    p0 = as_probability_columns(np.ravel(p0), n=g.n)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     walk = row_stochastic(g)
@@ -109,7 +103,7 @@ def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
     for _ in range(POWER_MAX_ITER):
         nxt = step(p)
         if np.abs(nxt - p).sum() < POWER_TOL:
-            return _finalize_distribution(nxt)
+            return nxt
         p = nxt
     raise ConvergenceError(
         f"restart walk power iteration did not converge in {POWER_MAX_ITER} steps"
@@ -119,12 +113,10 @@ def rwr_steady_state(g: LabeledGraph, p0, alpha: float) -> np.ndarray:
 def rwr_iterate(g: LabeledGraph, p0, alpha: float, n_iter: int) -> np.ndarray:
     """Restart walk truncated after exactly ``n_iter`` update steps."""
     p0, step = _restart_update(g, p0, alpha)
-    if (n_iter := as_int(n_iter, "iteration count")) < 0:
-        raise ValueError("iteration count must be >= 0")
     p = p0.copy()
-    for _ in range(n_iter):
+    for _ in range(as_int(n_iter, "iteration count", 0)):
         p = step(p)
-    return _finalize_distribution(p)
+    return p
 
 
 def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarray:
@@ -141,12 +133,10 @@ def dtrw_evolve(g: LabeledGraph | TransitionMatrix, p0, steps: int) -> np.ndarra
     walk = g if isinstance(g, TransitionMatrix) else row_stochastic(g)
     wt, dangling = walk.matrix.transpose(), walk.dangling
     p = as_probability_columns(p0, n=wt.shape[0])
-    if (steps := as_int(steps, "step count")) < 0:
-        raise ValueError("step count must be >= 0")
-    for _ in range(steps):
+    for _ in range(as_int(steps, "step count", 0)):
         p, held = wt @ p, p[dangling]
         p[dangling] += held
-    return _finalize_distribution(p)
+    return p
 
 
 def dtrw_transition_profile(g: LabeledGraph, source, steps: int) -> np.ndarray:

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .expm import ConvergenceError, SparseHermitian, expm_action, time_blocks
 from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
-from .states import as_amplitude_vector
+from .states import as_amplitude_columns
 
 __all__ = [
     "CollapseSchedule",
@@ -124,7 +124,7 @@ def _check_drift(psi: np.ndarray) -> np.ndarray:
 
 def evolve(hamiltonian: SparseHermitian, psi0, t) -> np.ndarray:
     """State after Schrodinger evolution of ``psi0`` for time ``t``, a row per time of an array."""
-    out = expm_action(hamiltonian, as_amplitude_vector(psi0, hamiltonian.n), t)
+    out = expm_action(hamiltonian, as_amplitude_columns(np.ravel(psi0), hamiltonian.n), t)
     for row in out.reshape(-1, hamiltonian.n):
         row[:] = _check_drift(row)
     return out
@@ -179,14 +179,16 @@ def evolve_with_collapses(
 ) -> np.ndarray:
     """Evolve to ``t_final`` with collapses at the scheduled times.
 
-    An empty schedule reduces exactly to :func:`evolve`; an array ``t_final``
-    gives one row per time.
+    An empty schedule reduces exactly to :func:`evolve`; a sequence of times
+    ``t_final``, an empty one too, gives one row per time.
     """
     if not isinstance(schedule, CollapseSchedule):
         schedule = CollapseSchedule(() if schedule is None else schedule)
-    if np.min(t_final) < 0:
-        raise ValueError(f"t_final must be nonnegative, got {np.min(t_final)}")
-    schedule.validate_horizon(np.min(t_final))
+    t_final = np.asarray(t_final)
+    if (t_final < 0).any():
+        raise ValueError(f"t_final must be nonnegative, got {t_final.min()}")
+    if t_final.size:
+        schedule.validate_horizon(t_final.min())
     psi, t_prev = psi0, 0.0
     for t_c in schedule.times:
         psi, t_prev = collapse(evolve(hamiltonian, psi, t_c - t_prev)), t_c

@@ -132,8 +132,7 @@ def evolve(arcs: ArcIndex, psi0, steps: int) -> np.ndarray:
     ``psi0`` is one unit-norm arc state or an ``(n_arcs, k)`` block of
     them, one per column; each column evolves as it would alone.
     """
-    if (steps := as_int(steps, "step count")) < 0:
-        raise ValueError(f"step count must be nonnegative, got {steps}")
+    steps = as_int(steps, "step count", 0)
     psi = as_amplitude_columns(psi0, arcs.n_arcs)
     for _ in range(steps):
         psi = _apply_coin(arcs, psi)[arcs.reverse]

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .states import as_probability_vector
+from .states import as_probability_columns
 
 DENSE_LIMIT = 2000
 DEFAULT_TOL = 1e-10
@@ -337,12 +337,12 @@ def real_expm_action(generator, p, t) -> np.ndarray:
     sums, scale = (np.asarray(m.sum(axis=1)).ravel() for m in (rows, abs(rows)))
     if (bad := np.flatnonzero(np.abs(sums) > 1e-12 * scale)).size:
         raise ValueError(f"diffusion generator row {bad[0]} sums to {sums[bad[0]]:g}, not 0")
-    if np.min(t) < 0:
+    if (np.asarray(t) < 0).any():
         raise ValueError("diffusion time must be >= 0")
-    p = as_probability_vector(p, n=op.n)
+    p = as_probability_columns(np.ravel(p), n=op.n)
     # real on the dense path; the Lanczos path returns a complex vector
     out = _action(op, p, -1.0, t).real
-    if out.min() < -1e-6:
+    if (out < -1e-6).any():
         raise ConvergenceError(
             f"diffusion produced a negative probability {out.min():g}"
         )

@@ -48,15 +48,19 @@ class CciValidationError(ValueError):
     """Edge set violates the four-partite layer constraints."""
 
 
-def as_int(x, what: str) -> int:
-    """``x`` as an int; a ValueError names a string, a non-number or a value with a fraction."""
+def as_int(x, what: str, low: int | None = None) -> int:
+    """``x`` as an int of at least ``low``; a ValueError names a string, a bool,
+    a non-number, a value with a fraction or one below ``low``."""
     try:
         whole = isinstance(x, (int, np.integer)) or not isinstance(x, str) and float(x).is_integer()
     except TypeError:  # None, a list or another value that is no number
         whole = False
-    if not whole:
+    if not whole or isinstance(x, (bool, np.bool_)):
         raise ValueError(f"{what} {repr(x) if isinstance(x, str) else x} is not an integer")
-    return int(x)
+    x = int(x)
+    if low is not None and x < low:
+        raise ValueError(f"{what} must be >= {low}, got {x}")
+    return x
 
 
 def node_index(x, n: int, what: str) -> int:
@@ -580,7 +584,8 @@ def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:
 
 def parse_node_layers(text: str) -> list[tuple[str, str]]:
     """Parse a node-layer TSV (``label<TAB>layer``) into (label, layer) pairs."""
-    return list(map(tuple, read_table(text, (2,), "label<TAB>layer", "node-layer table")[0]))
+    table = read_table(text, (2,), "label<TAB>layer", "node-layer table", unique=True)
+    return list(map(tuple, table[0]))
 
 
 def parse_label_pairs(text: str) -> list[tuple[str, str]]:

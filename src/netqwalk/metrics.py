@@ -129,8 +129,7 @@ def precision_at_k(ranked, relevant, k: int) -> float:
     The denominator stays ``k`` even when fewer than ``k`` items were
     ranked.
     """
-    if (k := as_int(k, "k")) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = as_int(k, "k", 1)
     rel = set(relevant)
     hits = sum(1 for item in _top_items(ranked, k) if item in rel)
     return hits / k
@@ -144,8 +143,7 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
     ranking whose first ``min(k, M)`` items are exactly the relevant
     items scores 1.
     """
-    if (k := as_int(k, "k")) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = as_int(k, "k", 1)
     rel = set(relevant)
     if not rel:
         raise ValueError("relevance set must be nonempty")

@@ -212,27 +212,23 @@ class ExperimentConfig:
             raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        object.__setattr__(self, "rng_seed", as_int(self.rng_seed, "rng_seed"))
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        object.__setattr__(self, "rng_seed", as_int(self.rng_seed, "rng_seed", 0))
         for name in ("t_max", "t_step"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_step <= 0 or self.t_max < 0:
             raise ValueError("time grid requires t_step > 0 and t_max >= 0")
-        object.__setattr__(self, "steps_max", as_int(self.steps_max, "steps_max"))
-        if self.steps_max < 1:
-            raise ValueError("steps_max must be >= 1")
+        object.__setattr__(self, "steps_max", as_int(self.steps_max, "steps_max", 1))
         # bound the grid before grid_points builds it; the float ratio catches inf
         kind = SWEEPS[self.walker][0]
         if kind == "time" and self.t_max / self.t_step + 1 > MAX_GRID_POINTS:
             raise ValueError(f"t_max / t_step gives more than {MAX_GRID_POINTS} grid points")
         if kind == "steps" and self.steps_max > MAX_GRID_POINTS:
             raise ValueError(f"steps_max gives more than {MAX_GRID_POINTS} grid points")
-        k_list = tuple(as_int(k, "K value") for k in _as_tuple(self.k_list, "k_list"))
+        k_list = tuple(as_int(k, "K value", 1) for k in _as_tuple(self.k_list, "k_list"))
+        if not k_list:
+            raise ValueError("k_list must be nonempty")
         object.__setattr__(self, "k_list", k_list)
-        if not k_list or any(k < 1 for k in k_list):
-            raise ValueError("k_list must be nonempty with every K >= 1")
         # a repeated K would repeat its report columns and collapse its summary key
         _reject_repeats(k_list, "K value")
         collapses = _as_tuple(self.collapse_times, "collapse_times")

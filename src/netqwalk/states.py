@@ -60,11 +60,6 @@ def as_probability_columns(p, n: int | None = None) -> np.ndarray:
     return out
 
 
-def as_probability_vector(p, n: int | None = None) -> np.ndarray:
-    """Validate ``p`` as a distribution over nodes (entries >= 0, sum 1)."""
-    return as_probability_columns(np.asarray(p, dtype=np.float64).reshape(-1), n)
-
-
 def as_amplitude_columns(psi, n: int | None = None) -> np.ndarray:
     """Validate ``psi`` as a unit-2-norm state vector, or as an ``(n, k)``
     block whose every column is one.
@@ -80,11 +75,6 @@ def as_amplitude_columns(psi, n: int | None = None) -> np.ndarray:
         raise ValueError(f"{name(bad[0])} has 2-norm {norms[bad[0]]!r}, expected 1")
     psi.setflags(write=False)
     return psi
-
-
-def as_amplitude_vector(psi, n: int | None = None) -> np.ndarray:
-    """Validate ``psi`` as a unit-2-norm complex state vector."""
-    return as_amplitude_columns(np.asarray(psi, dtype=np.complex128).reshape(-1), n)
 
 
 def delta_distribution(n: int, i: int) -> np.ndarray:

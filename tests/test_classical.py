@@ -3,18 +3,23 @@
 Restart-walk oracles are worked out by hand on the 2-node and triangle
 graphs and frozen as exact fractions; the residual of the fixed-point
 equation is also checked directly so correctness does not rest on any one
-solver path.  The restart walk and the discrete-time walk are also checked
-against the definition oracles of ``walk_oracles``, which are built from
-the dense adjacency alone, on graphs with dangling and isolated nodes.
+solver path.  Every walker is also checked against the definition oracles
+of ``walk_oracles``, which are built from the dense adjacency alone, on
+graphs with dangling and isolated nodes, and on the directed and
+undirected graphs that hypothesis draws.
 """
 
+import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netqwalk import classical, expm
 from netqwalk.classical import (
@@ -30,6 +35,7 @@ from netqwalk.classical import (
 from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import graph_from_edges, greatest_component, load_edge_list, read_edge_list
 from netqwalk.states import delta_distribution
+from graph_strategies import small_graphs
 from walk_oracles import (
     ctrw_oracle,
     dtrw_oracle,
@@ -176,7 +182,7 @@ def test_rwr_validation():
             rwr_steady_state(g, p0, alpha)
     with pytest.raises(ValueError, match="sums"):
         rwr_steady_state(g, np.array([0.9, 0.9]), 0.5)
-    with pytest.raises(ValueError, match="^iteration count must be >= 0$"):
+    with pytest.raises(ValueError, match="^iteration count must be >= 0, got -1$"):
         rwr_iterate(g, p0, 0.5, n_iter=-1)
 
 
@@ -440,3 +446,54 @@ def test_a_ctrw_sweep_in_blocks_of_three_times_matches_the_oracle(
     grid = [0.25 * i for i in range(17)]
     assert [b.size for b in expm.time_blocks(grid, n)] == [3, 3, 3, 3, 3, 2]
     assert_ctrw_sweep_matches_the_oracle(grid, tol)
+
+
+# ---------------------------------------------------------------------------
+# property tests on drawn small graphs (dangling, isolated and zero-weight
+# nodes among them) against the definition oracles
+# ---------------------------------------------------------------------------
+
+
+def drawn_start(data, directed=(False, True)):
+    """A drawn nonempty graph whose ``directed`` flag is in ``directed``, and a
+    random start distribution on it with some entries zero."""
+    g = data.draw(small_graphs().filter(lambda g: g.n and g.directed in directed), label="graph")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    p0 = rng.random(g.n) * (rng.random(g.n) < 0.7)
+    p0[rng.integers(g.n)] += 1.0
+    return g, p0 / p0.sum()
+
+
+def assert_distribution_near(p, oracle, tol):
+    # no negative entry and unit mass: the walks hold these without clipping
+    assert p.min() >= 0.0
+    assert abs(p.sum() - 1.0) < tol
+    assert np.max(np.abs(p - oracle)) < tol
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from([0.0, 0.5, 0.85]), n_iter=st.integers(0, 6))
+def test_the_restart_walk_matches_its_oracles_on_drawn_graphs(data, alpha, n_iter):
+    g, p0 = drawn_start(data)
+    assert_distribution_near(rwr_steady_state(g, p0, alpha), rwr_oracle(g, p0, alpha), 1e-10)
+    got = rwr_iterate(g, p0, alpha, n_iter)
+    assert_distribution_near(got, rwr_iterate_oracle(g, p0, alpha, n_iter), 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), steps=st.integers(0, 8))
+def test_dtrw_matches_its_oracle_on_drawn_graphs(data, steps):
+    g, p0 = drawn_start(data)
+    assert_distribution_near(dtrw_evolve(g, p0, steps), dtrw_oracle(g, p0, steps), 1e-12)
+
+
+@pytest.mark.parametrize("limit", [math.inf, 0], ids=["dense", "lanczos"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), t=st.floats(0.0, 3.0))
+def test_ctrw_matches_its_oracle_on_drawn_undirected_graphs(limit, data, t):
+    # ``limit`` as ``expm.DENSE_LIMIT`` picks the kernel; the ``expm_kernel``
+    # fixture is function-scoped, so ``@given`` cannot take it
+    g, p0 = drawn_start(data, directed=(False,))
+    with mock.patch.object(expm, "DENSE_LIMIT", limit):
+        p = ctrw_evolve(g, p0, t)
+    assert_distribution_near(p, ctrw_oracle(g, p0, t), 1e-10)

@@ -744,6 +744,20 @@ def test_cci_malformed_layer_file_is_exit_1(data, tmp_path, capsys):
     assert "layer" in capsys.readouterr().err
 
 
+def test_cci_repeated_node_label_names_its_line(data, tmp_path, capsys):
+    # the graph builder's message named the label but not the line
+    nodes = tmp_path / "dup_nodes.tsv"
+    nodes.write_text("S1\tsender\nL1\tligand\nS1\tsender\n")
+    code = cli.main([
+        "cci",
+        "--nodes", str(nodes), "--edges", data["edges"],
+        "--targets", "C1", "--out", data["out"],
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: line 3: duplicate label 'S1'\n"
+    assert not Path(data["out"]).exists()
+
+
 def test_cci_targets_flag_splits_on_commas(data):
     code = cli.main([
         "cci",

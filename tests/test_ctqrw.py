@@ -40,6 +40,7 @@ from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import (
     graph_from_edges,
     greatest_component,
+    laplacian,
     load_edge_list,
     read_edge_list,
 )
@@ -423,6 +424,43 @@ def test_a_string_of_collapse_times_is_a_value_error():
         CollapseSchedule("12")
     with pytest.raises(ValueError, match="collapse times .* '12'"):
         evolve_with_collapses(build_hamiltonian(k2(), "adjacency"), unit_state(2, 0), 3.0, "12")
+
+
+_PATH3 = graph_from_edges([("a", "b"), ("b", "c")])
+
+#: each entry that takes an array of final times, and its message for a negative one
+CONTINUOUS_ENTRIES = {
+    "collapses": (
+        lambda t: evolve_with_collapses(build_hamiltonian(_PATH3, "adjacency"), unit_state(3, 0), t, (0.5,)),
+        r"^t_final must be nonnegative, got -1\.0$",
+    ),
+    "diffusion": (
+        lambda t: expm.real_expm_action(expm.as_hermitian(laplacian(_PATH3)), np.full(3, 1 / 3), t),
+        r"^diffusion time must be >= 0$",
+    ),
+}
+
+#: final times of each kind of sequence, and the same kind holding a negative time
+TIME_SEQUENCES = {
+    "list": ([1.0, 2.0], [1.0, -1.0]),
+    "tuple": ((1.0, 2.0), (1.0, -1.0)),
+    "empty": (np.array([]), np.array([-1.0])),
+}
+
+
+@pytest.mark.parametrize("times, negative", TIME_SEQUENCES.values(), ids=TIME_SEQUENCES)
+@pytest.mark.parametrize("entry", CONTINUOUS_ENTRIES)
+def test_the_continuous_entries_take_any_sequence_of_times(entry, times, negative):
+    # a list raised a TypeError from t_final - t_prev and an empty array numpy's
+    # zero-size reduction error, where evolve and expm_action take both
+    call, message = CONTINUOUS_ENTRIES[entry]
+    rows = call(times)
+    assert rows.shape == (len(times), 3)
+    assert np.array_equal(rows, call(np.array(times, dtype=float)))
+    for t, row in zip(times, rows):
+        assert np.max(np.abs(row - call(t))) < 1e-14, t
+    with pytest.raises(ValueError, match=message):
+        call(negative)
 
 
 # ---------------------------------------------------------------------------

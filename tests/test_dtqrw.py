@@ -207,7 +207,7 @@ def test_evolve_validation():
     g = graph_from_edges([("a", "b")])
     arcs = arc_basis(g)
     psi0 = initial_arc_state(arcs, 0)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^step count must be >= 0, got -1$"):
         evolve(arcs, psi0, -1)
     with pytest.raises(ValueError, match="length"):
         evolve(arcs, np.ones(3) / np.sqrt(3), 1)

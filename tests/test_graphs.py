@@ -491,12 +491,14 @@ STEP_CALLS = {
 }
 
 
-@pytest.mark.parametrize("steps, named", [(2.7, "2.7"), (np.float64(0.5), "0.5"), ("2", "'2'")])
+@pytest.mark.parametrize(
+    "steps, named", [(2.7, "2.7"), (np.float64(0.5), "0.5"), ("2", "'2'"), (True, "True")]
+)
 @pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)
 def test_a_step_count_with_a_fraction_is_a_value_error(call, steps, named):
     # the coined walk took 2.7 steps as 2, a K of 2.7 was K 2, and a seed of
     # 2.7 failed only inside a chiral sweep, a k of 2.7 inside islice; the
-    # rest raised a bare TypeError
+    # rest raised a bare TypeError; True was 1: one step, or seed 1
     with pytest.raises(ValueError, match=rf"{re.escape(named)} is not an integer"):
         call(steps)
 
@@ -516,6 +518,21 @@ def test_a_step_count_that_is_no_number_is_a_value_error_naming_its_field(name, 
     # rng_seed=None and a K of None among them
     with pytest.raises(ValueError, match=rf"^{STEP_FIELDS[name]} {re.escape(str(value))} is not"):
         call(value)
+
+
+# the least value each call of ``STEP_CALLS`` takes; the CCI config checks a range
+STEP_LOWS = {
+    "dtrw-evolve": 0, "dtqrw-evolve": 0, "rwr-iterate": 0, "precision-at-k": 1,
+    "average-precision-at-k": 1, "experiment-config": 1, "experiment-k": 1, "experiment-rng-seed": 0,
+}
+
+
+@pytest.mark.parametrize("name", STEP_LOWS)
+def test_a_count_below_its_bound_names_the_bound(name):
+    call, field, low = STEP_CALLS[name], STEP_FIELDS[name], STEP_LOWS[name]
+    call(low)  # the bound itself is taken
+    with pytest.raises(ValueError, match=rf"^{field} must be >= {low}, got {low - 1}$"):
+        call(low - 1)
 
 
 @pytest.mark.parametrize("call", STEP_CALLS.values(), ids=STEP_CALLS)

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and leaves the
+lower bound of a count to ``graphs.as_int``.
 
 No linter ships with the test dependencies, so this parses the modules
 with ``ast``: an imported name that no ``Name`` node of its module reads
@@ -36,3 +37,76 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _is_as_int(node) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_int"
+
+
+def _counted(node, names: set[str]) -> bool:
+    """Whether ``node`` holds an ``as_int`` call or a name bound to one's result."""
+    return any(_is_as_int(n) or ast.unparse(n) in names for n in ast.walk(node))
+
+
+def _field_set(node):
+    """``(field, value)`` of ``object.__setattr__(self, "field", value)``, else None."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+        target, name, value = node.args
+        if isinstance(name, ast.Constant):
+            return f"{ast.unparse(target)}.{name.value}", value
+    return None
+
+
+def bounded_counts(source: str) -> list[str]:
+    """``line N`` for each one-sided comparison of a number with a count from
+    ``as_int``: the call itself, a walrus or a name bound to it, a field that
+    ``object.__setattr__`` set to it, or a loop variable over such a name.
+    Its ``low`` owns that bound; a range ``lo <= n < hi`` is left alone."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        names, size = set(), -1
+        while size < len(names):  # bind names until no new one appears
+            size = len(names)
+            for node in ast.walk(func):
+                if isinstance(node, (ast.Assign, ast.NamedExpr)) and _counted(node.value, names):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    names.update(map(ast.unparse, targets))
+                elif isinstance(node, ast.comprehension) and _counted(node.iter, names):
+                    names.add(ast.unparse(node.target))
+                elif (field := _field_set(node)) and _counted(field[1], names):
+                    names.add(field[0])
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Compare) or len(node.ops) > 1:
+                continue
+            sides = [node.left, *node.comparators]
+            count = any(
+                _is_as_int(x) or ast.unparse(x) in names
+                or isinstance(x, ast.NamedExpr) and _is_as_int(x.value)
+                for x in sides
+            )
+            number = any(isinstance(x, ast.Constant) and type(x.value) in (int, float) for x in sides)
+            if count and number:
+                found.add(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+def test_the_check_finds_a_bound_that_as_int_could_own():
+    source = (
+        "def f(self, a, b, c, ks):\n"
+        "    if (a := as_int(a, 'a')) < 0: pass\n"
+        "    b = as_int(b, 'b')\n"
+        "    if b < 1 or as_int(c, 'c') > 9: pass\n"
+        "    object.__setattr__(self, 'seed', as_int(self.seed, 'seed'))\n"
+        "    if 0 > self.seed: pass\n"
+        "    ks = tuple(as_int(k, 'K') for k in ks)\n"
+        "    if any(k < 1 for k in ks): pass\n"
+        "    if 0 <= as_int(c, 'c') < 4 or b < self.n or as_int(a, 'a', 0) == a: pass\n"
+    )
+    assert bounded_counts(source) == [f"line {n}" for n in (2, 4, 6, 8)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_bounds_a_count_that_as_int_returned(path):
+    assert bounded_counts(path.read_text(encoding="utf-8")) == []

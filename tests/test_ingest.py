@@ -49,7 +49,7 @@ TABLES = {
     "node layers": (
         parse_node_layers,
         lambda i: f"N{i}\tsender",
-        {"count": ["N", "N\tsender\textra"], "empty": ["N\t\tsender"]},
+        {"count": ["N", "N\tsender\textra"], "empty": ["N\t\tsender"], "repeat": ["N0\tligand"]},
     ),
     "label pairs": (
         parse_label_pairs,
@@ -287,9 +287,10 @@ def test_edge_list_reader_matches_the_row_reader(text, block):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_pair_tables_match_the_row_reader(data):
+    # a node label appears once in a valid layer table; a repeat is planted above
     layers = data.draw(tables(data.draw(st.lists(
         st.tuples(LABEL, st.sampled_from(["sender", "ligand", "Receptor"])).map(list),
-        min_size=1, max_size=12,
+        min_size=1, max_size=12, unique_by=lambda row: row[0],
     ))))
     assert parse_node_layers(layers) == [tuple(f) for f in _rows(layers)]
     pairs = data.draw(tables(data.draw(st.lists(
