@@ -491,29 +491,49 @@ def graph_stats(g: LabeledGraph) -> dict:
 # Cell-cell interaction graphs
 # ---------------------------------------------------------------------------
 
+def _check_hops(labels, layer: np.ndarray, pairs: np.ndarray) -> None:
+    """Name the first id pair that does not step from a layer to the next; a
+    label that is no node has layer -2, which no hop reaches or leaves."""
+    bad = np.flatnonzero(layer[pairs[:, 1]] - layer[pairs[:, 0]] != 1)
+    if bad.size:
+        (u, v), (du, dv) = (labels[i] for i in pairs[bad[0]]), layer[pairs[bad[0]]]
+        if min(du, dv) < 0:
+            raise CciValidationError(f"edge ({u}, {v}): unknown node {u if du < 0 else v!r}")
+        kind = "intra-layer" if du == dv else "reverse-direction" if dv < du else "layer-skipping"
+        hop = f"{u} [{CCI_LAYERS[du]}] -> {v} [{CCI_LAYERS[dv]}]"
+        raise CciValidationError(f"{kind} edge ({hop}) is not allowed")
+
+
 @dataclass(frozen=True)
 class PartitionedCciGraph:
     """Directed four-partite cell-cell interaction graph.
 
-    Every node belongs to exactly one layer of :data:`CCI_LAYERS` and every
-    edge connects adjacent layers in the forward direction, so each valid
-    communication path is a three-hop ``sender -> ligand -> receptor ->
-    receiver`` chain.
+    ``layer``, a read-only int64 array, holds each node's position (0..3) in
+    :data:`CCI_LAYERS`.  Construction rejects an undirected graph and any
+    edge that does not step from a layer to the next, so each valid path is
+    a ``sender -> ligand -> receptor -> receiver`` chain.
     """
 
     graph: LabeledGraph
-    layer_of: tuple[str, ...]
+    layer: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.layer_of) != self.graph.n:
+        g, layer = self.graph, np.asarray(self.layer)
+        if layer.shape != (g.n,):
             raise CciValidationError("one layer assignment per node is required")
-        object.__setattr__(self, "layer_of", tuple(self.layer_of))
+        if not g.directed:
+            raise CciValidationError("a CCI graph must be directed")
+        if (bad := np.flatnonzero(~np.isin(layer, range(len(CCI_LAYERS))))).size:
+            value = layer.tolist()[bad[0]]
+            raise CciValidationError(f"node {g.labels[bad[0]]!r}: layer {value!r} is not in 0..3")
+        object.__setattr__(self, "layer", _frozen(layer.astype(np.int64)))
+        _check_hops(g.labels, self.layer, g.edges)
 
     def layer_counts(self) -> dict[str, int]:
-        return {layer: self.layer_of.count(layer) for layer in CCI_LAYERS}
+        return dict(zip(CCI_LAYERS, np.bincount(self.layer, minlength=len(CCI_LAYERS)).tolist()))
 
     def nodes_in_layer(self, layer: str) -> list[int]:
-        return [i for i, lay in enumerate(self.layer_of) if lay == layer]
+        return np.flatnonzero(self.layer == CCI_LAYERS.index(layer)).tolist()
 
 
 def build_cci_graph(nodes, edges) -> PartitionedCciGraph:
@@ -524,50 +544,29 @@ def build_cci_graph(nodes, edges) -> PartitionedCciGraph:
     nodes : iterable of (label, layer)
         Layer must be one of :data:`CCI_LAYERS`.
     edges : iterable of (label, label)
-        Directed edges; both endpoints must exist and the target layer must
-        be the successor of the source layer.
+        Directed edges between nodes, each from a layer to the next.
 
     Raises
     ------
     CciValidationError
-        On unknown layers, duplicate nodes, missing endpoints, intra-layer,
-        layer-skipping or reverse-direction edges (naming the edge).
+        On an unknown layer or a duplicate node, else naming the first edge
+        with a missing endpoint or an intra-layer, layer-skipping or reverse hop.
     """
-    seen: dict[str, str] = {}
-    for label, layer in nodes:
-        label = str(label).strip()
-        layer = str(layer).strip().lower()
-        if layer not in CCI_LAYERS:
+    index, layer = {}, []
+    for label, name in nodes:
+        label, name = str(label).strip(), str(name).strip().lower()
+        if name not in CCI_LAYERS:
             raise CciValidationError(
-                f"node {label!r}: unknown layer {layer!r} "
-                f"(expected one of {', '.join(CCI_LAYERS)})"
+                f"node {label!r}: unknown layer {name!r} (expected one of {', '.join(CCI_LAYERS)})"
             )
-        if label in seen:
+        if label in index:
             raise CciValidationError(f"duplicate node label {label!r}")
-        seen[label] = layer
-    rank = {layer: i for i, layer in enumerate(CCI_LAYERS)}
-    pairs = []
-    for u, v in edges:
-        u, v = str(u).strip(), str(v).strip()
-        for endpoint in (u, v):
-            if endpoint not in seen:
-                raise CciValidationError(
-                    f"edge ({u}, {v}): unknown node {endpoint!r}"
-                )
-        du, dv = rank[seen[u]], rank[seen[v]]
-        if dv != du + 1:
-            if du == dv:
-                kind = "intra-layer edge"
-            elif dv < du:
-                kind = "reverse-direction edge"
-            else:
-                kind = "layer-skipping edge"
-            raise CciValidationError(
-                f"{kind} ({u} [{seen[u]}] -> {v} [{seen[v]}]) is not allowed"
-            )
-        pairs.append((u, v))
-    g = graph_from_edges(pairs, directed=True, nodes=seen)
-    return PartitionedCciGraph(g, tuple(seen.values()))
+        index[label] = len(layer)
+        layer.append(CCI_LAYERS.index(name))
+    ids = _label_ids([str(end).strip() for u, v in edges for end in (u, v)], index)
+    layer = np.array(layer + [-2] * (len(index) - len(layer)), dtype=np.int64)
+    _check_hops(tuple(index), layer, ids.reshape(-1, 2))
+    return PartitionedCciGraph(_indexed_graph(index, ids, np.ones(ids.size // 2), True), layer)
 
 
 def symmetrized_view(cci: PartitionedCciGraph) -> LabeledGraph:

@@ -219,10 +219,9 @@ def walk_support_subgraph(
     prof = _finite_rows(profiles, "profiles")
     if prof.shape != (g.n, g.n):
         raise ValueError(f"profiles must have shape ({g.n}, {g.n}), got {prof.shape}")
-    # every edge joins a layer to the next, so reach spreads one layer per hop:
-    # forward from the senders, then backward from the target receivers
-    layer = np.array([CCI_LAYERS.index(lay) for lay in cci.layer_of])
-    last = len(CCI_LAYERS) - 1
+    # PartitionedCciGraph has every edge step one layer forward, so reach spreads
+    # one layer per hop: forward from the senders, then backward from the target receivers
+    layer, last = cci.layer, len(CCI_LAYERS) - 1
     tails, heads = g.edges.T
     hop, ok = layer[tails], prof[tails, heads] >= epsilon
     reached = layer == 0

@@ -595,7 +595,7 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
                 f"the {walker} report writer exited with status {code}")
     manifest_walkers = {
         walker: {kind: path.name for kind, path in paths.items()}
-        | {"support_edges": int(output.support.edge_count), "zero_rows": list(output.zero_rows)}
+        | {"support_edges": output.support.edge_count, "zero_rows": list(output.zero_rows)}
         for walker, paths, output in jobs
     }
     manifest_path = out / CCI_MANIFEST_JSON
@@ -603,14 +603,8 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
         manifest_path,
         {
             "config": asdict(result.config),
-            "layers": {
-                layer: int(count)
-                for layer, count in result.cci.layer_counts().items()
-            },
-            "graph": {
-                "nodes": int(result.cci.graph.n),
-                "edges": int(result.cci.graph.edge_count),
-            },
+            "layers": result.cci.layer_counts(),
+            "graph": {"nodes": result.cci.graph.n, "edges": result.cci.graph.edge_count},
             "walkers": manifest_walkers,
         },
     )

@@ -9,6 +9,7 @@ turned into an error; and the import-set tests.
 """
 
 import argparse
+import hashlib
 import json
 import re
 import subprocess
@@ -720,6 +721,23 @@ def test_cci_writes_reports(data, capsys):
     assert support[1:] == ["S1\tL1", "L1\tR1", "R1\tC1"]
     manifest = json.loads((Path(data["out"]) / "cci_manifest.json").read_text())
     assert manifest["config"]["targets"] == ["C1"]
+
+
+def test_cci_reports_on_the_fixture_match_their_recorded_digests(tmp_path, monkeypatch):
+    # tests/golden/cci_c1.sha256 holds each report's sha256 as ``sha256sum``
+    # writes it; the manifest records the input paths as given, so the run
+    # starts in the repository root and names them as the golden run did
+    monkeypatch.chdir(FIXTURES.parent)
+    code = cli.main([
+        "cci", "--nodes", "data/cci_nodes.tsv", "--edges", "data/cci_edges.tsv",
+        "--targets", "C1", "--steps", "5", "--epsilon", "0.2", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    golden = (Path(__file__).resolve().parent / "golden" / "cci_c1.sha256").read_text()
+    recorded = {name: digest for digest, name in map(str.split, golden.splitlines())}
+    reports = (tmp_path / "out").iterdir()
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in reports}
+    assert len(recorded) == 7 and written == recorded
 
 
 def test_cci_unknown_target_is_exit_1(data, capsys):

@@ -10,6 +10,7 @@ from scipy.sparse import csgraph
 
 from netqwalk import classical, ctqrw, dtqrw, metrics
 from netqwalk.graphs import (
+    CCI_LAYERS,
     CciValidationError,
     ComponentDecomposition,
     GraphFormatError,
@@ -32,7 +33,8 @@ from netqwalk.graphs import (
     weak_labels,
 )
 from netqwalk.pipeline import CciConfig, ExperimentConfig
-from graph_strategies import edge_lists, small_graphs
+from graph_strategies import cci_tables, edge_lists, small_graphs
+from walk_oracles import cci_graph_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +378,66 @@ def test_a_cci_graph_needs_one_layer_per_node():
     layers = ("sender",) * (g.n - 1)
     with pytest.raises(CciValidationError, match="^one layer assignment per node is required$"):
         PartitionedCciGraph(g, layers)
+
+
+def _hand_built(edges, layer=(0, 0, 1, 2, 3), directed=True):
+    g = graph_from_edges(edges, directed=directed, nodes=[label for label, _ in CCI_NODES])
+    return PartitionedCciGraph(g, layer)
+
+
+@pytest.mark.parametrize("edge, kind", [
+    (("S1", "C1"), "layer-skipping"),
+    (("R1", "L1"), "reverse-direction"),
+    (("S1", "S2"), "intra-layer"),
+])
+def test_a_hand_built_cci_graph_rejects_a_hop_that_is_not_one_layer_forward(edge, kind):
+    # walk_support_subgraph reads every edge as one hop forward; an edge
+    # S1 -> C1 lies on no three-hop path, but its support once kept it
+    layer = dict(CCI_NODES)
+    message = f"{kind} edge ({edge[0]} [{layer[edge[0]]}] -> {edge[1]} [{layer[edge[1]]}])"
+    with pytest.raises(CciValidationError, match=f"^{re.escape(message)} is not allowed$"):
+        _hand_built(CCI_EDGES + [edge])
+
+
+@pytest.mark.parametrize("layer, named", [
+    ((0, 0, 1, 2, 4), "node 'C1': layer 4"),
+    ((0, 0, 1, 2, -1), "node 'C1': layer -1"),
+    (("sender", "sender", "ligand", "receptor", "bogus"), "node 'S1': layer 'sender'"),
+])
+def test_a_cci_graph_rejects_a_layer_that_is_no_position_in_cci_layers(layer, named):
+    # a tuple of names once passed, and a name outside CCI_LAYERS then failed
+    # in the support subgraph with a bare ``tuple.index(x): x not in tuple``
+    with pytest.raises(CciValidationError, match=f"^{re.escape(named)} is not in 0..3$"):
+        _hand_built(CCI_EDGES, layer)
+
+
+def test_a_cci_graph_rejects_an_undirected_graph():
+    with pytest.raises(CciValidationError, match="^a CCI graph must be directed$"):
+        _hand_built(CCI_EDGES, directed=False)
+
+
+def test_a_cci_graph_holds_its_layers_as_a_read_only_index_array():
+    cci = _hand_built(CCI_EDGES, [0, 0, 1, 2, 3])
+    assert cci.layer.dtype == np.int64 and cci.layer.tolist() == [0, 0, 1, 2, 3]
+    with pytest.raises(ValueError, match="read-only"):
+        cci.layer[0] = 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(cci_tables())
+def test_build_cci_graph_matches_the_per_edge_oracle(tables):
+    try:
+        want, layers = cci_graph_oracle(*tables)
+    except Exception as exc:  # the same error, with the same message
+        with pytest.raises(type(exc)) as got:
+            build_cci_graph(*tables)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    cci = build_cci_graph(*tables)
+    assert cci.graph.labels == want.labels and cci.graph.directed
+    assert np.array_equal(cci.graph.edges, want.edges)
+    assert np.array_equal(cci.graph.weights, want.weights)
+    assert tuple(CCI_LAYERS[i] for i in cci.layer) == layers
 
 
 def test_symmetrized_view_same_nodes_undirected():

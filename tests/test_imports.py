@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports, and leaves the
-lower bound of a count to ``graphs.as_int``.
+"""Every module of the package uses each name it imports, reads each
+private name it defines somewhere in the package, and leaves the lower
+bound of a count to ``graphs.as_int``.
 
 No linter ships with the test dependencies, so this parses the modules
 with ``ast``: an imported name that no ``Name`` node of its module reads
 is unused.  ``__init__.py`` is skipped, because it imports to re-export.
+A module-level ``_name`` that no ``Name`` or attribute of any module of
+the package reads is dead.
 """
 
 import ast
@@ -37,6 +40,49 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level ``_name``, a function, a class
+    or a constant, that no module of ``sources`` reads by name or attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}: {name}" for name in names
+                      if name[0] == "_" and name[:2] != "__" and name not in read]
+    return found
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": (
+            "__version__ = '1'\n_LIMIT, _SPARE = 3, 4\n_TYPED: int = 5\n"
+            "def _helper():\n    return _LIMIT\n"
+            "def _dead():\n    pass\n"
+            "class _Box:\n    pass\n"
+        ),
+        "b": "import a\nfrom a import _helper\n_helper(a._Box)\n",
+    }
+    assert unread_private_names(sources) == ["a: _SPARE", "a: _TYPED", "a: _dead"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []
 
 
 def _is_as_int(node) -> bool:

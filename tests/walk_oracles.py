@@ -7,12 +7,16 @@ from ``netqwalk.classical``, ``netqwalk.ctqrw``, ``netqwalk.dtqrw`` or
 kernels' normalization, their rule for dangling nodes (nodes with no
 outgoing weight), their Hamiltonian assembly, their exponential, or the
 coined walk's arc enumeration, coin and shift.
+
+``cci_graph_oracle`` checks a CCI graph's rows one at a time and builds
+it through :func:`graph_from_edges`, where ``build_cci_graph`` checks
+every hop in one array operation.
 """
 
 import numpy as np
 import scipy.linalg
 
-from netqwalk.graphs import adjacency_matrix, graph_from_edges
+from netqwalk.graphs import CCI_LAYERS, CciValidationError, adjacency_matrix, graph_from_edges
 
 
 def _outgoing(g):
@@ -151,6 +155,46 @@ def coined_walk_unitary_in(g, tails, heads):
     own = {arc: a for a, arc in enumerate(zip(own_tails.tolist(), own_heads.tolist()))}
     order = [own[arc] for arc in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist())]
     return u[np.ix_(order, order)]
+
+
+def cci_graph_oracle(nodes, edges):
+    """``(graph, layers)`` of the node rows ``(label, layer)`` and the edge
+    rows ``(u, v)``: ``layers`` names each node's layer.  The first bad node
+    row, then the first bad edge row, raises a CciValidationError."""
+    seen: dict[str, str] = {}
+    for label, layer in nodes:
+        label = str(label).strip()
+        layer = str(layer).strip().lower()
+        if layer not in CCI_LAYERS:
+            raise CciValidationError(
+                f"node {label!r}: unknown layer {layer!r} "
+                f"(expected one of {', '.join(CCI_LAYERS)})"
+            )
+        if label in seen:
+            raise CciValidationError(f"duplicate node label {label!r}")
+        seen[label] = layer
+    rank = {layer: i for i, layer in enumerate(CCI_LAYERS)}
+    pairs = []
+    for u, v in edges:
+        u, v = str(u).strip(), str(v).strip()
+        for endpoint in (u, v):
+            if endpoint not in seen:
+                raise CciValidationError(
+                    f"edge ({u}, {v}): unknown node {endpoint!r}"
+                )
+        du, dv = rank[seen[u]], rank[seen[v]]
+        if dv != du + 1:
+            if du == dv:
+                kind = "intra-layer edge"
+            elif dv < du:
+                kind = "reverse-direction edge"
+            else:
+                kind = "layer-skipping edge"
+            raise CciValidationError(
+                f"{kind} ({u} [{seen[u]}] -> {v} [{seen[v]}]) is not allowed"
+            )
+        pairs.append((u, v))
+    return graph_from_edges(pairs, directed=True, nodes=seen), tuple(seen.values())
 
 
 def support_oracle(cci, profiles, targets, epsilon):
