@@ -11,7 +11,6 @@ import numpy as np
 
 from netqwalk.graphs import (
     adjacency_matrix,
-    connected_components,
     degree_vector,
     graph_from_edges,
     graph_stats,
@@ -43,8 +42,8 @@ with np.printoptions(precision=2, suppress=True):
 
 # component decomposition: every pipeline restricts itself to the
 # greatest component before walking, so detached fragments never rank
-comp = connected_components(g)
-print("\nfragments:", comp.count, "sizes:", comp.sizes.tolist())
+sizes = np.bincount(g.components)  # g.components: each node's component id
+print("\nfragments:", sizes.size, "sizes:", sorted(sizes.tolist(), reverse=True))
 gc = greatest_component(g)
 print("greatest component keeps:", gc.labels)
 

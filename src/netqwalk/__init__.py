@@ -55,7 +55,6 @@ from .graphs import (
     PartitionedCciGraph,
     adjacency_matrix,
     build_cci_graph,
-    connected_components,
     degree_vector,
     graph_from_edges,
     graph_stats,

@@ -27,7 +27,7 @@ POWER_MAX_ITER = 100_000
 POWER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Row-normalized transition matrix and the mask of its dangling nodes.
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcIndex:
     """Sorted arc enumeration of an undirected graph.
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,24 +61,23 @@ class ConvergenceError(RuntimeError):
     """Iterative kernel failed to reach the requested tolerance."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SparseHermitian:
     """Sparse Hermitian matrix with cached spectral data.
 
     The wrapped matrix is validated to be square, entrywise finite and
-    Hermitian within 1e-12.  Instances are treated as immutable; the
-    eigendecomposition and the spectral-norm estimate are computed once
-    on demand and reused across evolutions.
+    Hermitian within 1e-12.  It is held as float64 when every entry is
+    real and as complex128 otherwise.  The eigendecomposition and the
+    spectral-norm estimate are computed once, on first use, and reused
+    across evolutions.
     """
 
     matrix: sp.csr_matrix
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _norm: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = sp.csr_matrix(self.matrix, dtype=np.complex128)
+        m = sp.csr_matrix(self.matrix)
+        real = not m.data.imag.any()
+        m = (m.real if real else m).astype(np.float64 if real else np.complex128)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix must be square, got shape {m.shape}")
         if m.nnz and not np.all(np.isfinite(m.data)):
@@ -88,7 +87,7 @@ class SparseHermitian:
             raise HermiticityError(
                 f"matrix deviates from Hermitian by {np.abs(dev.data).max():g}"
             )
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
@@ -96,38 +95,34 @@ class SparseHermitian:
 
     @property
     def is_real(self) -> bool:
-        return self.matrix.nnz == 0 or float(np.abs(self.matrix.data.imag).max()) == 0.0
+        return self.matrix.dtype == np.float64
 
+    @cached_property
     def eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         """Dense eigendecomposition (w, V) with H = V diag(w) V^dagger.
 
         For a real H the decomposition runs in real arithmetic and V is a
         real orthogonal float64 matrix; otherwise V is complex unitary.
         """
-        if self._eig is None:
-            import scipy.linalg  # only the continuous walkers pay for it
+        import scipy.linalg  # only the continuous walkers pay for it
 
-            m = self.matrix.real if self.is_real else self.matrix
-            # a Fortran-ordered array is not copied; LAPACK writes V over it
-            self._eig = scipy.linalg.eigh(m.toarray(order="F"), driver="evd", overwrite_a=True)
-        return self._eig
+        # a Fortran-ordered array is not copied; LAPACK writes V over it
+        return scipy.linalg.eigh(self.matrix.toarray(order="F"), driver="evd", overwrite_a=True)
 
+    @cached_property
     def norm_estimate(self) -> float:
         """Spectral norm estimate from 20 power iterations."""
-        if self._norm is None:
-            rng = np.random.default_rng(1905)
-            v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
-            v /= np.linalg.norm(v)
-            est = 0.0
-            for _ in range(20):
-                w = self.matrix @ v
-                est = np.linalg.norm(w)
-                if est == 0.0:  # almost surely a zero matrix
-                    break
-                v = w / est
-            # modest inflation: power iteration only approaches the norm
-            self._norm = 1.1 * float(est)
-        return self._norm
+        rng = np.random.default_rng(1905)
+        v = rng.standard_normal(self.n) + 1j * rng.standard_normal(self.n)
+        v /= np.linalg.norm(v)
+        for _ in range(20):
+            w = self.matrix @ v
+            est = np.linalg.norm(w)
+            if est == 0.0:  # almost surely a zero matrix
+                break
+            v = w / est
+        # modest inflation: power iteration only approaches the norm
+        return 1.1 * float(est)
 
 
 def as_hermitian(matrix) -> SparseHermitian:
@@ -151,7 +146,7 @@ def _real_matmul(m: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _dense_apply(op: SparseHermitian, v: np.ndarray, unit: complex, times) -> np.ndarray:
     """The columns ``exp(unit * t * H) v`` of ``times``: one projection, one product."""
-    w, vec = op.eigendecomposition()
+    w, vec = op.eigendecomposition
     phase = np.exp(np.outer(w, unit * times))
     if np.iscomplexobj(vec):
         # V^dagger v without materialising the conjugate transpose of V
@@ -262,12 +257,12 @@ def _krylov_action(op: SparseHermitian, v: np.ndarray, unit: complex, times, out
     """Write exp(unit * t * H) v into ``out[i]`` for each nonzero ``t = times[i]``:
     one pass per sign, each time in the substep of integer index ``|t| // dt``."""
     t = times[np.abs(times).argmax()]
-    if op.norm_estimate() * abs(t) / SPLIT_BOUND > _MAX_SUBSTEPS:
+    if op.norm_estimate * abs(t) / SPLIT_BOUND > _MAX_SUBSTEPS:
         raise ValueError(f"evolution time {t:g} needs more than {_MAX_SUBSTEPS} Lanczos substeps")
     for sign in np.unique(np.sign(times[times != 0])):
         rows = np.flatnonzero(np.sign(times) == sign)
         span = sign * times[rows]
-        n_sub = max(1, int(np.ceil(op.norm_estimate() * span.max() / SPLIT_BOUND)))
+        n_sub = max(1, int(np.ceil(op.norm_estimate * span.max() / SPLIT_BOUND)))
         for _ in range(4):
             if _substeps(op.matrix, v, sign * unit, span, n_sub, out, rows):
                 break
@@ -333,8 +328,7 @@ def real_expm_action(generator, p, t) -> np.ndarray:
     op = as_hermitian(generator)
     if not op.is_real:
         raise HermiticityError("diffusion generator must be a real symmetric matrix")
-    rows = op.matrix.real
-    sums, scale = (np.asarray(m.sum(axis=1)).ravel() for m in (rows, abs(rows)))
+    sums, scale = (np.asarray(m.sum(axis=1)).ravel() for m in (op.matrix, abs(op.matrix)))
     if (bad := np.flatnonzero(np.abs(sums) > 1e-12 * scale)).size:
         raise ValueError(f"diffusion generator row {bad[0]} sums to {sums[bad[0]]:g}, not 0")
     if (np.asarray(t) < 0).any():

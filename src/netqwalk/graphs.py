@@ -22,6 +22,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, count, repeat
 from pathlib import Path
 
@@ -90,6 +91,9 @@ class LabeledGraph:
         Whether edges are ordered pairs.
     weights : ndarray of shape (m,)
         Nonnegative edge weights (1.0 for unweighted input).
+
+    Graphs compare by value (labels, direction, and ``np.array_equal``
+    edges and weights) and hash by their labels and direction.
     """
 
     labels: tuple[str, ...]
@@ -97,9 +101,6 @@ class LabeledGraph:
     directed: bool = False
     weights: np.ndarray | None = None
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _components: ComponentDecomposition | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
@@ -152,6 +153,24 @@ class LabeledGraph:
 
     def __contains__(self, label: object) -> bool:
         return label in self._index
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledGraph):
+            return NotImplemented
+        return (
+            (self.labels, self.directed) == (other.labels, other.directed)
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.weights, other.weights)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.directed))
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """Read-only weak-component id of each node (:func:`weak_labels`):
+        every stored edge joins its ends, whatever its weight or direction."""
+        return _frozen(weak_labels(self.n, self.edges))
 
 
 def _merge_edges(
@@ -381,30 +400,6 @@ def laplacian(g: LabeledGraph) -> sp.csr_matrix:
 # Connectivity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Connected-component labelling of a graph.
-
-    ``component_of[i]`` is the component id of node ``i`` and ``sizes``
-    holds the component sizes sorted in descending order.
-    """
-
-    component_of: np.ndarray
-    sizes: np.ndarray
-
-    def __post_init__(self) -> None:
-        comp = np.asarray(self.component_of, dtype=np.int64)
-        sizes = np.asarray(self.sizes, dtype=np.int64)
-        if comp.size and sizes.sum() != comp.size:
-            raise ValueError("component sizes must sum to the node count")
-        object.__setattr__(self, "component_of", _frozen(comp))
-        object.__setattr__(self, "sizes", _frozen(sizes))
-
-    @property
-    def count(self) -> int:
-        return int(self.sizes.size)
-
-
 def weak_labels(n: int, edges: np.ndarray) -> np.ndarray:
     """Weak-component id of each of ``n`` nodes joined by the index pairs
     ``edges``; ids count up in the order of each component's smallest node.
@@ -422,18 +417,6 @@ def weak_labels(n: int, edges: np.ndarray) -> np.ndarray:
         np.minimum.at(root, np.maximum(a, b)[split], np.minimum(a, b)[split])
         while not np.array_equal(jumped := root[root], root):
             root = jumped
-
-
-def connected_components(g: LabeledGraph) -> ComponentDecomposition:
-    """Decompose ``g`` into (weakly) connected components, once per graph.
-
-    Every stored edge joins its ends, whatever its weight or direction.
-    """
-    if g._components is None:
-        comp = weak_labels(g.n, g.edges)
-        sizes = np.sort(np.bincount(comp))[::-1]
-        object.__setattr__(g, "_components", ComponentDecomposition(comp, sizes))
-    return g._components
 
 
 def node_subgraph(g: LabeledGraph, node_indices) -> LabeledGraph:
@@ -467,20 +450,17 @@ def greatest_component(g: LabeledGraph) -> LabeledGraph:
     """
     if g.n == 0:
         return g
-    comp = connected_components(g).component_of
-    return node_subgraph(g, np.flatnonzero(comp == _greatest_id(g, comp)))
+    return node_subgraph(g, np.flatnonzero(g.components == _greatest_id(g, g.components)))
 
 
 def graph_stats(g: LabeledGraph) -> dict:
     """Node/edge/fragment counts for the graph and its greatest component."""
-    decomp = connected_components(g)
-    in_gc = np.zeros(g.n, dtype=bool)
-    if g.n:
-        in_gc = decomp.component_of == _greatest_id(g, decomp.component_of)
+    comp = g.components
+    in_gc = comp == (_greatest_id(g, comp) if g.n else -1)
     return {
         "nodes": g.n,
         "edges": g.edge_count,
-        "fragments": decomp.count,
+        "fragments": int(comp.max(initial=-1)) + 1,
         "gc_nodes": int(in_gc.sum()),
         # both ends of an edge lie in one component
         "gc_edges": int(in_gc[g.edges[:, 0]].sum()),
@@ -511,11 +491,20 @@ class PartitionedCciGraph:
     ``layer``, a read-only int64 array, holds each node's position (0..3) in
     :data:`CCI_LAYERS`.  Construction rejects an undirected graph and any
     edge that does not step from a layer to the next, so each valid path is
-    a ``sender -> ligand -> receptor -> receiver`` chain.
+    a ``sender -> ligand -> receptor -> receiver`` chain.  Two compare equal
+    when their graphs and layers do.
     """
 
     graph: LabeledGraph
     layer: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartitionedCciGraph):
+            return NotImplemented
+        return self.graph == other.graph and np.array_equal(self.layer, other.layer)
+
+    def __hash__(self) -> int:
+        return hash(self.graph)
 
     def __post_init__(self) -> None:
         g, layer = self.graph, np.asarray(self.layer)

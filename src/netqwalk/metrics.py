@@ -25,7 +25,7 @@ TIE_RTOL = 1e-12
 TIE_ATOL = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankedList:
     """Ordered predictions, best first, with the score behind each rank."""
 

@@ -479,7 +479,7 @@ class CciConfig:
         _reject_repeats(self.targets, "target")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CciWalkerOutput:
     """Profiles and support subgraph for one walker; ``emit_cci_reports``
     writes the profiles' pairwise distances in row blocks."""

@@ -82,11 +82,21 @@ def test_wrapper_accepts_hermitian_and_reports_reality():
     assert hr.n == 6
 
 
+def test_wrapper_holds_a_real_matrix_as_float64():
+    # a complex input whose imaginary parts are all zero is real
+    for m in (np.eye(2, dtype=int), np.array([[0, 1], [1, 0]], dtype=complex)):
+        assert SparseHermitian(sp.csr_matrix(m)).matrix.dtype == np.float64
+    h = SparseHermitian(sp.csr_matrix(np.array([[0, 1j], [-1j, 0]])))
+    assert h.matrix.dtype == np.complex128 and not h.is_real
+    with pytest.raises(AttributeError):
+        h.matrix = sp.csr_matrix(np.eye(2))
+
+
 def test_wrapper_caches_eigendecomposition():
     rng = np.random.default_rng(8)
     op = SparseHermitian(random_hermitian(rng, 5))
-    w1, v1 = op.eigendecomposition()
-    w2, v2 = op.eigendecomposition()
+    w1, v1 = op.eigendecomposition
+    w2, v2 = op.eigendecomposition
     assert w1 is w2 and v1 is v2
     # and it actually diagonalizes the matrix
     rec = v1 @ np.diag(w1) @ v1.conj().T
@@ -110,7 +120,7 @@ def test_real_generator_gives_real_orthogonal_eigenvectors():
         ctqrw.build_hamiltonian(g, "adjacency"),
         as_hermitian(laplacian(g)),
     ):
-        w, v = h.eigendecomposition()
+        w, v = h.eigendecomposition
         assert w.dtype == np.float64 and v.dtype == np.float64
         assert np.abs(v.T @ v - np.eye(g.n)).max() < 1e-13
         dense = h.matrix.toarray().real
@@ -122,7 +132,7 @@ def test_chiral_generator_keeps_complex_eigenvectors():
     g = random_graph(rng, 60, 120)
     h = ctqrw.build_hamiltonian(g, "chiral", ctqrw.random_chiral_phases(g, 3))
     assert not h.is_real
-    w, v = h.eigendecomposition()
+    w, v = h.eigendecomposition
     assert w.dtype == np.float64 and v.dtype == np.complex128
     assert np.abs(v.conj().T @ v - np.eye(g.n)).max() < 1e-13
     assert np.abs(v @ np.diag(w) @ v.conj().T - h.matrix.toarray()).max() < 1e-12
@@ -141,7 +151,7 @@ def test_the_eigendecomposition_holds_one_dense_matrix_at_its_peak(hamiltonian, 
     h = ctqrw.build_hamiltonian(g, hamiltonian, phases)
     tracemalloc.start()
     try:
-        w, v = h.eigendecomposition()
+        w, v = h.eigendecomposition
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -191,7 +201,7 @@ def test_norm_estimate_brackets_spectral_norm():
     for _ in range(10):
         op = SparseHermitian(random_hermitian(rng, 12))
         true = np.abs(scipy.linalg.eigvalsh(op.matrix.toarray())).max()
-        est = op.norm_estimate()
+        est = op.norm_estimate
         # inflated power-iteration estimate: never badly below the truth
         assert est >= 0.9 * true
         assert est <= 2.0 * true + 1e-12
@@ -307,7 +317,7 @@ def test_a_lanczos_block_takes_negative_unsorted_and_repeated_times(expm_kernel)
     rng = np.random.default_rng(32)
     h = as_hermitian(random_hermitian(rng, 24))
     v = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    horizon = 2.5 * expm.SPLIT_BOUND / h.norm_estimate()
+    horizon = 2.5 * expm.SPLIT_BOUND / h.norm_estimate
     times = np.array([-1.5, 0.7, 0.0, 3.0, -0.2, 0.7, horizon, -0.0, -horizon])
     rows = expm_action(h, v, times)
     for row, t in zip(rows, times):
@@ -614,6 +624,15 @@ def test_diffusion_rejects_negative_time_and_bad_p():
         real_expm_action(lap, np.array([0.5, 0.6]), 1.0)
     with pytest.raises(ValueError, match="negative"):
         real_expm_action(lap, np.array([1.5, -0.5]), 1.0)
+
+
+def test_diffusion_refuses_a_kernel_result_below_the_round_off_band(monkeypatch):
+    # a negative entry of -1e-3 is no round-off of a working kernel
+    monkeypatch.setattr(expm, "_action", lambda op, v, unit, t: np.array([0.6, 0.401, -1e-3]))
+    lap = laplacian(graph_from_edges([("a", "b"), ("b", "c")]))
+    message = r"^diffusion produced a negative probability -0\.001$"
+    with pytest.raises(ConvergenceError, match=message):
+        real_expm_action(lap, np.array([1.0, 0.0, 0.0]), 1.0)
 
 
 def test_diffusion_zero_time_exact():

@@ -1,5 +1,6 @@
-"""Tests for graph ingestion, components, and CCI validation."""
+"""Tests for graph ingestion, components, CCI validation and equality."""
 
+import pickle
 import re
 
 import numpy as np
@@ -12,14 +13,12 @@ from netqwalk import classical, ctqrw, dtqrw, metrics
 from netqwalk.graphs import (
     CCI_LAYERS,
     CciValidationError,
-    ComponentDecomposition,
     GraphFormatError,
     LabeledGraph,
     PartitionedCciGraph,
     _merge_edges,
     adjacency_matrix,
     build_cci_graph,
-    connected_components,
     degree_vector,
     graph_from_edges,
     graph_stats,
@@ -32,7 +31,7 @@ from netqwalk.graphs import (
     symmetrized_view,
     weak_labels,
 )
-from netqwalk.pipeline import CciConfig, ExperimentConfig
+from netqwalk.pipeline import CciConfig, CciWalkerOutput, ExperimentConfig
 from graph_strategies import cci_tables, edge_lists, small_graphs
 from walk_oracles import cci_graph_oracle
 
@@ -207,14 +206,9 @@ def test_connected_components_sizes_descend():
     g = graph_from_edges(
         [("a", "b"), ("b", "c"), ("x", "y"), ("p", "q"), ("q", "r"), ("r", "s")]
     )
-    comp = connected_components(g)
-    assert comp.count == 3
-    assert list(comp.sizes) == [4, 3, 2]
-
-
-def test_component_sizes_must_sum_to_the_node_count():
-    with pytest.raises(ValueError, match="^component sizes must sum to the node count$"):
-        ComponentDecomposition(np.array([0, 0, 1]), np.array([2, 2]))
+    sizes = np.bincount(g.components)
+    assert sizes.size == 3
+    assert sorted(sizes, reverse=True) == [4, 3, 2]
 
 
 def test_greatest_component_prefers_smallest_label_on_ties():
@@ -300,7 +294,7 @@ def test_component_labels_equal_csgraph(g):
     # csgraph numbers components by their smallest node and keeps a stored
     # zero weight as an edge
     expected = _csgraph_labels(adjacency_matrix(g), g.directed)
-    assert connected_components(g).component_of.tolist() == expected
+    assert g.components.tolist() == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -321,9 +315,8 @@ def test_a_shuffled_long_path_is_one_component():
     order = np.random.default_rng(5).permutation(n)
     edges = np.sort(np.stack([order[:-1], order[1:]], axis=1), axis=1)
     g = LabeledGraph(tuple(map(str, range(n))), edges)
-    comp = connected_components(g)
-    assert comp.count == 1
-    assert comp.component_of.tolist() == _csgraph_labels(adjacency_matrix(g), False)
+    assert g.components.max() == 0
+    assert g.components.tolist() == _csgraph_labels(adjacency_matrix(g), False)
 
 
 # ---------------------------------------------------------------------------
@@ -622,3 +615,65 @@ def test_parse_label_pairs():
     assert rows == [("A", "B"), ("B", "C")]
     with pytest.raises(GraphFormatError):
         parse_label_pairs("A\tB\tC\n")
+
+
+# ---------------------------------------------------------------------------
+# equality
+# ---------------------------------------------------------------------------
+
+def test_two_equal_graphs_compare_equal_and_hash_alike():
+    # the generated ``__eq__`` compared arrays inside tuples and raised
+    # "The truth value of an array ... is ambiguous" here
+    a = graph_from_edges([("a", "b"), ("b", "c")])
+    b = graph_from_edges([("a", "b"), ("b", "c")])
+    assert a == b and hash(a) == hash(b)
+    assert a != graph_from_edges([("a", "b"), ("b", "c")], directed=True)
+    assert a != graph_from_edges([("a", "b"), ("b", "c", 2.0)])
+    assert a != graph_from_edges([("a", "b"), ("a", "c")], nodes=["a", "b", "c"])
+    assert a != graph_from_edges([("a", "b"), ("b", "d")])
+    assert a != "a"
+
+
+def test_cci_graphs_compare_by_graph_and_layer():
+    a, b = (build_cci_graph(CCI_NODES + [("X", "sender")], CCI_EDGES) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    moved = build_cci_graph(CCI_NODES + [("X", "receiver")], CCI_EDGES)
+    assert moved.graph == a.graph and moved != a
+
+
+G = graph_from_edges([("a", "b"), ("b", "c")])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ctqrw.build_hamiltonian(G, "adjacency"),
+    lambda: dtqrw.arc_basis(G),
+    lambda: metrics.rank_by_probability([0.2, 0.5, 0.3]),
+    lambda: classical.row_stochastic(G),
+    lambda: CciWalkerOutput(np.zeros((3, 3)), G, ()),
+], ids=["SparseHermitian", "ArcIndex", "RankedList", "TransitionMatrix", "CciWalkerOutput"])
+def test_derived_types_compare_by_identity(make):
+    x, y = make(), make()
+    assert x == x and x != y
+    assert len({x, y}) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_a_graph_equals_its_rebuild_but_not_a_one_ulp_nudge(g):
+    rebuilt = LabeledGraph(g.labels, g.edges.copy(), g.directed, g.weights.copy())
+    assert rebuilt == g and hash(rebuilt) == hash(g)
+    assert {g: "value"}[rebuilt] == "value"
+    if g.edge_count:
+        weights = g.weights.copy()
+        weights[-1] = np.nextafter(weights[-1], np.inf)
+        assert LabeledGraph(g.labels, g.edges, g.directed, weights) != g
+
+
+def test_a_filled_component_cache_changes_neither_equality_nor_hash():
+    a, b = (graph_from_edges([("a", "b"), ("c", "d")]) for _ in range(2))
+    hashed = hash(a)
+    assert a.components.tolist() == [0, 0, 1, 1]
+    assert a.components is a.components and not a.components.flags.writeable
+    assert a == b and b == a and hash(a) == hash(b) == hashed
+    # the cache travels with a pickle, and the copy is still the same graph
+    assert pickle.loads(pickle.dumps(a)) == b

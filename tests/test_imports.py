@@ -1,6 +1,8 @@
 """Every module of the package uses each name it imports, reads each
-private name it defines somewhere in the package, and leaves the lower
-bound of a count to ``graphs.as_int``.
+private name it defines somewhere in the package, leaves the lower bound
+of a count to ``graphs.as_int``, sets a frozen field only in
+``__post_init__``, and gives each dataclass that holds an array an
+equality that does not raise.
 
 No linter ships with the test dependencies, so this parses the modules
 with ``ast``: an imported name that no ``Name`` node of its module reads
@@ -10,6 +12,7 @@ the package reads is dead.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -156,3 +159,76 @@ def test_the_check_finds_a_bound_that_as_int_could_own():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_bounds_a_count_that_as_int_returned(path):
     assert bounded_counts(path.read_text(encoding="utf-8")) == []
+
+
+def _setattr_calls(node) -> list[ast.Call]:
+    return [n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "object.__setattr__"]
+
+
+def stray_setattrs(source: str) -> list[str]:
+    """``line N`` for each ``object.__setattr__`` call outside a ``__post_init__``:
+    a value derived later is a ``functools.cached_property``."""
+    tree = ast.parse(source)
+    inits = [f for f in ast.walk(tree) if getattr(f, "name", None) == "__post_init__"]
+    allowed = {id(call) for f in inits for call in _setattr_calls(f)}
+    stray = sorted(call.lineno for call in _setattr_calls(tree) if id(call) not in allowed)
+    return [f"line {n}" for n in stray]
+
+
+def test_the_check_finds_a_frozen_field_set_outside_post_init():
+    source = (
+        "class A:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 1)\n"
+        "    def cache(self):\n"
+        "        object.__setattr__(self, '_y', 2)\n"
+        "def fill(a):\n"
+        "    object.__setattr__(a, '_z', 3)\n"
+    )
+    assert stray_setattrs(source) == ["line 5", "line 7"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_frozen_fields_are_set_only_in_post_init(path):
+    assert stray_setattrs(path.read_text(encoding="utf-8")) == []
+
+
+_ARRAY = re.compile(r"\b(np\.ndarray|sp\.|scipy\.sparse\.)")
+
+
+def array_dataclasses_without_eq(source: str) -> list[str]:
+    """Each dataclass with an ``np.ndarray`` or sparse field that neither
+    passes ``eq=False`` nor defines ``__eq__``: the generated ``__eq__``
+    compares the arrays inside tuples and raises on equal ones."""
+    found = []
+    for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
+        calls = [d for d in cls.decorator_list
+                 if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")]
+        if not calls:
+            continue
+        no_eq = any(ast.unparse(k) == "eq=False" for d in calls for k in getattr(d, "keywords", []))
+        has_eq = any(isinstance(n, ast.FunctionDef) and n.name == "__eq__" for n in cls.body)
+        arrays = any(isinstance(n, ast.AnnAssign) and _ARRAY.search(ast.unparse(n.annotation))
+                     for n in cls.body)
+        if arrays and not (no_eq or has_eq):
+            found.append(cls.name)
+    return found
+
+
+def test_the_check_finds_a_dataclass_whose_equality_compares_arrays():
+    source = (
+        "@dataclass(frozen=True)\nclass Raw:\n    a: np.ndarray | None\n"
+        "@dataclass\nclass Sparse:\n    m: sp.csr_matrix\n"
+        "@dataclass(frozen=True, eq=False)\nclass Derived:\n    a: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass Value:\n    a: np.ndarray\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "@dataclass\nclass Plain:\n    x: tuple\n"
+        "class NotData:\n    a: np.ndarray\n"
+    )
+    assert array_dataclasses_without_eq(source) == ["Raw", "Sparse"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_dataclass_that_holds_an_array_compares_without_raising(path):
+    assert array_dataclasses_without_eq(path.read_text(encoding="utf-8")) == []

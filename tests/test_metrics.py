@@ -108,6 +108,16 @@ def test_rank_matches_the_two_mergesort_oracle(case):
     assert np.array_equal(np.signbit(got.scores), np.signbit(scores))
 
 
+def test_values_a_relative_5e_12_apart_do_not_tie():
+    # the tie band at 0.5 is TIE_RTOL * 0.5 + TIE_ATOL = 5.1e-13, so a gap of
+    # 2.5e-12 ranks the larger value first; a band ten times wider would tie
+    # them and list node 0 first
+    low = 0.5 * (1 - 5e-12)
+    ranked = rank_by_probability([low, 0.5])
+    assert ranked.items == (1, 0)
+    assert ranked.scores.tolist() == [0.5, low]
+
+
 # ---------------------------------------------------------------------------
 # precision
 # ---------------------------------------------------------------------------
