@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .expm import ConvergenceError, as_hermitian, real_expm_action, time_blocks
 from .graphs import LabeledGraph, adjacency_matrix, as_int, laplacian
@@ -42,6 +41,8 @@ class TransitionMatrix:
     dangling: np.ndarray
 
     def __post_init__(self) -> None:
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(self.matrix)
         dangling = np.asarray(self.dangling, dtype=bool)
         if m.nnz and (m.data < 0).any():
@@ -58,6 +59,8 @@ class TransitionMatrix:
 def row_stochastic(g: LabeledGraph) -> TransitionMatrix:
     """Row-normalized adjacency ``D^-1 A``; the rows of dangling nodes stay
     empty, and a node whose out-weight is too small to invert is an error."""
+    import scipy.sparse as sp
+
     a = adjacency_matrix(g)
     rowsum = np.asarray(a.sum(axis=1)).reshape(-1)
     dangling = rowsum == 0

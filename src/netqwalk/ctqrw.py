@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .expm import ConvergenceError, SparseHermitian, expm_action, time_blocks
 from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
@@ -65,6 +64,8 @@ def build_hamiltonian(g: LabeledGraph, kind: str, phases=None) -> SparseHermitia
     It accepts directed graphs; a directed pair ``(j, k)``, ``(k, j)``
     sums its two phased terms.
     """
+    import scipy.sparse as sp
+
     if kind not in HAMILTONIAN_KINDS:
         raise ValueError(
             f"unknown hamiltonian kind {kind!r}; expected one of {HAMILTONIAN_KINDS}"

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import LabeledGraph, adjacency_matrix, as_int, node_index
 from .states import START_BLOCK, as_amplitude_columns
@@ -74,6 +73,8 @@ def arc_basis(g: LabeledGraph) -> ArcIndex:
     Edge weights play no role here; the coined walk sees only the
     connectivity.  Directed graphs are rejected — symmetrize first.
     """
+    import scipy.sparse as sp
+
     if g.directed:
         raise ValueError(
             "arc-space walks are defined on undirected graphs; "

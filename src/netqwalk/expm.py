@@ -39,7 +39,6 @@ from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .states import as_probability_columns
 
@@ -75,6 +74,8 @@ class SparseHermitian:
     matrix: sp.csr_matrix
 
     def __post_init__(self) -> None:
+        import scipy.sparse as sp
+
         m = sp.csr_matrix(self.matrix)
         real = not m.data.imag.any()
         m = (m.real if real else m).astype(np.float64 if real else np.complex128)
@@ -127,6 +128,8 @@ class SparseHermitian:
 
 def as_hermitian(matrix) -> SparseHermitian:
     """Wrap (and validate) a matrix as :class:`SparseHermitian`."""
+    import scipy.sparse as sp
+
     if isinstance(matrix, SparseHermitian):
         return matrix
     return SparseHermitian(sp.csr_matrix(matrix))

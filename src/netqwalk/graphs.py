@@ -27,7 +27,6 @@ from itertools import compress, count, repeat
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -368,6 +367,8 @@ def adjacency_matrix(g: LabeledGraph) -> sp.csr_matrix:
 
     Entries are the edge weights, i.e. 0/1 for unweighted graphs.
     """
+    import scipy.sparse as sp  # graph-stats builds no matrix, so it never loads scipy
+
     rows = g.edges[:, 0]
     cols = g.edges[:, 1]
     vals = g.weights
@@ -389,6 +390,8 @@ def laplacian(g: LabeledGraph) -> sp.csr_matrix:
     Only defined for undirected graphs; symmetrize directed input
     explicitly before calling.
     """
+    import scipy.sparse as sp
+
     if g.directed:
         raise ValueError("laplacian requires an undirected graph; symmetrize first")
     a = adjacency_matrix(g)

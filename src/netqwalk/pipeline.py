@@ -264,7 +264,7 @@ class GridRecord:
     top_labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
     """Full sweep output plus the metadata needed to reproduce it."""
 
@@ -489,7 +489,7 @@ class CciWalkerOutput:
     zero_rows: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CciResult:
     config: CciConfig
     cci: PartitionedCciGraph

@@ -540,24 +540,30 @@ def test_reports_are_identical_under_every_blas_kernel(tmp_path, child_env, perf
 LINALG = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
 
 
-def test_cli_import_leaves_scipy_spatial_and_special_unloaded(child_env):
-    # only ``cci`` measures distances, so only it pays for scipy.spatial,
-    # and only the commands that run a kernel load scipy's linear algebra
-    probe = (
-        "import sys, netqwalk.cli; "
-        f"print([m for m in ('scipy.spatial', 'scipy.special', *{LINALG}) if m in sys.modules])"
-    )
+def _scipy_modules_after(child_env, code, *args):
+    probe = f"import sys\n{code}\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *map(str, args)],
         env=child_env(), capture_output=True, text=True, check=True,
     )
-    assert proc.stdout == "[]\n"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_spatial_and_special_unloaded(child_env):
+    # a graph is its edge arrays: only a command that builds a sparse
+    # matrix loads scipy, and then only what its kernels need
+    assert _scipy_modules_after(child_env, "import netqwalk.cli") == "[]"
+
+
+def test_graph_stats_loads_no_scipy(child_env):
+    code = "from netqwalk import cli\nassert cli.main(['graph-stats', '--graph', sys.argv[1]]) == 0"
+    assert _scipy_modules_after(child_env, code, FIXTURES / "synthetic_ppi.tsv") == "[]"
 
 
 # One process runs every command in turn, the continuous walkers in the
 # order of its last argument, and its last line of output holds, after
-# each command, the modules of ``LINALG`` loaded so far.  "lanczos" is a
-# ctqrw run with the Krylov kernel.
+# each command, which of ``scipy.sparse`` and the modules of ``LINALG`` are
+# loaded so far.  "lanczos" is a ctqrw run with the Krylov kernel.
 COMMAND_IMPORTS = """
 import json, sys
 from netqwalk import cli, expm
@@ -578,7 +584,7 @@ for name, argv in runs:
     assert cli.main(argv) == 0, name
     loaded[name] = [m for m in %r if m in sys.modules]
 print(json.dumps(loaded))
-""" % (LINALG,)
+""" % (("scipy.sparse", *LINALG),)
 
 
 @pytest.mark.parametrize("continuous", ["ctrw,ctqrw,lanczos", "lanczos,ctqrw,ctrw"])
@@ -592,8 +598,11 @@ def test_only_the_continuous_walkers_and_cci_load_scipy_linalg(tmp_path, continu
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert list(loaded) == ["graph-stats", "rwr", "dtrw", "dtqrw", *continuous.split(","), "cci"]
+    # graph-stats builds no matrix; every walker builds a sparse one
     for name, modules in loaded.items():
-        expected = [] if name in ("graph-stats", "rwr", "dtrw", "dtqrw") else ["scipy.linalg"]
+        expected = [] if name == "graph-stats" else ["scipy.sparse"]
+        if name not in ("graph-stats", "rwr", "dtrw", "dtqrw"):
+            expected.append("scipy.linalg")
         assert modules == expected, name
 
 

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, reads each
 private name it defines somewhere in the package, leaves the lower bound
 of a count to ``graphs.as_int``, sets a frozen field only in
-``__post_init__``, and gives each dataclass that holds an array an
-equality that does not raise.
+``__post_init__``, gives each dataclass that holds an array an equality,
+and each frozen one that holds a dict or a list a hash, that does not
+raise, and imports scipy only inside the functions that use it.
 
 No linter ships with the test dependencies, so this parses the modules
 with ``ast``: an imported name that no ``Name`` node of its module reads
@@ -195,23 +196,27 @@ def test_frozen_fields_are_set_only_in_post_init(path):
 
 
 _ARRAY = re.compile(r"\b(np\.ndarray|sp\.|scipy\.sparse\.)")
+_MUTABLE = re.compile(r"\b(dict|list)\b")
 
 
-def array_dataclasses_without_eq(source: str) -> list[str]:
-    """Each dataclass with an ``np.ndarray`` or sparse field that neither
-    passes ``eq=False`` nor defines ``__eq__``: the generated ``__eq__``
-    compares the arrays inside tuples and raises on equal ones."""
+def dataclasses_whose_generated_methods_raise(source: str) -> list[str]:
+    """Each dataclass that neither passes ``eq=False`` nor defines ``__eq__``
+    and holds an ``np.ndarray`` or sparse field, or is frozen and holds a
+    ``dict`` or ``list`` field.  The generated ``__eq__`` compares the arrays
+    inside tuples and raises on equal ones; the ``__hash__`` generated for a
+    frozen one hashes every field and raises on a dict or a list."""
     found = []
     for cls in (n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.ClassDef)):
         calls = [d for d in cls.decorator_list
                  if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")]
         if not calls:
             continue
-        no_eq = any(ast.unparse(k) == "eq=False" for d in calls for k in getattr(d, "keywords", []))
+        keywords = {ast.unparse(k) for d in calls for k in getattr(d, "keywords", [])}
         has_eq = any(isinstance(n, ast.FunctionDef) and n.name == "__eq__" for n in cls.body)
-        arrays = any(isinstance(n, ast.AnnAssign) and _ARRAY.search(ast.unparse(n.annotation))
-                     for n in cls.body)
-        if arrays and not (no_eq or has_eq):
+        fields = [ast.unparse(n.annotation) for n in cls.body if isinstance(n, ast.AnnAssign)]
+        arrays = any(map(_ARRAY.search, fields))
+        mutable = "frozen=True" in keywords and any(map(_MUTABLE.search, fields))
+        if (arrays or mutable) and not ("eq=False" in keywords or has_eq):
             found.append(cls.name)
     return found
 
@@ -225,10 +230,83 @@ def test_the_check_finds_a_dataclass_whose_equality_compares_arrays():
         "    def __eq__(self, other):\n        return True\n"
         "@dataclass\nclass Plain:\n    x: tuple\n"
         "class NotData:\n    a: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass Summary:\n    s: dict\n"
+        "@dataclass(frozen=True)\nclass Rows:\n    r: tuple[list[int], ...]\n"
+        "@dataclass(frozen=True, eq=False)\nclass Result:\n    s: dict[str, int]\n"
+        "@dataclass\nclass Mutable:\n    s: dict\n"
+        "@dataclass(frozen=True)\nclass Listing:\n    name: str\n"
     )
-    assert array_dataclasses_without_eq(source) == ["Raw", "Sparse"]
+    assert dataclasses_whose_generated_methods_raise(source) == ["Raw", "Sparse", "Summary", "Rows"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_dataclass_that_holds_an_array_compares_without_raising(path):
-    assert array_dataclasses_without_eq(path.read_text(encoding="utf-8")) == []
+    assert dataclasses_whose_generated_methods_raise(path.read_text(encoding="utf-8")) == []
+
+
+def _runs_on_import(tree: ast.Module):
+    """Every node that runs when the module is imported: none inside a
+    function body, and none under ``if TYPE_CHECKING:``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            stack.extend(node.orelse)
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def scipy_imports_on_import(source: str) -> list[str]:
+    """``line N`` for each ``import scipy...`` or ``from scipy... import``
+    that runs when ``source`` is imported.  A function that builds a sparse
+    matrix imports ``scipy.sparse`` itself, so that ``import netqwalk`` and
+    ``graph-stats`` load no scipy."""
+    found = []
+    for node in _runs_on_import(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+    return [f"line {n}" for n in sorted(found)]
+
+
+def test_the_check_finds_a_scipy_import_that_runs_on_import():
+    source = (
+        "import os\n"
+        "import numpy as np, scipy.sparse as sp\n"
+        "from scipy.linalg import eigh\n"
+        "from . import scipy\n"
+        "import scipyx\n"
+        "if TYPE_CHECKING:\n"
+        "    import scipy.special\n"
+        "else:\n"
+        "    import scipy.fft\n"
+        "try:\n"
+        "    import scipy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    import scipy.io\n"
+        "    def f(self):\n"
+        "        import scipy.linalg\n"
+        "def g():\n"
+        "    from scipy.spatial.distance import cdist\n"
+        "async def h():\n"
+        "    import scipy.signal\n"
+    )
+    assert scipy_imports_on_import(source) == [f"line {n}" for n in (2, 3, 9, 11, 15)]
+
+
+PACKAGE_FILES = sorted(PACKAGE.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE_FILES, ids=[p.name for p in PACKAGE_FILES])
+def test_no_module_imports_scipy_when_it_is_imported(path):
+    assert scipy_imports_on_import(path.read_text(encoding="utf-8")) == []

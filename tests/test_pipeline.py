@@ -597,6 +597,16 @@ def test_cci_config_validation(cci_paths):
         CciConfig(nodes, edges, targets=("C1",), epsilon=1.0)
 
 
+def test_results_hash_and_compare_by_identity(fixture_paths, cci_paths):
+    # a result holds dicts, so a hash over its fields would raise
+    sweep = ExperimentConfig(*fixture_paths, walker="rwr", k_list=(3,))
+    cci = CciConfig(*cci_paths, targets=("C1",))
+    for run, config in ((run_prioritization, sweep), (run_cci_analysis, cci)):
+        x, y = run(config), run(config)
+        assert x == x and x != y
+        assert len({x, y}) == 2
+
+
 def test_cci_unknown_target_label_raises(cci_paths):
     nodes, edges = cci_paths
     with pytest.raises(KeyError, match="C9"):
