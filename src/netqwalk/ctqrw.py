@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expm import ConvergenceError, SparseHermitian, expm_action, time_blocks
-from .graphs import LabeledGraph, adjacency_matrix, laplacian, node_index
+from .graphs import LabeledGraph, adjacency_matrix, as_tuple, laplacian, node_index
 from .states import as_amplitude_columns
 
 __all__ = [
@@ -138,9 +138,7 @@ class CollapseSchedule:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if isinstance(self.times, str):
-            raise ValueError(f"collapse times must be a sequence, not the string {self.times!r}")
-        times = tuple(float(t) for t in self.times)
+        times = tuple(float(t) for t in as_tuple(self.times, "collapse times"))
         if not all(np.isfinite(times)):
             raise ValueError("collapse times must be finite")
         if any(t <= 0.0 for t in times):

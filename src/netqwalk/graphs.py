@@ -63,6 +63,13 @@ def as_int(x, what: str, low: int | None = None) -> int:
     return x
 
 
+def as_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; a ValueError names ``what`` given one string."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a sequence, not the string {values!r}")
+    return tuple(values)
+
+
 def node_index(x, n: int, what: str) -> int:
     """``x`` as a node index in ``[0, n)``; a ValueError names any other value, a string too."""
     if not 0 <= as_int(x, what) < n:
@@ -170,6 +177,12 @@ class LabeledGraph:
         """Read-only weak-component id of each node (:func:`weak_labels`):
         every stored edge joins its ends, whatever its weight or direction."""
         return _frozen(weak_labels(self.n, self.edges))
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        """Read-only object array of the labels: one gather at an index
+        array takes many labels without a Python int per index."""
+        return _frozen(np.array(self.labels, dtype=object))
 
 
 def _merge_edges(

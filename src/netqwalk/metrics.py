@@ -9,12 +9,12 @@ thresholded profiles carve communication subgraphs out of CCI networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import islice
 
 import numpy as np
 
-from .graphs import CCI_LAYERS, LabeledGraph, PartitionedCciGraph, as_int, node_index
+from .graphs import CCI_LAYERS, LabeledGraph, PartitionedCciGraph, as_int, as_tuple, node_index
 
 #: Neighbouring probabilities ``a >= b`` in a ranking are tied unless
 #: ``a - b > TIE_RTOL * max(|a|, |b|) + TIE_ATOL``.  Propagators return
@@ -27,17 +27,28 @@ TIE_ATOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """Ordered predictions, best first, with the score behind each rank."""
+    """Ordered predictions, best first, with the score behind each rank.
+
+    Given ``graph``, ``items`` are its node indices and the list holds
+    their labels; the graph's labels are unique, so distinct indices are
+    distinct items.
+    """
 
     items: tuple
     scores: np.ndarray
+    graph: InitVar[LabeledGraph | None] = None
 
-    def __post_init__(self) -> None:
-        items = tuple(self.items)
+    def __post_init__(self, graph) -> None:
+        if graph is None:
+            items = tuple(self.items)
+            repeats = len(set(items)) != len(items)
+        else:
+            items = tuple(graph.label_array.take(self.items))
+            repeats = len(items) > 0 and np.bincount(self.items).max() > 1
         scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
         if len(items) != scores.shape[0]:
             raise ValueError("one score per ranked item is required")
-        if len(set(items)) != len(items):
+        if repeats:
             raise ValueError("ranked items must be unique")
         if scores.size > 1 and np.any(np.diff(scores) > 0):
             raise ValueError("scores must be non-increasing")
@@ -63,9 +74,12 @@ def rank_by_probability(p, labels=None, exclude=()) -> RankedList:
     however far apart its ends are, and a member's score can exceed its
     own probability by more than the tolerance.
 
-    ``exclude`` removes nodes (indices, or labels when ``labels`` is
-    given) from the ranking entirely, which is how seed genes are kept
-    out of a prioritized list; an index outside ``[0, n)`` raises.
+    ``labels`` is a sequence of one label per node or a ``LabeledGraph``
+    of ``len(p)`` nodes, whose labels are then read from one array without
+    a Python int per node.  ``exclude`` removes nodes (indices, or labels
+    when ``labels`` is given) from the ranking entirely, which is how seed
+    genes are kept out of a prioritized list; an index outside ``[0, n)``
+    raises.
     """
     return _rank(p, labels, exclude, TIE_RTOL, TIE_ATOL)
 
@@ -74,19 +88,21 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     """``rank_by_probability`` with tie tolerances ``rtol`` and ``atol``."""
     p = np.asarray(p, dtype=np.float64).reshape(-1)
     n = p.shape[0]
-    if labels is not None and len(labels) != n:
+    graph = labels if isinstance(labels, LabeledGraph) else None
+    if labels is not None and (labels.n if graph is not None else len(labels)) != n:
         raise ValueError("one label per probability is required")
     excluded = set()
-    label_index = None
-    for e in exclude:
+    label_index = graph.index if graph is not None else None
+    for e in as_tuple(exclude, "exclude"):
         if isinstance(e, str):
             if labels is None:
                 raise ValueError("label exclusions require labels")
-            # built once; a repeated label maps to its first index
-            label_index = label_index or dict(zip(labels[::-1], range(n - 1, -1, -1)))
-            if e not in label_index:
-                raise ValueError(f"excluded label {e!r} is not a ranked label")
-            excluded.add(label_index[e])
+            # a sequence's index is built once; a repeated label maps to its first index
+            label_index = label_index or dict(zip(labels[::-1], range(n - 1, -1, -1))).__getitem__
+            try:
+                excluded.add(label_index(e))
+            except KeyError:
+                raise ValueError(f"excluded label {e!r} is not a ranked label") from None
         else:
             excluded.add(node_index(e, n, "excluded node index"))
     keep = np.ones(n, dtype=bool)
@@ -113,9 +129,11 @@ def _rank(p, labels, exclude, rtol, atol) -> RankedList:
     group = np.cumsum(starts) - 1
     # ``nodes`` ascends, so ordering each group by position orders it by index.
     group_base = group * m
-    order = nodes[np.sort(group_base + by_value) - group_base].tolist()
-    items = tuple([labels[i] for i in order] if labels is not None else order)
-    return RankedList(items, values[starts][group])
+    order, scores = nodes[np.sort(group_base + by_value) - group_base], values[starts][group]
+    if graph is not None:
+        return RankedList(order, scores, graph)
+    order = order.tolist()
+    return RankedList([labels[i] for i in order] if labels is not None else order, scores)
 
 
 def _top_items(ranked, k: int) -> list:
@@ -130,7 +148,7 @@ def precision_at_k(ranked, relevant, k: int) -> float:
     ranked.
     """
     k = as_int(k, "k", 1)
-    rel = set(relevant)
+    rel = set(as_tuple(relevant, "relevant"))
     hits = sum(1 for item in _top_items(ranked, k) if item in rel)
     return hits / k
 
@@ -144,7 +162,7 @@ def average_precision_at_k(ranked, relevant, k: int) -> float:
     items scores 1.
     """
     k = as_int(k, "k", 1)
-    rel = set(relevant)
+    rel = set(as_tuple(relevant, "relevant"))
     if not rel:
         raise ValueError("relevance set must be nonempty")
     hits = 0

@@ -32,6 +32,7 @@ from .graphs import (
     LabeledGraph,
     PartitionedCciGraph,
     as_int,
+    as_tuple,
     build_cci_graph,
     graph_stats,
     greatest_component,
@@ -82,13 +83,6 @@ _DIGEST_TOP = 10
 # The ``discrete-large`` references in ``perfbench/reference/`` hold this
 # order; drop the exception when they are recorded again (ROADMAP item 1).
 _EXACT_TIE_WALKERS = ("dtrw", "dtqrw")
-
-
-def _as_tuple(values, name: str) -> tuple:
-    """``values`` as a tuple; a ValueError names the field ``name`` given one string."""
-    if isinstance(values, str):
-        raise ValueError(f"{name} must be a sequence, not the string {values!r}")
-    return tuple(values)
 
 
 def _reject_repeats(values, what: str) -> None:
@@ -154,6 +148,8 @@ def build_seed_target_sets(
     for name, thresh in (("seed_thresh", seed_thresh), ("target_thresh", target_thresh)):
         if not thresh > 0:  # NaN fails this test too
             raise ValueError(f"{name} must be positive, got {thresh:g}")
+        if thresh == np.inf:
+            raise ValueError(f"{name} must be finite, got {thresh:g}")
     seeds = {label for label, p in scores.items() if p < seed_thresh}
     raw_targets = {label for label, p in target_table.items() if p < target_thresh}
     if not seeds:
@@ -225,13 +221,13 @@ class ExperimentConfig:
             raise ValueError(f"t_max / t_step gives more than {MAX_GRID_POINTS} grid points")
         if kind == "steps" and self.steps_max > MAX_GRID_POINTS:
             raise ValueError(f"steps_max gives more than {MAX_GRID_POINTS} grid points")
-        k_list = tuple(as_int(k, "K value", 1) for k in _as_tuple(self.k_list, "k_list"))
+        k_list = tuple(as_int(k, "K value", 1) for k in as_tuple(self.k_list, "k_list"))
         if not k_list:
             raise ValueError("k_list must be nonempty")
         object.__setattr__(self, "k_list", k_list)
         # a repeated K would repeat its report columns and collapse its summary key
         _reject_repeats(k_list, "K value")
-        collapses = _as_tuple(self.collapse_times, "collapse_times")
+        collapses = as_tuple(self.collapse_times, "collapse_times")
         if collapses and self.walker != "ctqrw":
             raise ValueError("a collapse schedule requires walker='ctqrw'")
         # normalize the path fields and validate the collapse schedule
@@ -350,9 +346,9 @@ def run_prioritization(config: ExperimentConfig) -> SweepResult:
     records = []
     for grid_value, p in zip(grid, sweep(gc, p0, grid, config)):
         if config.walker in _EXACT_TIE_WALKERS:
-            ranking = _rank(p, gc.labels, seed_nodes, 0.0, 0.0)
+            ranking = _rank(p, gc, seed_nodes, 0.0, 0.0)
         else:
-            ranking = rank_by_probability(p, labels=gc.labels, exclude=seed_nodes)
+            ranking = rank_by_probability(p, labels=gc, exclude=seed_nodes)
         digest = hashlib.sha256("\n".join(ranking.items).encode()).hexdigest()
         records.append(
             GridRecord(
@@ -396,7 +392,8 @@ def _csv_cell(text: str) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def emit_reports(result: SweepResult, out_dir) -> list[Path]:
@@ -469,7 +466,7 @@ class CciConfig:
         object.__setattr__(self, "steps", as_int(self.steps, "steps"))
         if not 1 <= self.steps <= MAX_GRID_POINTS:
             raise ValueError(f"steps must lie in [1, {MAX_GRID_POINTS}], got {self.steps}")
-        object.__setattr__(self, "targets", _as_tuple(self.targets, "targets"))
+        object.__setattr__(self, "targets", as_tuple(self.targets, "targets"))
         if not self.targets:
             raise ValueError("at least one target node label is required")
         if not 0.0 < self.epsilon < 1.0:

@@ -339,6 +339,21 @@ def test_empty_gene_sets_and_oversized_grids_are_exit_1(tmp_path, capsys, flags,
     assert not (tmp_path / "out").exists()  # a failed run creates no --out
 
 
+@pytest.mark.parametrize("flag", ["--seed-thresh", "--target-thresh"])
+def test_an_infinite_p_value_threshold_is_exit_1(tmp_path, capsys, flag):
+    # every p-value passes an infinite threshold, and manifest.json would hold Infinity
+    code = cli.main([
+        "prioritize",
+        "--graph", str(FIXTURES / "synthetic_ppi.tsv"),
+        "--scores", str(FIXTURES / "synthetic_scores.tsv"),
+        "--targets", str(FIXTURES / "synthetic_targets.tsv"),
+        "--walker", "rwr", flag, "inf", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {flag[2:].replace('-', '_')} must be finite, got inf\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_lanczos_action_that_does_not_converge_is_exit_2(tmp_path, capsys, expm_kernel,
                                                          monkeypatch):
     # a Krylov basis capped at 12 vectors fails every substep count tried

@@ -677,3 +677,11 @@ def test_a_filled_component_cache_changes_neither_equality_nor_hash():
     assert a == b and b == a and hash(a) == hash(b) == hashed
     # the cache travels with a pickle, and the copy is still the same graph
     assert pickle.loads(pickle.dumps(a)) == b
+
+
+def test_the_label_array_is_a_cached_read_only_view_of_the_labels():
+    g = graph_from_edges([("b", "a"), ("c", "a")])
+    assert g.label_array.dtype == object and g.label_array.tolist() == ["b", "a", "c"]
+    assert all(x is y for x, y in zip(g.label_array, g.labels))
+    assert g.label_array is g.label_array and not g.label_array.flags.writeable
+    assert g == graph_from_edges([("b", "a"), ("c", "a")])

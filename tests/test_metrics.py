@@ -5,8 +5,11 @@ this file (slice, enumerate, average); the library version must match it
 exactly — not merely within a tolerance — on a thousand random rankings.
 The ranking oracle, ``walk_oracles.rank_oracle``, sorts with two stable
 mergesorts; the library's sorts must give the same items and the same
-score bits on ties, near ties, NaN, ±inf and ±0.0.
+score bits on ties, near ties, NaN, ±inf and ±0.0, with labels given as a
+sequence or as a ``LabeledGraph``.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_strategies import support_cases
-from netqwalk.graphs import build_cci_graph
+from netqwalk.graphs import LabeledGraph, build_cci_graph
 from netqwalk.metrics import (
     TIE_ATOL,
     TIE_RTOL,
@@ -58,6 +61,19 @@ def test_ranked_list_validation():
         RankedList(("a", "b"), np.array([0.1, 0.9]))
 
 
+def test_ranked_list_of_graph_nodes_holds_their_labels():
+    g = LabeledGraph(("a", "b", "c"), np.empty((0, 2), dtype=np.int64))
+    r = RankedList(np.array([2, 0]), np.array([0.9, 0.1]), g)
+    assert r.items == ("c", "a")
+    assert RankedList((), np.array([]), g).items == ()
+    with pytest.raises(ValueError, match="one score"):
+        RankedList(np.array([2, 0]), np.array([1.0]), g)
+    with pytest.raises(ValueError, match="^ranked items must be unique$"):
+        RankedList(np.array([1, 1]), np.array([0.9, 0.1]), g)
+    with pytest.raises(ValueError, match="non-increasing"):
+        RankedList(np.array([2, 0]), np.array([0.1, 0.9]), g)
+
+
 # ---------------------------------------------------------------------------
 # ranking
 # ---------------------------------------------------------------------------
@@ -89,6 +105,8 @@ def rank_cases(draw):
     for i in draw(st.lists(st.integers(0, n - 1), max_size=n + 1)) if n else ():
         kinds = [i, np.int64(i)] + ([labels[i]] if labels is not None else [])
         exclude.append(draw(st.sampled_from(kinds)))
+    if labels is not None and draw(st.booleans()):  # the graph form that the pipeline passes
+        labels = LabeledGraph(labels, np.empty((0, 2), dtype=np.int64))
     return (np.array(p), labels, exclude, *draw(TOLERANCES))
 
 
@@ -98,11 +116,13 @@ def rank_cases(draw):
 @example((np.array([-0.0]), ("a",), [], TIE_RTOL, TIE_ATOL))
 @example((np.array([0.0, -0.0, 0.3]), ("a", "b", "c"), ["c"], 0.0, 0.0))
 @example((np.array([np.nan, 0.1, np.nan]), None, [1], TIE_RTOL, TIE_ATOL))
+@example((np.array([0.2, 0.5, 0.2]), LabeledGraph(("a", "b", "c"), [(0, 1)]), ["b"], 0.0, 0.0))
 def test_rank_matches_the_two_mergesort_oracle(case):
     p, labels, exclude, rtol, atol = case
+    names = labels.labels if isinstance(labels, LabeledGraph) else labels
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf and huge gaps
         got = _rank(p, labels, exclude, rtol, atol)
-        items, scores = rank_oracle(p, labels, exclude, rtol, atol)
+        items, scores = rank_oracle(p, names, exclude, rtol, atol)
     assert got.items == items
     assert np.array_equal(got.scores, scores, equal_nan=True)
     assert np.array_equal(np.signbit(got.scores), np.signbit(scores))
@@ -142,6 +162,44 @@ def test_rank_excludes_labels_and_names_an_unknown_one():
         rank_by_probability(p, labels, exclude=["x", "q"])
     with pytest.raises(ValueError, match="label exclusions require labels"):
         rank_by_probability(p, exclude=["x"])
+
+
+def test_rank_rejects_repeated_plain_labels():
+    # a graph's labels are unique by construction; a plain sequence is checked per ranking
+    with pytest.raises(ValueError, match="^ranked items must be unique$"):
+        rank_by_probability([0.1, 0.4, 0.5], ["a", "b", "a"])
+
+
+FOUR = LabeledGraph(("a", "b", "ab", "c"), np.empty((0, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: rank_by_probability([0.1, 0.4, 0.5, 0.2], ["a", "b", "ab", "c"], "ab"), "exclude"),
+    (lambda: rank_by_probability([0.1, 0.4, 0.5, 0.2], FOUR, "ab"), "exclude"),
+    (lambda: precision_at_k(["ab", "a"], "ab", 2), "relevant"),
+    (lambda: average_precision_at_k(["ab", "a"], "ab", 2), "relevant"),
+], ids=["exclude-labels", "exclude-graph", "precision", "average-precision"])
+def test_a_string_is_not_a_set_of_labels(call, name):
+    # iterating "ab" would exclude or count "a" and "b", not "ab"
+    with pytest.raises(ValueError, match=f"^{name} must be a sequence, not the string 'ab'$"):
+        call()
+
+
+def test_a_ranking_of_a_graph_allocates_at_most_160_bytes_per_node():
+    # 30,000 nodes in 500 tie groups; 600 nodes excluded by index and 600 by label
+    n = 30_000
+    g = LabeledGraph(tuple(f"gene{i}" for i in range(n)), [(i, i + 1) for i in range(n - 1)])
+    p = np.random.default_rng(11).integers(0, 500, n) / 500.0
+    exclude = list(range(0, n, 50)) + [f"gene{i}" for i in range(25, n, 50)]
+    rank_by_probability(p, g, exclude)  # fills the graph's cached label array
+    tracemalloc.start()
+    try:
+        ranked = rank_by_probability(p, g, exclude)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ranked) == n - 1200
+    assert peak / n <= 160
 
 
 def test_precision_hand_cases():

@@ -560,6 +560,14 @@ def test_emit_reports_rejects_empty_grid(fixture_paths, tmp_path):
         emit_reports(empty, tmp_path / "nope")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_report_never_holds_a_non_finite_number(tmp_path, value):
+    # json writes these as Infinity or NaN, which no JSON parser need accept
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        pipeline._write_json(tmp_path / "report.json", {"seed_thresh": value})
+    assert not (tmp_path / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # CCI analysis
 # ---------------------------------------------------------------------------
