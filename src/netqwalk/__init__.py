@@ -82,6 +82,7 @@ from .pipeline import (
     emit_reports,
     run_cci_analysis,
     run_prioritization,
+    stream_cci_analysis,
 )
 
 __version__ = "0.1.0"

@@ -27,8 +27,8 @@ from .pipeline import (
     WALKERS,
     emit_cci_reports,
     emit_reports,
-    run_cci_analysis,
     run_prioritization,
+    stream_cci_analysis,
 )
 from .ctqrw import HAMILTONIAN_KINDS
 
@@ -132,13 +132,12 @@ def _run_prioritize(args) -> int:
 
 
 def _run_cci(args) -> int:
-    result = run_cci_analysis(_config(CciConfig, args))
-    files = emit_cci_reports(result, args.out)
-    for walker in sorted(result.walkers):
-        output = result.walkers[walker]
+    files = emit_cci_reports(stream_cci_analysis(_config(CciConfig, args)), args.out)
+    # each walker's output is freed once written; its summary is in the manifest
+    for walker, entry in json.loads(files[-1].read_text(encoding="utf-8"))["walkers"].items():
         print(
-            f"{walker}: support subgraph has {output.support.edge_count} edges"
-            + (f", zero rows: {', '.join(output.zero_rows)}" if output.zero_rows else "")
+            f"{walker}: support subgraph has {entry['support_edges']} edges"
+            + (f", zero rows: {', '.join(entry['zero_rows'])}" if entry["zero_rows"] else "")
         )
     print(f"wrote {len(files)} files to {args.out}")
     return 0

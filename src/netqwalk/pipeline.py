@@ -21,7 +21,7 @@ import json
 import logging
 import os
 import pickle
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain
 from pathlib import Path
 
@@ -488,9 +488,39 @@ class CciWalkerOutput:
 
 @dataclass(frozen=True, eq=False)
 class CciResult:
+    """A CCI run: ``walkers`` maps each walker to its output or, from
+    ``stream_cci_analysis``, yields ``(walker, output)`` pairs in name order."""
+
     config: CciConfig
     cci: PartitionedCciGraph
     walkers: dict
+
+
+def _walk_cci(walker: str, cci: PartitionedCciGraph, sym: LabeledGraph,
+              config: CciConfig) -> CciWalkerOutput:
+    profiles = np.zeros((sym.n, sym.n))
+    for nodes, block in PROFILES[walker](sym, config.steps):
+        profiles[nodes] = block.T
+    return CciWalkerOutput(
+        profiles=profiles,
+        support=walk_support_subgraph(cci, profiles, config.targets, config.epsilon),
+        zero_rows=tuple(sym.labels[j] for j in np.flatnonzero(~profiles.any(axis=1))),
+    )
+
+
+def stream_cci_analysis(config: CciConfig) -> CciResult:
+    """``run_cci_analysis`` one walker at a time: the graph is read and checked
+    now, and each walker walks only when its pair is asked for.  The stream
+    keeps no reference to a pair it has handed on."""
+    cci = build_cci_graph(
+        parse_node_layers(read_text(config.nodes_path)),
+        parse_label_pairs(read_text(config.edges_path)),
+    )
+    for t in config.targets:
+        cci.graph.index(t)  # raises KeyError for unknown labels
+    sym = symmetrized_view(cci)
+    walks = ((walker, _walk_cci(walker, cci, sym, config)) for walker in sorted(PROFILES))
+    return CciResult(config=config, cci=cci, walkers=walks)
 
 
 def run_cci_analysis(config: CciConfig) -> CciResult:
@@ -501,26 +531,11 @@ def run_cci_analysis(config: CciConfig) -> CciResult:
     node) and the communication subgraph supported at ``config.epsilon``.
     A node that the walker does not launch from, for the coined walker a
     node of degree 0, keeps a zero row, which is flagged.  Any walker
-    error propagates.
+    error propagates.  The walks are those of ``stream_cci_analysis``,
+    collected.
     """
-    cci = build_cci_graph(
-        parse_node_layers(read_text(config.nodes_path)),
-        parse_label_pairs(read_text(config.edges_path)),
-    )
-    for t in config.targets:
-        cci.graph.index(t)  # raises KeyError for unknown labels
-    sym = symmetrized_view(cci)
-    walkers = {}
-    for walker, blocks in PROFILES.items():
-        profiles = np.zeros((sym.n, sym.n))
-        for nodes, block in blocks(sym, config.steps):
-            profiles[nodes] = block.T
-        walkers[walker] = CciWalkerOutput(
-            profiles=profiles,
-            support=walk_support_subgraph(cci, profiles, config.targets, config.epsilon),
-            zero_rows=tuple(sym.labels[j] for j in np.flatnonzero(~profiles.any(axis=1))),
-        )
-    return CciResult(config=config, cci=cci, walkers=walkers)
+    streamed = stream_cci_analysis(config)
+    return replace(streamed, walkers=dict(streamed.walkers))
 
 
 def _write_walker_reports(paths: dict, output: CciWalkerOutput, labels) -> None:
@@ -566,21 +581,34 @@ def _fork(write, *args) -> tuple[int, int]:
 
 
 def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
-    """Write per-walker profile/distance CSVs, support TSVs, and a manifest; each walker but
-    the last by name in a forked child, where ``os.fork`` exists, with the same bytes."""
+    """Write per-walker profile/distance CSVs, support TSVs, and a manifest.
+
+    Each walker is written as it arrives, in name order: every one but the
+    last of ``PROFILES`` in a forked child, where ``os.fork`` exists, with the
+    same bytes.  This process drops each walker before it asks for the next,
+    so from ``stream_cci_analysis`` it holds one walker's profiles at a time.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     labels = result.cci.graph.labels
-    jobs = [(walker, {kind: out / f"cci_{walker}_{kind}.{ext}" for kind, ext in
-                      (("profiles", "csv"), ("distances", "csv"), ("support", "tsv"))}, output)
-            for walker, output in sorted(result.walkers.items())]
-    importlib.import_module("scipy.spatial.distance")  # once, for every child to inherit
-    children, ended = [], []
+    walkers = result.walkers
+    pairs = sorted(walkers.items()) if isinstance(walkers, dict) else walkers
+    last = max(PROFILES)
+    files, manifest_walkers, children, ended = [], {}, [], []
     try:
-        for walker, paths, output in jobs[:-1] if hasattr(os, "fork") else ():
-            children.append((walker, *_fork(_write_walker_reports, paths, output, labels)))
-        for _, paths, output in jobs[len(children):]:
-            _write_walker_reports(paths, output, labels)
+        for walker, output in pairs:
+            paths = {kind: out / f"cci_{walker}_{kind}.{ext}" for kind, ext in
+                     (("profiles", "csv"), ("distances", "csv"), ("support", "tsv"))}
+            files += paths.values()
+            manifest_walkers[walker] = {kind: path.name for kind, path in paths.items()} | {
+                "support_edges": output.support.edge_count, "zero_rows": list(output.zero_rows)}
+            if walker == last or not hasattr(os, "fork"):
+                _write_walker_reports(paths, output, labels)
+            else:
+                if not children:  # once, after the first walk, for every child to inherit
+                    importlib.import_module("scipy.spatial.distance")
+                children.append((walker, *_fork(_write_walker_reports, paths, output, labels)))
+            del output  # before the next walker walks
     finally:
         for walker, pid, read_fd in children:
             with os.fdopen(read_fd, "rb") as fh:
@@ -590,11 +618,6 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
             code = os.waitstatus_to_exitcode(status)
             raise pickle.loads(sent) if sent else ChildProcessError(
                 f"the {walker} report writer exited with status {code}")
-    manifest_walkers = {
-        walker: {kind: path.name for kind, path in paths.items()}
-        | {"support_edges": output.support.edge_count, "zero_rows": list(output.zero_rows)}
-        for walker, paths, output in jobs
-    }
     manifest_path = out / CCI_MANIFEST_JSON
     _write_json(
         manifest_path,
@@ -605,4 +628,4 @@ def emit_cci_reports(result: CciResult, out_dir) -> list[Path]:
             "walkers": manifest_walkers,
         },
     )
-    return [*(path for _, paths, _ in jobs for path in paths.values()), manifest_path]
+    return [*files, manifest_path]

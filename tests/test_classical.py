@@ -10,7 +10,6 @@ undirected graphs that hypothesis draws.
 """
 
 import math
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -36,6 +35,7 @@ from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import graph_from_edges, greatest_component, load_edge_list, read_edge_list
 from netqwalk.states import delta_distribution
 from graph_strategies import small_graphs
+from traced_memory import traced_peak
 from walk_oracles import (
     ctrw_oracle,
     dtrw_oracle,
@@ -364,27 +364,18 @@ def test_dtrw_matches_the_holding_matrix_power():
                 assert np.max(np.abs(got - dtrw_oracle(g, start, steps))) < 1e-14
 
 
-def _traced_peak(walk) -> int:
-    tracemalloc.start()
-    try:
-        walk()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_rwr_dangling_mass_takes_no_copies_of_the_restart_vector():
     # a 3,000-node path plus 1,000 isolated nodes, with a uniform p0: a
     # matrix holding p0 in each dangling column has 4 million entries
     labels = [f"v{j}" for j in range(4000)]
     g = graph_from_edges(zip(labels[:2999], labels[1:3000]), nodes=labels)
     p0 = np.full(g.n, 1 / g.n)
-    assert _traced_peak(lambda: rwr_steady_state(g, p0, 0.85)) < 8e6
-    assert _traced_peak(lambda: rwr_iterate(g, p0, 0.85, 5)) < 8e6
+    assert traced_peak(rwr_steady_state, g, p0, 0.85)[1] < 8e6
+    assert traced_peak(rwr_iterate, g, p0, 0.85, 5)[1] < 8e6
     # a 2,000-node graph takes no n x n array (one would hold 32 MB)
     small = graph_from_edges(zip(labels[:1499], labels[1:1500]), nodes=labels[:2000])
     q0 = np.full(small.n, 1 / small.n)
-    assert _traced_peak(lambda: rwr_steady_state(small, q0, 0.85)) < 1e6
+    assert traced_peak(rwr_steady_state, small, q0, 0.85)[1] < 1e6
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_an_out_path_that_is_a_file_fails_before_the_run(data, capsys, monkeypat
         raise AssertionError("the run started before --out was checked")
 
     monkeypatch.setattr(cli, "run_prioritization", never)
-    monkeypatch.setattr(cli, "run_cci_analysis", never)
+    monkeypatch.setattr(cli, "stream_cci_analysis", never)
     Path(data["out"]).write_text("")
     inputs = {
         "prioritize": ["--graph", data["graph"], "--scores", data["scores"],

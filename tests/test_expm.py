@@ -7,7 +7,6 @@ agreement is a genuine cross-check rather than a tautology.
 
 import inspect
 import re
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,6 +25,7 @@ from netqwalk.expm import (
     real_expm_action,
 )
 from netqwalk.graphs import graph_from_edges, greatest_component, laplacian, read_edge_list
+from traced_memory import traced_peak
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -149,12 +149,7 @@ def test_the_eigendecomposition_holds_one_dense_matrix_at_its_peak(hamiltonian, 
     g = random_graph(np.random.default_rng(13), 600, 1800)
     phases = ctqrw.random_chiral_phases(g, 3) if hamiltonian == "chiral" else None
     h = ctqrw.build_hamiltonian(g, hamiltonian, phases)
-    tracemalloc.start()
-    try:
-        w, v = h.eigendecomposition
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (w, v), peak = traced_peak(lambda: h.eigendecomposition)
     assert v.itemsize == itemsize and v.flags.f_contiguous
     assert peak / (itemsize * g.n**2) < bound
 

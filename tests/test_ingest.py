@@ -15,7 +15,6 @@ take the block size as one more input, down to one line.
 
 import logging
 import re
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -32,6 +31,7 @@ from netqwalk.graphs import (
     parse_node_layers,
 )
 from netqwalk.pipeline import parse_score_table
+from traced_memory import traced_peak
 
 # For each table: its parser, a valid row for distinct index i, and the
 # malformed rows it must reject, by kind.  A repeated label is a copy of
@@ -316,12 +316,7 @@ def test_an_edge_list_is_parsed_a_block_at_a_time():
     text = "".join(
         f"G{u:05d}\tG{v:05d}" + ("\t0.5\n" if k % 3 else "\n") for k, (u, v) in enumerate(ends)
     )
-    tracemalloc.start()
-    try:
-        g = load_edge_list(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(load_edge_list, text)
     assert g.n == 15_962
     assert peak < 10e6
 
@@ -333,11 +328,6 @@ def test_the_reader_frees_its_label_index_before_the_graph_builds_one():
     pairs = [(f"A{k:05d}", f"B{k:05d}") for k in range(22_500)]
     text = "".join(f"{u}\t{v}\n" for u, v in pairs)
     for build, source, bound in ((load_edge_list, text, 10e6), (graph_from_edges, pairs, 7.5e6)):
-        tracemalloc.start()
-        try:
-            g = build(source)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        g, peak = traced_peak(build, source)
         assert g.n == 45_000 and g.index("B22499") == 44_999
         assert peak < bound

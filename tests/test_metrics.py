@@ -9,8 +9,6 @@ score bits on ties, near ties, NaN, ±inf and ±0.0, with labels given as a
 sequence or as a ``LabeledGraph``.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +27,7 @@ from netqwalk.metrics import (
     rank_by_probability,
     walk_support_subgraph,
 )
+from traced_memory import traced_peak
 from walk_oracles import rank_oracle, support_oracle
 
 
@@ -192,12 +191,7 @@ def test_a_ranking_of_a_graph_allocates_at_most_160_bytes_per_node():
     p = np.random.default_rng(11).integers(0, 500, n) / 500.0
     exclude = list(range(0, n, 50)) + [f"gene{i}" for i in range(25, n, 50)]
     rank_by_probability(p, g, exclude)  # fills the graph's cached label array
-    tracemalloc.start()
-    try:
-        ranked = rank_by_probability(p, g, exclude)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    ranked, peak = traced_peak(rank_by_probability, p, g, exclude)
     assert len(ranked) == n - 1200
     assert peak / n <= 160
 

@@ -11,14 +11,14 @@ import dataclasses
 import hashlib
 import json
 import os
-import tracemalloc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netqwalk import classical, ctqrw, dtqrw, pipeline
+from netqwalk import classical, cli, ctqrw, dtqrw, pipeline
+from netqwalk.expm import ConvergenceError
 from netqwalk.graphs import (
     build_cci_graph,
     graph_from_edges,
@@ -53,6 +53,7 @@ from netqwalk.pipeline import (
     run_prioritization,
 )
 from netqwalk.states import START_BLOCK
+from traced_memory import traced_peak
 from walk_oracles import dtqrw_oracle, graph_with_leaves_and_isolated
 
 GRAPH = """\
@@ -892,6 +893,52 @@ def test_a_child_that_dies_without_reporting_is_a_child_process_error(
     assert not (tmp_path / "cci_manifest.json").exists()
 
 
+def test_a_walk_that_fails_after_a_writer_was_forked_reaps_it_and_exits_2(
+    cci_paths, tmp_path, monkeypatch, capsys
+):
+    # dtqrw, first by name, is handed to its forked writer before dtrw walks
+    nodes, edges = cci_paths
+    argv = ["cci", "--nodes", nodes, "--edges", edges, "--targets", "C1", "--out"]
+    assert cli.main([*argv, str(tmp_path / "whole")]) == 0
+
+    def diverge(g, steps):
+        raise ConvergenceError("the dtrw walk diverged")
+        yield
+
+    monkeypatch.setitem(pipeline.PROFILES, "dtrw", diverge)
+    capsys.readouterr()
+    assert cli.main([*argv, str(tmp_path / "cut")]) == 2
+    assert capsys.readouterr().err == "numerical failure: the dtrw walk diverged\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    for kind in ("profiles.csv", "distances.csv", "support.tsv"):
+        name = f"cci_dtqrw_{kind}"
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
+        "cci_dtqrw_distances.csv", "cci_dtqrw_profiles.csv", "cci_dtqrw_support.tsv"]
+
+
+@pytest.mark.parametrize("four_layer_cci", [100], indirect=True)
+def test_a_cci_run_holds_one_walkers_profiles_at_a_time(four_layer_cci, tmp_path, monkeypatch):
+    # without fork every walker is written here, one after another; holding
+    # both walkers' profiles, as a walk-everything-first run does, peaks at
+    # 4.26 MB, and one walker at a time at 2.95 MB.  The slack covers the
+    # coined walk's arc-space blocks (1.5 MB at its own peak) and the text
+    # of a block of rows
+    nodes, edges, target = four_layer_cci
+    n = len(Path(nodes).read_text().splitlines())
+    assert n == 400
+    monkeypatch.delattr(os, "fork")
+    import scipy.sparse  # noqa: F401 - the first matrix and distance load them; not traced
+    import scipy.spatial.distance  # noqa: F401
+
+    argv = ["cci", "--nodes", nodes, "--edges", edges, "--targets", target,
+            "--out", str(tmp_path / "out")]
+    code, peak = traced_peak(cli.main, argv)
+    assert code == 0
+    assert peak < 8 * n * n + 8 * _DISTANCE_ROWS * n + 2e6
+
+
 def test_pairwise_distances_of_the_fixture_profiles_equal_eager_cdist():
     result = run_cci_analysis(CciConfig(
         str(DATA / "cci_nodes.tsv"), str(DATA / "cci_edges.tsv"), targets=("C1",)
@@ -913,12 +960,7 @@ def test_emit_cci_reports_holds_no_whole_distance_matrix(four_layer_cci, tmp_pat
     assert n == 400
     import scipy.spatial.distance  # noqa: F401 - the first distance loads it; not traced
 
-    tracemalloc.start()
-    try:
-        emit_cci_reports(result, tmp_path / "out")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(emit_cci_reports, result, tmp_path / "out")
     assert peak < 8 * n * n
     rows = (tmp_path / "out" / "cci_dtqrw_distances.csv").read_text().splitlines()
     assert len(rows) == n + 1
